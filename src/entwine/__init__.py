@@ -8,11 +8,11 @@ Maschke-type splittings.  All arithmetic is exact, over Q or F_p.
 """
 
 from .exactlin import Field, Mat, Tensor, kron, flip
-from .report import Check, Report, CheckFailure
+from .report import Check, Report
 
 __all__ = [
     "Field", "Mat", "Tensor", "kron", "flip",
-    "Check", "Report", "CheckFailure",
+    "Check", "Report",
 ]
 
 __version__ = "0.1.0"

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import (
-    Mat, kron, SubspaceBasis, mat_solution_basis, solve_affine, vec,
-    basis_columns,
+    Mat, kron, SubspaceBasis, mat_solution_basis, in_subspace, basis_columns,
 )
 from .report import Report, Check, eq_check
 from .algstruct import (
@@ -102,11 +101,6 @@ def hom_space(x: EntwinedModule, y: EntwinedModule) -> SubspaceBasis:
         lambda f: f * x.action - y.action * kron(f, i_n),
         lambda f: kron(f, i_c) * x.coaction - y.coaction * f,
     ])
-
-
-def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
-    sol = solve_affine(space.basis, vec(f))
-    return sol is not None
 
 
 def adjunction_check_tc_fc(e: Entwining, n: Comodule, x: EntwinedModule) -> Report:

@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import (
-    Mat, kron, SubspaceBasis, mat_solution_basis, solve_affine, vec,
-    basis_columns,
+    Mat, kron, SubspaceBasis, mat_solution_basis, in_subspace, basis_columns,
 )
 from .report import Report, Check, eq_check
 from .algstruct import (
@@ -195,10 +194,6 @@ def contra_hom_space(x: EntwinedContraModule, y: EntwinedContraModule) -> Subspa
         lambda f: f * x.action - y.action * kron(i_n, f),
         lambda f: f * x.pi - y.pi * under(f, c),
     ])
-
-
-def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
-    return solve_affine(space.basis, vec(f)) is not None
 
 
 def adjunction_check_f_t(e: Entwining, x: EntwinedContraModule,

@@ -5,6 +5,11 @@ in [0, p) for F_p.  Everything is immutable and every pivot choice is the
 first nonzero entry in row-major scan order, so ranks, kernels, cokernel
 presentations and solutions are reproducible bit for bit.
 
+Entries are stored dense but are mostly zeros, so the kernels skip zeros,
+with one loop per field kind.  Over Q every zero the package builds is the
+shared `Field.zero`, so a zero test `x is not z and x` is mostly a pointer
+compare; no result relies on it, as any other zero fails the truth test.
+
 Tensor legs flatten first-factor-major: the flat index of (i1, ..., ik)
 over shape (d1, ..., dk) is ((i1*d2 + i2)*d3 + ...). kron follows the same
 convention, so kron(f, g) is the matrix of f (x) g on flattened legs.
@@ -14,6 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress, repeat
+from operator import add, mod, mul, neg, sub
+
+# The shared zero and one of Q (F_p uses the small ints 0 and 1).
+_Q0 = Fraction(0)
+_Q1 = Fraction(1)
 
 
 def _is_prime(p: int) -> bool:
@@ -48,11 +59,11 @@ class Field:
 
     @property
     def zero(self):
-        return Fraction(0) if self.kind == "rational" else 0
+        return _Q0 if self.kind == "rational" else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == "rational" else 1
+        return _Q1 if self.kind == "rational" else 1
 
     def of(self, x):
         """Coerce an int, Fraction or scalar string into the field."""
@@ -62,7 +73,7 @@ class Field:
             raise ValueError("bool is not a scalar")
         if self.kind == "rational":
             if isinstance(x, (int, Fraction)):
-                return Fraction(x)
+                return Fraction(x) if x else _Q0
             raise ValueError("cannot coerce %r into Q" % (x,))
         if isinstance(x, int):
             return x % self.p
@@ -84,15 +95,12 @@ class Field:
         return a * b if self.kind == "rational" else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.kind == "rational" else (-a) % self.p
+        return (-a or _Q0) if self.kind == "rational" else (-a) % self.p
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero")
-        return Fraction(1) / a if self.kind == "rational" else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return _Q1 / a if self.kind == "rational" else pow(a, -1, self.p)
 
     # -- serialization: "p/q" in lowest terms (rational), residue (prime)
 
@@ -153,21 +161,31 @@ class Mat:
     def row(self, i):
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
+    def _like(self, entries) -> "Mat":
+        return Mat(self.field, self.rows, self.cols, tuple(entries))
+
+    def _mod(self, ints) -> "Mat":
+        """Same shape over F_p, entries reduced mod p."""
+        return self._like(map(mod, ints, repeat(self.field.p)))
+
     def __add__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        add = self.field.add
-        return Mat(self.field, self.rows, self.cols,
-                   tuple(add(a, b) for a, b in zip(self.entries, other.entries)))
+        if self.field.kind == "prime":
+            return self._mod(map(add, self.entries, other.entries))
+        return self._like(b if a is _Q0 else a if b is _Q0 else a + b
+                          for a, b in zip(self.entries, other.entries))
 
     def __sub__(self, other: "Mat") -> "Mat":
         self._same_shape(other)
-        sub = self.field.sub
-        return Mat(self.field, self.rows, self.cols,
-                   tuple(sub(a, b) for a, b in zip(self.entries, other.entries)))
+        if self.field.kind == "prime":
+            return self._mod(map(sub, self.entries, other.entries))
+        return self._like(a if b is _Q0 else -b if a is _Q0 else a - b
+                          for a, b in zip(self.entries, other.entries))
 
     def __neg__(self) -> "Mat":
-        neg = self.field.neg
-        return Mat(self.field, self.rows, self.cols, tuple(neg(a) for a in self.entries))
+        if self.field.kind == "prime":
+            return self._mod(map(neg, self.entries))
+        return self._like(_Q0 if a is _Q0 else -a for a in self.entries)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -179,8 +197,9 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = self.field.of(c)
-        mul = self.field.mul
-        return Mat(self.field, self.rows, self.cols, tuple(mul(c, a) for a in self.entries))
+        if self.field.kind == "prime":
+            return self._mod(map(mul, self.entries, repeat(c)))
+        return self._like(_Q0 if a is _Q0 else c * a for a in self.entries)
 
     def _matmul(self, other: "Mat") -> "Mat":
         if self.field != other.field:
@@ -193,45 +212,43 @@ class Mat:
         n, m, k = self.rows, self.cols, other.cols
         a, b = self.entries, other.entries
         out = [z] * (n * k)
-        for i in range(n):
-            arow = a[i * m:(i + 1) * m]
-            orow = i * k
-            for t in range(m):
-                c = arow[t]
-                if c == z:
-                    continue
-                brow = b[t * k:(t + 1) * k]
-                if F.kind == "rational":
-                    for j in range(k):
-                        v = brow[j]
-                        if v != z:
-                            out[orow + j] += c * v
-                else:
-                    p = F.p
-                    for j in range(k):
-                        v = brow[j]
-                        if v != z:
-                            out[orow + j] = (out[orow + j] + c * v) % p
+        if F.kind == "prime":
+            # compress() skips zero residues in C, with no Python-level test.
+            p, cols = F.p, range(k)
+            for i in range(n):
+                arow, base = a[i * m:(i + 1) * m], i * k
+                for t in compress(range(m), arow):
+                    c, brow = arow[t], b[t * k:(t + 1) * k]
+                    for j in compress(cols, brow):
+                        out[base + j] = (out[base + j] + c * brow[j]) % p
+        else:
+            for i in range(n):
+                base = i * k
+                for t, c in enumerate(a[i * m:(i + 1) * m]):
+                    if c is not z and c:
+                        for j, v in enumerate(b[t * k:(t + 1) * k]):
+                            if v is not z and v:
+                                w = out[base + j]
+                                out[base + j] = c * v if w is z else w + c * v
         return Mat(F, n, k, tuple(out))
 
     @property
     def t(self) -> "Mat":
-        e = self.entries
-        c = self.cols
-        return Mat(self.field, c, self.rows,
-                   tuple(e[i * c + j] for j in range(c) for i in range(self.rows)))
+        e, c = self.entries, self.cols
+        return Mat(self.field, c, self.rows, tuple(chain.from_iterable(
+            e[j::c] for j in range(c))))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for a in self.entries)
+        if self.field.kind == "prime":
+            return not any(self.entries)
+        return not any(a is not _Q0 and a for a in self.entries)
 
     def _same_shape(self, other: "Mat"):
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape/field mismatch")
 
     def col_mat(self, j: int) -> "Mat":
-        return Mat(self.field, self.rows, 1,
-                   tuple(self.entries[i * self.cols + j] for i in range(self.rows)))
+        return Mat(self.field, self.rows, 1, self.entries[j::self.cols])
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.show(x) for x in self.row(i))
@@ -244,22 +261,26 @@ def kron(a: Mat, b: Mat) -> Mat:
     if a.field != b.field:
         raise ValueError("field mismatch")
     F = a.field
-    mul = F.mul
-    z = F.zero
-    rows, cols = a.rows * b.rows, a.cols * b.cols
+    z, o = F.zero, F.one
+    br, bc, rows, cols = b.rows, b.cols, a.rows * b.rows, a.cols * b.cols
+    # Nonzero entries of b, as (offset inside a block, value).
+    nz_b = [(s // bc * cols + s % bc, v)
+            for s, v in enumerate(b.entries) if v is not z and v]
     out = [z] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            c = a.entries[i * a.cols + j]
-            if c == z:
-                continue
-            for k in range(b.rows):
-                base = (i * b.rows + k) * cols + j * b.cols
-                brow = b.entries[k * b.cols:(k + 1) * b.cols]
-                for l in range(b.cols):
-                    v = brow[l]
-                    if v != z:
-                        out[base + l] = mul(c, v)
+    for s, c in enumerate(a.entries):
+        if c is z or not c:
+            continue
+        base = s // a.cols * br * cols + s % a.cols * bc
+        if c is o or c == o:
+            for off, v in nz_b:
+                out[base + off] = v
+        elif F.kind == "prime":
+            p = F.p
+            for off, v in nz_b:
+                out[base + off] = c * v % p
+        else:
+            for off, v in nz_b:
+                out[base + off] = c * v
     return Mat(F, rows, cols, tuple(out))
 
 
@@ -345,38 +366,46 @@ def rref(m: Mat):
 
     Pivot selection is the first row with a nonzero entry, scanning
     columns left to right; no magnitude heuristics, fully deterministic.
+    Rows are eliminated in place, on the pivot row's nonzero columns only.
     """
-    F = m.field
-    z = F.zero
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    F, z = m.field, m.field.zero
+    prime, p = F.kind == "prime", F.p
+    nrows, ncols = m.rows, m.cols
+    rows = [list(m.row(i)) for i in range(nrows)]
     pivots = []
     r = 0
-    for c in range(m.cols):
-        pr = -1
-        for i in range(r, m.rows):
-            if rows[i][c] != z:
-                pr = i
-                break
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c] is not z and rows[i][c]), -1)
         if pr < 0:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
+        prow = rows[r]
+        # Entries left of c in the pivot row are already zero.
+        nz = [j for j in range(c + 1, ncols) if prow[j] is not z and prow[j]]
+        piv = prow[c]
         if piv != F.one:
             ipiv = F.inv(piv)
-            rows[r] = [F.mul(ipiv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i == r:
+            for j in nz:
+                prow[j] = prow[j] * ipiv % p if prime else prow[j] * ipiv
+            prow[c] = F.one
+        for i in range(nrows):
+            row = rows[i]
+            f = row[c]
+            if i == r or f is z or not f:
                 continue
-            f = rows[i][c]
-            if f != z:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [F.sub(ri[j], F.mul(f, rr[j])) for j in range(m.cols)]
+            row[c], g = z, -f
+            for j in nz:
+                w = row[j]
+                row[j] = g * prow[j] if w is z else w + g * prow[j]
+            if prime:
+                for j in nz:
+                    row[j] %= p
         pivots.append(c)
         r += 1
-        if r == m.rows:
-            break
     flat = tuple(x for row in rows for x in row)
-    return Mat(F, m.rows, m.cols, flat), tuple(pivots)
+    return Mat(F, nrows, ncols, flat), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -409,11 +438,9 @@ def solve_affine(a: Mat, b: Mat):
     if any(p >= a.cols for p in pivots):
         return None
     F = a.field
-    z = F.zero
-    part = [[z] * b.cols for _ in range(a.cols)]
+    part = [(F.zero,) * b.cols] * a.cols
     for j, pcol in enumerate(pivots):
-        for t in range(b.cols):
-            part[pcol][t] = R[j, a.cols + t]
+        part[pcol] = R.row(j)[a.cols:]
     particular = Mat(F, a.cols, b.cols, tuple(x for row in part for x in row))
     return particular, kernel_basis(a)
 
@@ -510,6 +537,11 @@ def restrict_map(f: Mat, dom_basis: Mat, cod_basis: Mat) -> Mat:
     if sol is None:
         raise ValueError("map does not restrict to the subspace")
     return sol[0]
+
+
+def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
+    """Whether vec(f) lies in the span of the basis columns of space."""
+    return solve_affine(space.basis, vec(f)) is not None
 
 
 # -- solution spaces of matrix equations ------------------------------

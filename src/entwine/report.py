@@ -51,10 +51,6 @@ def eq_check(name: str, lhs: Mat, rhs: Mat) -> Check:
     return Check(name, True)
 
 
-def zero_check(name: str, m: Mat) -> Check:
-    return eq_check(name, m, Mat.zeros(m.field, m.rows, m.cols))
-
-
 @dataclass
 class Report:
     """Named collection of checks plus free-form result data."""
@@ -66,12 +62,6 @@ class Report:
     def add(self, check: Check) -> Check:
         self.checks.append(check)
         return check
-
-    def require(self, check: Check) -> None:
-        """Record the check and raise if it failed."""
-        self.add(check)
-        if not check.passed:
-            raise CheckFailure(self.title, check)
 
     @property
     def passed(self) -> bool:
@@ -87,15 +77,6 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
-
-
-class CheckFailure(ValueError):
-    def __init__(self, title: str, check: Check):
-        self.check = check
-        msg = "%s: check %r failed" % (title, check.name)
-        if check.witness:
-            msg += " at %s" % (json.dumps(check.witness, sort_keys=True),)
-        super().__init__(msg)
 
 
 def mat_as_lists(m: Mat) -> list:

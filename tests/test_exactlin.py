@@ -39,7 +39,7 @@ def test_prime_field_ops():
     assert F5.of(-1) == 4
     assert F5.of(Fraction(1, 2)) == 3  # 2 * 3 == 1 mod 5
     assert F5.inv(3) == 2
-    assert F5.parse("7/3") == F5.div(F5.of(7), F5.of(3))
+    assert F5.parse("7/3") == F5.mul(F5.of(7), F5.inv(F5.of(3)))
     with pytest.raises(ValueError):
         F5.of(Fraction(1, 5))
     with pytest.raises(ZeroDivisionError):
