@@ -492,11 +492,12 @@ def _cmd_galois(ws: Workspace, args):
     b = coinvariants(g)
     dom, can = canonical_map(g)
     target = g.alg.dim * g.coalg.dim
-    bij = dom.dim == target and rank(can) == target
+    r = rank(can)
+    bij = dom.dim == target and r == target
     return {"subject": args.name, "galois": {
         "coinvariants_dim": b.dim,
         "canonical_domain_dim": dom.dim,
-        "canonical_rank": rank(can),
+        "canonical_rank": r,
         "target_dim": target,
         "bijective": bij,
     }}, (0 if bij else 1)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import (
-    Mat, kron, SubspaceBasis, mat_solution_basis, in_subspace, basis_columns,
-)
-from .report import Report, Check, eq_check
+from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
+from .exactlin import in_subspace  # noqa: F401 (re-exported)
+from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Coalgebra, ModuleLeft, check_module_left, module_hom_left,
 )
@@ -183,17 +182,24 @@ def induce_a_t(e: Entwining, n: ModuleLeft) -> EntwinedContraModule:
     return EntwinedContraModule(e, dim, pi, uncurry_left(mu, dim, e.alg.dim))
 
 
+def contra_morphism_conditions(x: EntwinedContraModule, y: EntwinedContraModule):
+    """The action and the pi square of a map f: x -> y, in that order;
+    each is linear in f and vanishes exactly when f commutes with that
+    structure map."""
+    i_n = Mat.identity(x.ent.field, x.ent.alg.dim)
+    c = x.ent.coalg.dim
+    return [
+        lambda f: f * x.action - y.action * kron(i_n, f),
+        lambda f: f * x.pi - y.pi * under(f, c),
+    ]
+
+
 def contra_hom_space(x: EntwinedContraModule, y: EntwinedContraModule) -> SubspaceBasis:
     """Maps commuting with the A-action and with pi."""
     if x.ent != y.ent:
         raise ValueError("objects live over different entwinings")
-    F = x.ent.field
-    i_n = Mat.identity(F, x.ent.alg.dim)
-    c = x.ent.coalg.dim
-    return mat_solution_basis(F, y.dim, x.dim, [
-        lambda f: f * x.action - y.action * kron(i_n, f),
-        lambda f: f * x.pi - y.pi * under(f, c),
-    ])
+    return mat_solution_basis(x.ent.field, y.dim, x.dim,
+                              contra_morphism_conditions(x, y))
 
 
 def adjunction_check_f_t(e: Entwining, x: EntwinedContraModule,
@@ -201,14 +207,10 @@ def adjunction_check_f_t(e: Entwining, x: EntwinedContraModule,
     """Free entwined contramodule (A, N) is right adjoint to forgetting
     the action: Hom_ent(X, (A, N)) matches Hom_contra(X, N) through
     xi |-> (unit, N) o xi  and  zeta |-> (A, zeta) o mu_X."""
-    rep = Report("adjunction-forget-freecontra")
     F = e.field
     ind = induce_contra_t(e, n)
     left = contra_hom_space(x, ind)
     right = plain_contra_hom(forget_contra(x), n)
-    rep.add(Check("hom-dims-equal", left.dim == right.dim,
-                  None if left.dim == right.dim else
-                  {"kind": "dim", "lhs": left.dim, "rhs": right.dim}))
     i_m0 = Mat.identity(F, n.dim)
     na = e.alg.dim
     mu_x = x.mu
@@ -219,15 +221,10 @@ def adjunction_check_f_t(e: Entwining, x: EntwinedContraModule,
     def up(zeta: Mat) -> Mat:
         return under(zeta, na) * mu_x
 
-    for j, xi in enumerate(basis_columns(F, left.basis, ind.dim, x.dim)):
-        img = down(xi)
-        rep.add(Check("down-lands-in-contra-hom-%d" % j, in_subspace(right, img)))
-        rep.add(eq_check("round-trip-left-%d" % j, up(img), xi))
-    for j, zeta in enumerate(basis_columns(F, right.basis, n.dim, x.dim)):
-        img = up(zeta)
-        rep.add(Check("up-lands-in-entwined-hom-%d" % j, in_subspace(left, img)))
-        rep.add(eq_check("round-trip-right-%d" % j, down(img), zeta))
-    return rep
+    return hom_bijection_report(
+        "adjunction-forget-freecontra", left, (ind.dim, x.dim),
+        right, (n.dim, x.dim), down, up,
+        ("down-lands-in-contra-hom", "up-lands-in-entwined-hom"))
 
 
 def adjunction_check_at_af(e: Entwining, m: ModuleLeft,
@@ -235,15 +232,11 @@ def adjunction_check_at_af(e: Entwining, m: ModuleLeft,
     """(C, -) on left modules is left adjoint to forgetting pi:
     Hom_ent((C, M), N) matches Hom_A(M, N) through
     zeta |-> zeta o (counit, M)  and  xi |-> pi_N o (C, xi)."""
-    rep = Report("adjunction-freecontra-forgetmod")
     F = e.field
     c = e.coalg.dim
     ind = induce_a_t(e, m)
     left = contra_hom_space(ind, n)
     right = module_hom_left(m, forget_module_left(n))
-    rep.add(Check("hom-dims-equal", left.dim == right.dim,
-                  None if left.dim == right.dim else
-                  {"kind": "dim", "lhs": left.dim, "rhs": right.dim}))
     i_m = Mat.identity(F, m.dim)
 
     def down(zeta: Mat) -> Mat:
@@ -252,12 +245,7 @@ def adjunction_check_at_af(e: Entwining, m: ModuleLeft,
     def up(xi: Mat) -> Mat:
         return n.pi * under(xi, c)
 
-    for j, zeta in enumerate(basis_columns(F, left.basis, n.dim, ind.dim)):
-        img = down(zeta)
-        rep.add(Check("down-lands-in-module-hom-%d" % j, in_subspace(right, img)))
-        rep.add(eq_check("round-trip-left-%d" % j, up(img), zeta))
-    for j, xi in enumerate(basis_columns(F, right.basis, n.dim, m.dim)):
-        img = up(xi)
-        rep.add(Check("up-lands-in-entwined-hom-%d" % j, in_subspace(left, img)))
-        rep.add(eq_check("round-trip-right-%d" % j, down(img), xi))
-    return rep
+    return hom_bijection_report(
+        "adjunction-freecontra-forgetmod", left, (n.dim, ind.dim),
+        right, (n.dim, m.dim), down, up,
+        ("down-lands-in-module-hom", "up-lands-in-entwined-hom"))

@@ -27,10 +27,10 @@ from .algstruct import (
     Comodule, dual_left_module, regular_comodule, regular_right_module,
 )
 from .entwining import Entwining
-from .comodcat import EntwinedModule, induce_mc, induce_tc
+from .comodcat import EntwinedModule, induce_mc, induce_tc, morphism_conditions
 from .contracat import (
-    ContraModule, EntwinedContraModule, curry_left, free_contramodule,
-    induce_a_t, induce_contra_t, uncurry_left,
+    ContraModule, EntwinedContraModule, contra_morphism_conditions, curry_left,
+    free_contramodule, induce_a_t, induce_contra_t, uncurry_left,
 )
 
 
@@ -274,19 +274,19 @@ def _substitution_check(tag: str, residuals) -> None:
 
 
 def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str,
-                   wit_key: str, wit_of) -> Verdict:
+                   wit_key: str, wit_of,
+                   log=("normalized family: linear system infeasible",
+                        "normalized family found by linear solve")) -> Verdict:
     a, b = affine_matrix_system(e.field, rows, cols,
                                 lambda u: _stacked([r(u) for r in residuals]))
     sol = solve_affine(a, b)
     data = {"unknowns": rows * cols, "rows": a.rows}
     if sol is None:
-        return Verdict("NONE", certificate="linear", data=data,
-                       log=("normalized family: linear system infeasible",))
+        return Verdict("NONE", certificate="linear", data=data, log=log[:1])
     u = unvec(e.field, sol[0], rows, cols)
     _substitution_check(tag, [r(u) for r in residuals])
     data["parameters"] = sol[1].cols
-    return Verdict("FOUND", witness={wit_key: wit_of(u)}, data=data,
-                   log=("normalized family found by linear solve",))
+    return Verdict("FOUND", witness={wit_key: wit_of(u)}, data=data, log=log[1:])
 
 
 def decide_sep_contra_t(e: Entwining) -> Verdict:
@@ -328,11 +328,14 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 # -- Frobenius deciders -----------------------------------------------
 #
 # The joint system couples a sigma family and a rho family bilinearly,
-# so completeness cannot come from one linear solve.  The ladder: fix
-# one side on a basis vector of its membership space and solve the other
-# side linearly; alternate between partially constrained solves from
-# those seeds; over a prime field with a small enough membership space,
-# enumerate it outright, which alone can certify NONE.
+# so completeness cannot come from one linear solve.  One ladder runs
+# over the two sides, indexed 0 (sigma) and 1 (rho): fixing either side
+# makes the couplings linear in the other.  Its rungs: fix one side on a
+# basis vector of its membership space and solve the other side
+# linearly, sigma basis first; alternate between partially constrained
+# solves seeded from either side, rho seeds first; over a prime field
+# with a small enough membership space, enumerate the smaller side
+# outright, which alone can certify NONE.
 
 
 def _frobenius_couplings_contra(e: Entwining):
@@ -376,72 +379,70 @@ def _combine(field: Field, basis_mats, coeffs):
     return out
 
 
+_SIDES = ("sigma", "rho")
+
+
 def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
                       budget_bits: int, tag: str) -> Verdict:
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    t_shape = (n * n, c)
+    shapes = (s_shape, (n * n, c))
+    mems = (s_mem, t_mem)
     log = []
 
     def as_row(s: Mat) -> Mat:
         return s.t if s.cols == 1 and s.rows != 1 else s
 
-    def verify(s, th):
+    def pair(k, mine, other):
+        """(sigma, rho) from the value on side k and the other side's."""
+        return (mine, other) if k == 0 else (other, mine)
+
+    def solve(k, fixed, cps):
+        """Side k solved linearly with the other side fixed, or None."""
+        def resid(u):
+            return _stacked([r(u) for r in mems[k]]
+                            + [cp(*pair(k, u, fixed)) for cp in cps])
+        sol = solve_affine(*affine_matrix_system(F, *shapes[k], resid))
+        return None if sol is None else unvec(F, sol[0], *shapes[k])
+
+    def extend(k, v, cps):
+        """(sigma, rho) with side k at v and the other side solved, or None."""
+        w = solve(1 - k, v, cps)
+        return None if w is None else pair(k, v, w)
+
+    spaces = [mat_solution_basis(F, *shapes[k], mems[k]) for k in (0, 1)]
+    dims = [sp.dim for sp in spaces]
+    data = {"sigma_parameters": dims[0], "rho_parameters": dims[1],
+            "budget_candidates": 1 << budget_bits}
+    log.append("membership spaces: sigma %d, rho %d parameters" % tuple(dims))
+
+    def found(hit, how):
+        s, th = hit
         _substitution_check(tag, [r(s) for r in s_mem] + [r(th) for r in t_mem]
                             + [cp(s, th) for cp in couplings])
-
-    def solve_t(s, cps):
-        def resid(th):
-            return _stacked([r(th) for r in t_mem] + [cp(s, th) for cp in cps])
-        sol = solve_affine(*affine_matrix_system(F, *t_shape, resid))
-        return None if sol is None else unvec(F, sol[0], *t_shape)
-
-    def solve_s(th, cps):
-        def resid(s):
-            return _stacked([r(s) for r in s_mem] + [cp(s, th) for cp in cps])
-        sol = solve_affine(*affine_matrix_system(F, *s_shape, resid))
-        return None if sol is None else unvec(F, sol[0], *s_shape)
-
-    s_space = mat_solution_basis(F, *s_shape, s_mem)
-    t_space = mat_solution_basis(F, *t_shape, t_mem)
-    data = {"sigma_parameters": s_space.dim, "rho_parameters": t_space.dim,
-            "budget_candidates": 1 << budget_bits}
-    log.append("membership spaces: sigma %d, rho %d parameters"
-               % (s_space.dim, t_space.dim))
-
-    def found(s, th, how):
-        verify(s, th)
         log.append(how)
         return Verdict("FOUND", witness={"e": as_row(s), "theta": th},
                        log=tuple(log), data=data)
 
     # With a zero-dimensional side the joint system is linear outright.
-    if s_space.dim == 0 or t_space.dim == 0:
-        if s_space.dim == 0:
-            s0 = Mat.zeros(F, *s_shape)
-            th = solve_t(s0, couplings)
-            if th is not None:
-                return found(s0, th, "sigma side is zero; rho solved linearly")
-        else:
-            t0 = Mat.zeros(F, *t_shape)
-            s = solve_s(t0, couplings)
-            if s is not None:
-                return found(s, t0, "rho side is zero; sigma solved linearly")
+    if 0 in dims:
+        k = dims.index(0)
+        hit = extend(k, Mat.zeros(F, *shapes[k]), couplings)
+        if hit is not None:
+            return found(hit, "%s side is zero; %s solved linearly"
+                         % (_SIDES[k], _SIDES[1 - k]))
         log.append("one membership space is zero; joint system linear and infeasible")
         return Verdict("NONE", certificate="linear", log=tuple(log), data=data)
 
-    s_basis = basis_columns(F, s_space.basis, *s_shape)
-    t_basis = basis_columns(F, t_space.basis, *t_shape)
+    bases = [basis_columns(F, spaces[k].basis, *shapes[k]) for k in (0, 1)]
 
     # Strategy 1: pin one family to a membership basis vector.
-    for i, sb in enumerate(s_basis):
-        th = solve_t(sb, couplings)
-        if th is not None:
-            return found(sb, th, "strategy 1: sigma basis vector %d extends" % i)
-    for j, tb in enumerate(t_basis):
-        s = solve_s(tb, couplings)
-        if s is not None:
-            return found(s, tb, "strategy 1: rho basis vector %d extends" % j)
+    for k in (0, 1):
+        for i, b in enumerate(bases[k]):
+            hit = extend(k, b, couplings)
+            if hit is not None:
+                return found(hit, "strategy 1: %s basis vector %d extends"
+                             % (_SIDES[k], i))
     log.append("strategy 1: no membership basis vector extends")
 
     # Strategy 2: bounded alternation through partially coupled solves,
@@ -450,60 +451,35 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         first = basis[:6]
         return first + [a + b for a, b in combinations(first, 2)]
 
-    for th in seeds(t_basis):
-        for _ in range(3):
-            s = solve_s(th, couplings)
-            if s is not None:
-                return found(s, th, "strategy 2: alternation from a rho seed")
-            s = solve_s(th, couplings[:1])
-            if s is None:
-                break
-            th2 = solve_t(s, couplings)
-            if th2 is not None:
-                return found(s, th2, "strategy 2: alternation from a rho seed")
-            th2 = solve_t(s, couplings[1:])
-            if th2 is None:
-                break
-            th = th2
-    for s in seeds(s_basis):
-        for _ in range(3):
-            th = solve_t(s, couplings)
-            if th is not None:
-                return found(s, th, "strategy 2: alternation from a sigma seed")
-            th = solve_t(s, couplings[:1])
-            if th is None:
-                break
-            s2 = solve_s(th, couplings)
-            if s2 is not None:
-                return found(s2, th, "strategy 2: alternation from a sigma seed")
-            s2 = solve_s(th, couplings[1:])
-            if s2 is None:
-                break
-            s = s2
+    for k in (1, 0):
+        how = "strategy 2: alternation from a %s seed" % _SIDES[k]
+        for v in seeds(bases[k]):
+            for _ in range(3):
+                hit = extend(k, v, couplings)
+                if hit is not None:
+                    return found(hit, how)
+                w = solve(1 - k, v, couplings[:1])
+                if w is None:
+                    break
+                hit = extend(1 - k, w, couplings)
+                if hit is not None:
+                    return found(hit, how)
+                v = solve(k, w, couplings[1:])
+                if v is None:
+                    break
     log.append("strategy 2: alternation exhausted without a witness")
 
     # Strategy 3: exhaustive sweep of the smaller membership space.  Only
     # this rung can certify NONE: any witness pair projects into the
     # swept space, so an empty sweep rules every pair out.
     if F.kind == "prime":
-        p = F.p
-        sweep_s = s_space.dim <= t_space.dim
-        d = s_space.dim if sweep_s else t_space.dim
-        count = p ** d
+        k = 0 if dims[0] <= dims[1] else 1
+        count = F.p ** dims[k]
         if count <= (1 << budget_bits):
-            basis = s_basis if sweep_s else t_basis
-            for coeffs in product(range(p), repeat=d):
-                cand = _combine(F, basis, coeffs)
-                if sweep_s:
-                    th = solve_t(cand, couplings)
-                    if th is not None:
-                        return found(cand, th, "strategy 3: enumeration hit %r"
-                                     % (coeffs,))
-                else:
-                    s = solve_s(cand, couplings)
-                    if s is not None:
-                        return found(s, cand, "strategy 3: enumeration hit %r"
-                                     % (coeffs,))
+            for coeffs in product(range(F.p), repeat=dims[k]):
+                hit = extend(k, _combine(F, bases[k], coeffs), couplings)
+                if hit is not None:
+                    return found(hit, "strategy 3: enumeration hit %r" % (coeffs,))
             log.append("strategy 3: all %d candidates fail" % count)
             return Verdict("NONE", certificate="exhaustive", log=tuple(log),
                            data=data)
@@ -573,49 +549,23 @@ def find_cointegral(e: Entwining) -> Verdict:
     has a separability idempotent (for kG: the characteristic does not
     divide |G|).
     """
-    F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    residuals = _cointegral_residuals(e)
-    a, b = affine_matrix_system(F, n, n * c,
-                                lambda phi: _stacked([r(phi) for r in residuals]))
-    sol = solve_affine(a, b)
-    data = {"unknowns": n * n * c, "rows": a.rows}
-    if sol is None:
-        return Verdict("NONE", certificate="linear", data=data,
-                       log=("cointegral system infeasible",))
-    phi = unvec(F, sol[0], n, n * c)
-    Cointegral(e, phi)  # construction re-verifies the identities
-    data["parameters"] = sol[1].cols
-    return Verdict("FOUND", witness={"phi": phi}, data=data,
-                   log=("cointegral found by linear solve",))
+    return _decide_linear(e, n, n * c, _cointegral_residuals(e), "cointegral",
+                          "phi", lambda phi: phi,
+                          log=("cointegral system infeasible",
+                               "cointegral found by linear solve"))
 
 
-def _require_contra_morphism(x: EntwinedContraModule, y: EntwinedContraModule,
-                             f: Mat, entwined: bool) -> None:
-    F = x.ent.field
+def _require_morphism(conditions, x, y, f: Mat, kind: str, entwined: bool) -> None:
+    """f: x -> y must commute with the coalgebra structure (ValueError
+    otherwise); an averaged f must also commute with the action."""
     if (f.rows, f.cols) != (y.dim, x.dim):
         raise ValueError("morphism must be %d x %d" % (y.dim, x.dim))
-    i_c = Mat.identity(F, x.ent.coalg.dim)
-    if y.pi * kron(f, i_c) != f * x.pi:
-        raise ValueError("not a morphism of contramodules")
-    if entwined:
-        i_n = Mat.identity(F, x.ent.alg.dim)
-        if f * x.action != y.action * kron(i_n, f):
-            raise AssertionError("averaged morphism fails the action square")
-
-
-def _require_comodule_morphism(x: EntwinedModule, y: EntwinedModule,
-                               f: Mat, entwined: bool) -> None:
-    F = x.ent.field
-    if (f.rows, f.cols) != (y.dim, x.dim):
-        raise ValueError("morphism must be %d x %d" % (y.dim, x.dim))
-    i_c = Mat.identity(F, x.ent.coalg.dim)
-    if y.coaction * f != kron(f, i_c) * x.coaction:
-        raise ValueError("not a morphism of comodules")
-    if entwined:
-        i_n = Mat.identity(F, x.ent.alg.dim)
-        if f * x.action != y.action * kron(f, i_n):
-            raise AssertionError("averaged morphism fails the action square")
+    action, structure = conditions
+    if not structure(f).is_zero():
+        raise ValueError("not a morphism of %s" % kind)
+    if entwined and not action(f).is_zero():
+        raise AssertionError("averaged morphism fails the action square")
 
 
 def maschke_split_contra(e: Entwining, phi: Cointegral, x: EntwinedContraModule,
@@ -628,7 +578,8 @@ def maschke_split_contra(e: Entwining, phi: Cointegral, x: EntwinedContraModule,
     """
     if x.ent != e or y.ent != e or phi.ent != e:
         raise ValueError("objects and cointegral must share the entwining")
-    _require_contra_morphism(x, y, xi, entwined=False)
+    conditions = contra_morphism_conditions(x, y)
+    _require_morphism(conditions, x, y, xi, "contramodules", entwined=False)
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n = Mat.identity(F, n)
@@ -639,7 +590,7 @@ def maschke_split_contra(e: Entwining, phi: Cointegral, x: EntwinedContraModule,
            * kron(y.mu, i_n)
            * kron(xi, i_n)
            * x.mu)
-    _require_contra_morphism(x, y, out, entwined=True)
+    _require_morphism(conditions, x, y, out, "contramodules", entwined=True)
     return out
 
 
@@ -648,7 +599,8 @@ def maschke_split_co(e: Entwining, phi: Cointegral, x: EntwinedModule,
     """Average a comodule-level morphism x -> y into an entwined one."""
     if x.ent != e or y.ent != e or phi.ent != e:
         raise ValueError("objects and cointegral must share the entwining")
-    _require_comodule_morphism(x, y, xi, entwined=False)
+    conditions = morphism_conditions(x, y)
+    _require_morphism(conditions, x, y, xi, "comodules", entwined=False)
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n = Mat.identity(F, n)
@@ -659,7 +611,7 @@ def maschke_split_co(e: Entwining, phi: Cointegral, x: EntwinedModule,
            * kron(Mat.identity(F, mx * n), phi.phi)
            * kron(Mat.identity(F, mx), kron(phi.coev, Mat.identity(F, c)))
            * x.coaction)
-    _require_comodule_morphism(x, y, out, entwined=True)
+    _require_morphism(conditions, x, y, out, "comodules", entwined=True)
     return out
 
 
@@ -758,6 +710,40 @@ def _perturbation(field: Field, rows: int, cols: int, conditions) -> Mat:
     return basis_columns(field, space.basis, rows, cols)[0]
 
 
+def _probe_side(rep: Report, prefix: str, split, x1, x2, y, conditions, kind) -> None:
+    """The probe's five instances in one entwined category: x1 -> x1,
+    the zero map x1 -> x2, a retraction and a section of the inclusion
+    of x1 into y = x1 + x1, and the zero object.  split(x, y, f)
+    averages f; conditions are the category's morphism conditions and
+    kind its object type."""
+    F = x1.ent.field
+    dims = [x1.dim, x1.dim]
+    inc, proj = block_inj(F, dims, 0), block_proj(F, dims, 0)
+
+    ident = Mat.identity(F, x1.dim)
+    rep.add(eq_check(prefix + "-identity-fixed", split(x1, x1, ident), ident))
+    zmap = Mat.zeros(F, x2.dim, x1.dim)
+    rep.add(eq_check(prefix + "-zero-map", split(x1, x2, zmap), zmap))
+
+    retr = proj + _perturbation(F, x1.dim, y.dim, [
+        conditions(y, x1)[1],
+        lambda w: w * inc,
+    ])
+    rt = split(y, x1, retr)
+    rep.add(eq_check(prefix + "-retraction", rt * inc, ident))
+
+    sect = inc + _perturbation(F, y.dim, x1.dim, [
+        conditions(x1, y)[1],
+        lambda w: proj * w,
+    ])
+    st = split(x1, y, sect)
+    rep.add(eq_check(prefix + "-section", proj * st, ident))
+
+    znil = Mat.zeros(F, 0, 0)
+    z = kind(x1.ent, 0, znil, znil)
+    rep.add(eq_check(prefix + "-zero-object", split(z, z, znil), znil))
+
+
 def semisimplicity_probe(e: Entwining, phi) -> Report:
     """Corpus-level check that the averaging transfers every splitting.
 
@@ -772,75 +758,20 @@ def semisimplicity_probe(e: Entwining, phi) -> Report:
         rep.data["reason"] = "no cointegral supplied"
         return rep
     rep.data["applicable"] = True
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_c = Mat.identity(F, c)
 
     # Contramodule side.
     x1 = induce_contra_t(e, free_contramodule(e.coalg, 1))
-    x2 = induce_a_t(e, dual_left_module(e.alg))
-    y = _dsum_contra(x1, x1)
-    dims = [x1.dim, x1.dim]
-    inc, proj = block_inj(F, dims, 0), block_proj(F, dims, 0)
-
-    ident = Mat.identity(F, x1.dim)
-    rep.add(eq_check("contra-identity-fixed",
-                     maschke_split_contra(e, phi, x1, x1, ident), ident))
-    zmap = Mat.zeros(F, x2.dim, x1.dim)
-    rep.add(eq_check("contra-zero-map",
-                     maschke_split_contra(e, phi, x1, x2, zmap), zmap))
-
-    retr = proj + _perturbation(F, x1.dim, y.dim, [
-        lambda w: x1.pi * kron(w, i_c) - w * y.pi,
-        lambda w: w * inc,
-    ])
-    rt = maschke_split_contra(e, phi, y, x1, retr)
-    rep.add(eq_check("contra-retraction", rt * inc, ident))
-
-    sect = inc + _perturbation(F, y.dim, x1.dim, [
-        lambda w: y.pi * kron(w, i_c) - w * x1.pi,
-        lambda w: proj * w,
-    ])
-    st = maschke_split_contra(e, phi, x1, y, sect)
-    rep.add(eq_check("contra-section", proj * st, ident))
-
-    z = EntwinedContraModule(e, 0, Mat.zeros(F, 0, 0), Mat.zeros(F, 0, 0))
-    znil = Mat.zeros(F, 0, 0)
-    rep.add(eq_check("contra-zero-object",
-                     maschke_split_contra(e, phi, z, z, znil), znil))
+    _probe_side(rep, "contra",
+                lambda x, y, f: maschke_split_contra(e, phi, x, y, f),
+                x1, induce_a_t(e, dual_left_module(e.alg)), _dsum_contra(x1, x1),
+                contra_morphism_conditions, EntwinedContraModule)
 
     # Comodule side.
     u1 = induce_tc(e, regular_comodule(e.coalg))
-    u2 = induce_mc(e, regular_right_module(e.alg))
-    v = _dsum_entwined(u1, u1)
-    dims = [u1.dim, u1.dim]
-    inc, proj = block_inj(F, dims, 0), block_proj(F, dims, 0)
-
-    ident = Mat.identity(F, u1.dim)
-    rep.add(eq_check("co-identity-fixed",
-                     maschke_split_co(e, phi, u1, u1, ident), ident))
-    zmap = Mat.zeros(F, u2.dim, u1.dim)
-    rep.add(eq_check("co-zero-map",
-                     maschke_split_co(e, phi, u1, u2, zmap), zmap))
-
-    retr = proj + _perturbation(F, u1.dim, v.dim, [
-        lambda w: u1.coaction * w - kron(w, i_c) * v.coaction,
-        lambda w: w * inc,
-    ])
-    rt = maschke_split_co(e, phi, v, u1, retr)
-    rep.add(eq_check("co-retraction", rt * inc, ident))
-
-    sect = inc + _perturbation(F, v.dim, u1.dim, [
-        lambda w: v.coaction * w - kron(w, i_c) * u1.coaction,
-        lambda w: proj * w,
-    ])
-    st = maschke_split_co(e, phi, u1, v, sect)
-    rep.add(eq_check("co-section", proj * st, ident))
-
-    z = EntwinedModule(e, 0, Mat.zeros(F, 0, 0), Mat.zeros(F, 0, 0))
-    znil = Mat.zeros(F, 0, 0)
-    rep.add(eq_check("co-zero-object",
-                     maschke_split_co(e, phi, z, z, znil), znil))
+    _probe_side(rep, "co",
+                lambda x, y, f: maschke_split_co(e, phi, x, y, f),
+                u1, induce_mc(e, regular_right_module(e.alg)), _dsum_entwined(u1, u1),
+                morphism_conditions, EntwinedModule)
 
     rep.data["instances"] = len(rep.checks)
     return rep

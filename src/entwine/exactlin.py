@@ -412,26 +412,35 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Columns form the canonical basis of ker(m) (free-column convention)."""
-    F = m.field
-    R, pivots = rref(m)
+def _kernel_from_rref(F: Field, R: Mat, pivots, ncols: int) -> Mat:
+    """Canonical kernel basis read off an rref whose first ncols columns
+    are the reduced matrix (free-column convention)."""
     pivset = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivset]
+    free = [c for c in range(ncols) if c not in pivset]
     z, o = F.zero, F.one
     cols = []
     for fcol in free:
-        x = [z] * m.cols
+        x = [z] * ncols
         x[fcol] = o
         for j, pcol in enumerate(pivots):
             x[pcol] = F.neg(R[j, fcol])
         cols.append(x)
-    data = tuple(cols[j][i] for i in range(m.cols) for j in range(len(free)))
-    return Mat(F, m.cols, len(free), data)
+    data = tuple(cols[j][i] for i in range(ncols) for j in range(len(free)))
+    return Mat(F, ncols, len(free), data)
+
+
+def kernel_basis(m: Mat) -> Mat:
+    """Columns form the canonical basis of ker(m) (free-column convention)."""
+    return _kernel_from_rref(m.field, *rref(m), m.cols)
 
 
 def solve_affine(a: Mat, b: Mat):
-    """All solutions of a x = b: (particular, kernel_basis(a)) or None."""
+    """All solutions of a x = b: (particular, kernel_basis(a)) or None.
+
+    One elimination serves both: row operations on [a | b] act on the
+    columns of a exactly as rref(a) does, so with no pivot in b the first
+    a.cols columns are rref(a) with its pivots.
+    """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
     R, pivots = rref(hstack([a, b]))
@@ -442,7 +451,7 @@ def solve_affine(a: Mat, b: Mat):
     for j, pcol in enumerate(pivots):
         part[pcol] = R.row(j)[a.cols:]
     particular = Mat(F, a.cols, b.cols, tuple(x for row in part for x in row))
-    return particular, kernel_basis(a)
+    return particular, _kernel_from_rref(F, R, pivots, a.cols)
 
 
 def inverse(m: Mat) -> Mat:

@@ -24,18 +24,21 @@ from dataclasses import dataclass
 
 from .exactlin import (
     Mat, kron, kernel_basis, cokernel, restrict_map, mat_solution_basis,
-    SubspaceBasis, rank, inverse, basis_columns, in_subspace,
+    SubspaceBasis, rank, inverse,
 )
-from .report import Report, Check, eq_check, Verdict
+from .report import Report, eq_check, Verdict, hom_bijection_report
 from .algstruct import (
     Algebra, Coalgebra, ModuleRight, ModuleLeft, Comodule, check_comodule,
     regular_right_module, regular_comodule, dual_left_module,
 )
 from .entwining import Entwining, trivial_entwining
-from .comodcat import EntwinedModule, induce_tc, induce_mc, hom_space
+from .comodcat import (
+    EntwinedModule, induce_tc, induce_mc, hom_space, morphism_conditions,
+)
 from .contracat import (
     ContraModule, EntwinedContraModule, contra_hom_space, free_contramodule,
     induce_contra_t, induce_a_t, hom_pre, under, curry_left, uncurry_left,
+    contra_morphism_conditions,
 )
 
 
@@ -233,26 +236,16 @@ def galois_measuring(g: GaloisData) -> Measuring:
 # Induced entwined modules and the comodule-side adjunction
 
 
-def _require_entwined_morphism(dom: EntwinedModule, cod: EntwinedModule,
-                               f: Mat, what: str) -> None:
-    F = dom.ent.field
-    i_n = Mat.identity(F, dom.ent.alg.dim)
-    i_c = Mat.identity(F, dom.ent.coalg.dim)
-    if not (f * dom.action - cod.action * kron(f, i_n)).is_zero():
-        raise ValueError("%s is not right-linear" % what)
-    if not (cod.coaction * f - kron(f, i_c) * dom.coaction).is_zero():
-        raise ValueError("%s is not colinear" % what)
+# Failure messages of _require_morphism, one per morphism condition in
+# the order comodcat and contracat state them: action, then coaction or pi.
+_CO_FAILURES = ("is not right-linear", "is not colinear")
+_CONTRA_FAILURES = ("is not left-linear", "does not commute with pi")
 
 
-def _require_contra_morphism(dom: EntwinedContraModule, cod: EntwinedContraModule,
-                             f: Mat, what: str) -> None:
-    F = dom.ent.field
-    i_n = Mat.identity(F, dom.ent.alg.dim)
-    c = dom.ent.coalg.dim
-    if not (f * dom.action - cod.action * kron(i_n, f)).is_zero():
-        raise ValueError("%s is not left-linear" % what)
-    if not (f * dom.pi - cod.pi * under(f, c)).is_zero():
-        raise ValueError("%s does not commute with pi" % what)
+def _require_morphism(conditions, f: Mat, what: str, failures) -> None:
+    for cond, failure in zip(conditions, failures):
+        if not cond(f).is_zero():
+            raise ValueError("%s %s" % (what, failure))
 
 
 def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
@@ -310,7 +303,7 @@ def t_upper(m: Measuring, x: EntwinedModule) -> Mat:
          * kron(i_m, m.src.coalg.comult))
     dom = comodule_side_induce(m, x.as_module())
     cod = comodule_side_induce(m, _mc_module(m, x))
-    _require_entwined_morphism(dom, cod, t, "t_upper")
+    _require_morphism(morphism_conditions(dom, cod), t, "t_upper", _CO_FAILURES)
     return t
 
 
@@ -374,7 +367,7 @@ def unit_omega(m: Measuring, x: EntwinedModule) -> Mat:
     iota = kernel_basis(t_upper(m, y))
     omega = restrict_map(raw, Mat.identity(F, x.dim), iota)
     k = cotensor(m, y)
-    _require_entwined_morphism(x, k, omega, "unit_omega")
+    _require_morphism(morphism_conditions(x, k), omega, "unit_omega", _CO_FAILURES)
     return omega
 
 
@@ -396,28 +389,30 @@ def counit_upsilon(m: Measuring, x: EntwinedModule) -> Mat:
         raise ValueError("counit composite does not kill the relations")
     cok = cokernel(t_low)
     upsilon = comp * cok.section
-    _require_entwined_morphism(hat_tensor(m, k), x, upsilon, "counit_upsilon")
+    _require_morphism(morphism_conditions(hat_tensor(m, k), x), upsilon,
+                      "counit_upsilon", _CO_FAILURES)
     return upsilon
+
+
+def _bijective_verdict(maps) -> Verdict:
+    """FOUND when each named (co)unit map is square of full rank."""
+    data, ok = {}, True
+    for name, f in maps:
+        r = rank(f)
+        data[name] = {"rows": f.rows, "cols": f.cols, "rank": r}
+        ok = ok and f.rows == f.cols == r
+    if ok:
+        return Verdict("FOUND", witness=dict(maps), data=data)
+    return Verdict("NONE", certificate="linear", data=data,
+                   log=("unit or counit is not bijective at the representing object",))
 
 
 def is_co_galois(m: Measuring) -> Verdict:
     """Bijectivity of the unit and counit at the representing objects."""
     x_src = induce_tc(m.src, regular_comodule(m.src.coalg))
     x_dst = induce_mc(m.dst, regular_right_module(m.dst.alg))
-    omega = unit_omega(m, x_src)
-    upsilon = counit_upsilon(m, x_dst)
-    r_om, r_up = rank(omega), rank(upsilon)
-    data = {
-        "omega": {"rows": omega.rows, "cols": omega.cols, "rank": r_om},
-        "upsilon": {"rows": upsilon.rows, "cols": upsilon.cols, "rank": r_up},
-    }
-    om_ok = omega.rows == omega.cols == r_om
-    up_ok = upsilon.rows == upsilon.cols == r_up
-    if om_ok and up_ok:
-        return Verdict("FOUND", witness={"omega": omega, "upsilon": upsilon},
-                       data=data)
-    return Verdict("NONE", certificate="linear", data=data,
-                   log=("unit or counit is not bijective at the representing object",))
+    return _bijective_verdict((("omega", unit_omega(m, x_src)),
+                               ("upsilon", counit_upsilon(m, x_dst))))
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +522,8 @@ def unit_psi(m: Measuring, x: EntwinedContraModule) -> Mat:
            * curry_left(x.action, x.dim, n))
     k = kernel_basis(s_lower(m, z))
     psi = restrict_map(raw, Mat.identity(F, x.dim), k)
-    _require_contra_morphism(x, hom_tilde(m, z), psi, "unit_psi")
+    _require_morphism(contra_morphism_conditions(x, hom_tilde(m, z)), psi,
+                      "unit_psi", _CONTRA_FAILURES)
     return psi
 
 
@@ -549,7 +545,8 @@ def counit_phi(m: Measuring, y: EntwinedContraModule) -> Mat:
         raise ValueError("counit composite does not kill the relations")
     cok = cokernel(s)
     phi = comp * cok.section
-    _require_contra_morphism(cohom(m, w), y, phi, "counit_phi")
+    _require_morphism(contra_morphism_conditions(cohom(m, w), y), phi,
+                      "counit_phi", _CONTRA_FAILURES)
     return phi
 
 
@@ -557,19 +554,8 @@ def is_contra_galois(m: Measuring) -> Verdict:
     """Bijectivity of the unit and counit at the representing objects."""
     x_dst = induce_a_t(m.dst, dual_left_module(m.dst.alg))
     y_src = induce_contra_t(m.src, free_contramodule(m.src.coalg, 1))
-    psi = unit_psi(m, x_dst)
-    phi = counit_phi(m, y_src)
-    r_psi, r_phi = rank(psi), rank(phi)
-    data = {
-        "psi": {"rows": psi.rows, "cols": psi.cols, "rank": r_psi},
-        "phi": {"rows": phi.rows, "cols": phi.cols, "rank": r_phi},
-    }
-    psi_ok = psi.rows == psi.cols == r_psi
-    phi_ok = phi.rows == phi.cols == r_phi
-    if psi_ok and phi_ok:
-        return Verdict("FOUND", witness={"psi": psi, "phi": phi}, data=data)
-    return Verdict("NONE", certificate="linear", data=data,
-                   log=("unit or counit is not bijective at the representing object",))
+    return _bijective_verdict((("psi", unit_psi(m, x_dst)),
+                               ("phi", counit_phi(m, y_src))))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +578,6 @@ def adjunction_check_measuring(m: Measuring, x, y) -> Report:
 
 
 def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report:
-    rep = Report("adjunction-measuring-co")
     F = m.field
     n = m.dst.alg.dim
     i_n = Mat.identity(F, n)
@@ -601,9 +586,6 @@ def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report
     cot_x = cotensor(m, x)
     left = hom_space(hat_y, x)
     right = hom_space(y, cot_x)
-    rep.add(Check("hom-dims-equal", left.dim == right.dim,
-                  None if left.dim == right.dim else
-                  {"kind": "dim", "lhs": left.dim, "rhs": right.dim}))
     iota_x = kernel_basis(t_upper(m, x))
     t_low = t_lower(m, y)
     cok_y = cokernel(t_low)
@@ -624,20 +606,13 @@ def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report
             raise ValueError("transposed map does not kill the relations")
         return bar * cok_y.section
 
-    for j, zeta in enumerate(basis_columns(F, left.basis, x.dim, hat_y.dim)):
-        img = down(zeta)
-        rep.add(Check("down-lands-%d" % j, in_subspace(right, img)))
-        rep.add(eq_check("round-trip-left-%d" % j, up(img), zeta))
-    for j, xi in enumerate(basis_columns(F, right.basis, cot_x.dim, y.dim)):
-        img = up(xi)
-        rep.add(Check("up-lands-%d" % j, in_subspace(left, img)))
-        rep.add(eq_check("round-trip-right-%d" % j, down(img), xi))
-    return rep
+    return hom_bijection_report("adjunction-measuring-co",
+                                left, (x.dim, hat_y.dim), right, (cot_x.dim, y.dim),
+                                down, up, ("down-lands", "up-lands"))
 
 
 def _adjunction_contra(m: Measuring, x: EntwinedContraModule,
                        y: EntwinedContraModule) -> Report:
-    rep = Report("adjunction-measuring-contra")
     F = m.field
     n = m.dst.alg.dim
     i_n = Mat.identity(F, n)
@@ -646,9 +621,6 @@ def _adjunction_contra(m: Measuring, x: EntwinedContraModule,
     ht_y = hom_tilde(m, y)
     left = contra_hom_space(coh_x, y)
     right = contra_hom_space(x, ht_y)
-    rep.add(Check("hom-dims-equal", left.dim == right.dim,
-                  None if left.dim == right.dim else
-                  {"kind": "dim", "lhs": left.dim, "rhs": right.dim}))
     s_up = s_upper(m, x)
     cok_x = cokernel(s_up)
     raw_psi = (kron(cok_x.projection, i_n)
@@ -668,12 +640,6 @@ def _adjunction_contra(m: Measuring, x: EntwinedContraModule,
             raise ValueError("transposed map does not kill the relations")
         return bar * cok_x.section
 
-    for j, zeta in enumerate(basis_columns(F, left.basis, y.dim, coh_x.dim)):
-        img = down(zeta)
-        rep.add(Check("down-lands-%d" % j, in_subspace(right, img)))
-        rep.add(eq_check("round-trip-left-%d" % j, up(img), zeta))
-    for j, xi in enumerate(basis_columns(F, right.basis, ht_y.dim, x.dim)):
-        img = up(xi)
-        rep.add(Check("up-lands-%d" % j, in_subspace(left, img)))
-        rep.add(eq_check("round-trip-right-%d" % j, down(img), xi))
-    return rep
+    return hom_bijection_report("adjunction-measuring-contra",
+                                left, (y.dim, coh_x.dim), right, (ht_y.dim, x.dim),
+                                down, up, ("down-lands", "up-lands"))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .exactlin import Mat
+from .exactlin import Mat, basis_columns, in_subspace
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,31 @@ class Report:
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+
+
+def hom_bijection_report(title: str, left, left_shape, right, right_shape,
+                         down, up, names) -> Report:
+    """Check that down: left -> right and up: right -> left are mutually
+    inverse bijections between two hom spaces, on their bases.
+
+    left and right are SubspaceBasis objects of maps of the given
+    (rows, cols) shapes; names are the check-name prefixes for down and
+    for up landing in the other space.
+    """
+    rep = Report(title)
+    rep.add(Check("hom-dims-equal", left.dim == right.dim,
+                  None if left.dim == right.dim else
+                  {"kind": "dim", "lhs": left.dim, "rhs": right.dim}))
+    F = left.basis.field
+    for j, zeta in enumerate(basis_columns(F, left.basis, *left_shape)):
+        img = down(zeta)
+        rep.add(Check("%s-%d" % (names[0], j), in_subspace(right, img)))
+        rep.add(eq_check("round-trip-left-%d" % j, up(img), zeta))
+    for j, xi in enumerate(basis_columns(F, right.basis, *right_shape)):
+        img = up(xi)
+        rep.add(Check("%s-%d" % (names[1], j), in_subspace(left, img)))
+        rep.add(eq_check("round-trip-right-%d" % j, down(img), xi))
+    return rep
 
 
 def mat_as_lists(m: Mat) -> list:

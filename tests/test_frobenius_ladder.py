@@ -1,0 +1,131 @@
+"""Rungs of the Frobenius ladder that the structural corpus does not reach.
+
+The ladder reads only the shapes of the structure maps, so seeded
+structure constants that satisfy no axiom, and small edits of a tensor
+flip entwining, drive it onto each rung.  Every FOUND witness is
+substituted into the component equations of `components`, and the
+verdicts of both sides must agree, since none of these instances tells
+the two variances apart.
+"""
+
+import random
+
+import pytest
+
+from entwine.exactlin import Field, Mat, flip
+from entwine.algstruct import (
+    Algebra, Coalgebra, group_algebra, group_like_coalgebra, matrix_algebra,
+    trunc_poly_algebra,
+)
+from entwine.entwining import Entwining, regular_doi_koppinen, trivial_entwining
+from entwine.criteria import decide_frobenius_co, decide_frobenius_contra
+import components as cp
+
+Q = Field.rational()
+F2 = Field.prime(2)
+F3 = Field.prime(3)
+
+
+def random_entwining(field: Field, n: int, c: int, seed: int) -> Entwining:
+    """Structure constants of the right shapes, about 30% nonzero, with no
+    axiom imposed."""
+    rng = random.Random(seed)
+
+    def mat(rows, cols):
+        return Mat(field, rows, cols, tuple(
+            field.of(rng.randrange(field.p)) if rng.random() < 0.3 else field.zero
+            for _ in range(rows * cols)))
+
+    return Entwining(Algebra(field, n, mat(n, n * n), mat(n, 1)),
+                     Coalgebra(field, c, mat(c * c, c), mat(1, c)),
+                     mat(n * c, c * n))
+
+
+def edited_flip(alg: Algebra, coalg: Coalgebra, edits) -> Entwining:
+    """The tensor flip C (x) A -> A (x) C with the (row, col, value) edits."""
+    F = alg.field
+    psi = flip(F, coalg.dim, alg.dim)
+    entries = list(psi.entries)
+    for i, j, v in edits:
+        entries[i * psi.cols + j] = F.of(v)
+    return Entwining(alg, coalg, Mat(F, psi.rows, psi.cols, tuple(entries)))
+
+
+def both_sides(e: Entwining):
+    """Both verdicts, checked to agree and to re-verify."""
+    co, contra = decide_frobenius_co(e), decide_frobenius_contra(e)
+    assert (co.status, co.log, co.data) == (contra.status, contra.log, contra.data)
+    if co.found:
+        r, th = co.witness["e"], co.witness["theta"]
+        assert cp.sigma_equations_co(e, r, 1)[0].is_zero()
+        assert all(x.is_zero() for x in cp.rho_equations_co(e, th, 1)[:2])
+        assert all(x.is_zero() for x in cp.frobenius_equations_co(e, r, th, 1))
+        s, th = contra.witness["e"].t, contra.witness["theta"]
+        assert cp.sigma_equations_contra(e, s, 1)[0].is_zero()
+        assert all(x.is_zero() for x in cp.rho_equations_contra(e, th, 1)[:2])
+        assert all(x.is_zero() for x in cp.frobenius_equations_contra(e, s, th, 1))
+    return co
+
+
+@pytest.mark.parametrize("field, seed, dims, status, last", [
+    (F2, 1, (0, 0), "FOUND", "sigma side is zero; rho solved linearly"),
+    (F2, 4, (0, 2), "FOUND", "sigma side is zero; rho solved linearly"),
+    (F2, 6, (0, 1), "NONE",
+     "one membership space is zero; joint system linear and infeasible"),
+    (F2, 8, (4, 0), "FOUND", "rho side is zero; sigma solved linearly"),
+    (F3, 20, (1, 0), "NONE",
+     "one membership space is zero; joint system linear and infeasible"),
+])
+def test_zero_side_is_solved_linearly(field, seed, dims, status, last):
+    v = both_sides(random_entwining(field, 2, 2, seed))
+    assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == dims
+    assert v.status == status
+    assert v.log == ("membership spaces: sigma %d, rho %d parameters" % dims, last)
+    if status == "FOUND":
+        zero_side = v.witness["e"] if dims[0] == 0 else v.witness["theta"]
+        assert zero_side.is_zero()
+    else:
+        assert v.certificate == "linear" and v.witness is None
+
+
+def test_rho_basis_vector_extends_in_strategy_1():
+    e = edited_flip(group_algebra(2, F3).alg, group_like_coalgebra(F3, 2),
+                    [(2, 3, 2), (3, 3, 2)])
+    v = both_sides(e)
+    assert v.log == ("membership spaces: sigma 3, rho 2 parameters",
+                     "strategy 1: rho basis vector 0 extends")
+
+
+@pytest.mark.parametrize("field", [Q, F3])
+def test_rho_seed_alternation_hits_after_a_partial_solve(field):
+    # M2 with the unit moved off the identity: no basis vector extends, no
+    # rho seed extends directly, and the witness is the sigma of the partial
+    # solve (through-psi coupling only) with its full rho re-solve.
+    m2 = matrix_algebra(2, field)
+    unit = Mat.from_rows(field, [[0], [2], [0], [1]])
+    v = both_sides(trivial_entwining(Algebra(field, 4, m2.mult, unit)))
+    assert v.log == ("membership spaces: sigma 4, rho 4 parameters",
+                     "strategy 1: no membership basis vector extends",
+                     "strategy 2: alternation from a rho seed")
+    assert v.witness["e"] == Mat.from_rows(field, [[0, 0, 2, 1]])
+    assert v.witness["theta"] == Mat.from_rows(
+        field, [[x] for x in (1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1)])
+
+
+def test_sigma_sweep_hit_on_regular_dk_kz3_over_f2():
+    v = both_sides(regular_doi_koppinen(group_algebra(3, F2)))
+    assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == (3, 3)
+    assert v.log == ("membership spaces: sigma 3, rho 3 parameters",
+                     "strategy 1: no membership basis vector extends",
+                     "strategy 2: alternation exhausted without a witness",
+                     "strategy 3: enumeration hit (1, 1, 1)")
+
+
+def test_rho_sweep_hit_when_rho_space_is_smaller():
+    e = edited_flip(trunc_poly_algebra(2, F2), group_like_coalgebra(F2, 3),
+                    [(1, 1, 1)])
+    v = both_sides(e)
+    assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == (5, 4)
+    assert v.log[1:] == ("strategy 1: no membership basis vector extends",
+                         "strategy 2: alternation exhausted without a witness",
+                         "strategy 3: enumeration hit (1, 1, 1, 0)")
