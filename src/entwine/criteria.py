@@ -21,6 +21,7 @@ from itertools import combinations, product
 from .exactlin import (
     Field, Mat, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
+    compile_bilinear, rref,
 )
 from .report import Report, eq_check, Verdict
 from .algstruct import (
@@ -384,6 +385,17 @@ _SIDES = ("sigma", "rho")
 
 def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
                       budget_bits: int, tag: str) -> Verdict:
+    """The Frobenius ladder on one variance.
+
+    Each coupling is compiled once per call (`compile_bilinear`) into B of
+    shape (n0*r) x n1, rows ordered side-0 unit first, where n0 and n1 are
+    the unknowns of sides 0 and 1 and r the coupling's rows, and gamma =
+    vec(coupling(0, 0)).  A solve with side 0 fixed at s uses A =
+    reshape(vec(s)^T . reshape(B, n0 x r*n1), r x n1); with side 1 fixed
+    at t, A = reshape(B . vec(t), n0 x r)^T; b = -gamma in both.  The
+    closures stay the statement of each identity: they compile B and
+    re-verify every witness by substitution.
+    """
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     shapes = (s_shape, (n * n, c))
@@ -397,13 +409,28 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         """(sigma, rho) from the value on side k and the other side's."""
         return (mine, other) if k == 0 else (other, mine)
 
+    compiled = [compile_bilinear(F, *shapes, cp) for cp in couplings]
+    rhs = [-cb.gamma for cb in compiled]
+    # Each membership system enters the solves as the nonzero rows of its
+    # rref: they span the same rows, and the rref of [A | b], from which
+    # solve_affine reads its answer, depends only on the row space.
+    mem_rows = []
+    for k in (0, 1):
+        r, pivots = rref(_system_matrix(e, *shapes[k], mems[k]))
+        mem_rows.append(Mat(F, len(pivots), r.cols, r.entries[:len(pivots) * r.cols]))
+    mem_rhs = [Mat.zeros(F, a.rows, 1) for a in mem_rows]
+    solved = {}
+
     def solve(k, fixed, cps):
-        """Side k solved linearly with the other side fixed, or None."""
-        def resid(u):
-            return _stacked([r(u) for r in mems[k]]
-                            + [cp(*pair(k, u, fixed)) for cp in cps])
-        sol = solve_affine(*affine_matrix_system(F, *shapes[k], resid))
-        return None if sol is None else unvec(F, sol[0], *shapes[k])
+        """Side k solved linearly with the other side fixed, or None; cps
+        is a range of coupling indices.  Each distinct solve runs once."""
+        key = (k, fixed.entries, cps)
+        if key not in solved:
+            a = vstack([mem_rows[k]] + [compiled[i].fix(1 - k, fixed) for i in cps])
+            b = vstack([mem_rhs[k]] + [rhs[i] for i in cps])
+            sol = solve_affine(a, b)
+            solved[key] = None if sol is None else unvec(F, sol[0], *shapes[k])
+        return solved[key]
 
     def extend(k, v, cps):
         """(sigma, rho) with side k at v and the other side solved, or None."""
@@ -424,10 +451,12 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         return Verdict("FOUND", witness={"e": as_row(s), "theta": th},
                        log=tuple(log), data=data)
 
+    every = range(len(couplings))
+
     # With a zero-dimensional side the joint system is linear outright.
     if 0 in dims:
         k = dims.index(0)
-        hit = extend(k, Mat.zeros(F, *shapes[k]), couplings)
+        hit = extend(k, Mat.zeros(F, *shapes[k]), every)
         if hit is not None:
             return found(hit, "%s side is zero; %s solved linearly"
                          % (_SIDES[k], _SIDES[1 - k]))
@@ -439,7 +468,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     # Strategy 1: pin one family to a membership basis vector.
     for k in (0, 1):
         for i, b in enumerate(bases[k]):
-            hit = extend(k, b, couplings)
+            hit = extend(k, b, every)
             if hit is not None:
                 return found(hit, "strategy 1: %s basis vector %d extends"
                              % (_SIDES[k], i))
@@ -455,16 +484,16 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         how = "strategy 2: alternation from a %s seed" % _SIDES[k]
         for v in seeds(bases[k]):
             for _ in range(3):
-                hit = extend(k, v, couplings)
+                hit = extend(k, v, every)
                 if hit is not None:
                     return found(hit, how)
-                w = solve(1 - k, v, couplings[:1])
+                w = solve(1 - k, v, every[:1])
                 if w is None:
                     break
-                hit = extend(1 - k, w, couplings)
+                hit = extend(1 - k, w, every)
                 if hit is not None:
                     return found(hit, how)
-                v = solve(k, w, couplings[1:])
+                v = solve(k, w, every[1:])
                 if v is None:
                     break
     log.append("strategy 2: alternation exhausted without a witness")
@@ -477,7 +506,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         count = F.p ** dims[k]
         if count <= (1 << budget_bits):
             for coeffs in product(range(F.p), repeat=dims[k]):
-                hit = extend(k, _combine(F, bases[k], coeffs), couplings)
+                hit = extend(k, _combine(F, bases[k], coeffs), every)
                 if hit is not None:
                     return found(hit, "strategy 3: enumeration hit %r" % (coeffs,))
             log.append("strategy 3: all %d candidates fail" % count)

@@ -439,11 +439,17 @@ def solve_affine(a: Mat, b: Mat):
 
     One elimination serves both: row operations on [a | b] act on the
     columns of a exactly as rref(a) does, so with no pivot in b the first
-    a.cols columns are rref(a) with its pivots.
+    a.cols columns are rref(a) with its pivots.  Zero rows of [a | b] are
+    left out of it: they change neither the pivots nor the nonzero rows of
+    its rref, which is all that is read.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
-    R, pivots = rref(hstack([a, b]))
+    cols = a.cols + b.cols
+    entries = tuple(chain.from_iterable(
+        r for r in map(add, map(a.row, range(a.rows)), map(b.row, range(b.rows)))
+        if any(r)))
+    R, pivots = rref(Mat(a.field, len(entries) // cols if cols else 0, cols, entries))
     if any(p >= a.cols for p in pivots):
         return None
     F = a.field
@@ -556,6 +562,25 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
 # -- solution spaces of matrix equations ------------------------------
 
 
+def _matrix_units(field: Field, rows: int, cols: int):
+    """The matrix units of k^{rows x cols}, in row-major order, made one at
+    a time."""
+    nunk = rows * cols
+    z, o = field.zero, field.one
+    for idx in range(nunk):
+        yield Mat(field, rows, cols, (z,) * idx + (o,) + (z,) * (nunk - idx - 1))
+
+
+def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat:
+    """The matrix whose column idx is column(E_idx), a tuple of entries,
+    for each row-major matrix unit E_idx of k^{rows x cols}.  The columns
+    are transposed once; height is the row count when there is no unit."""
+    nunk = rows * cols
+    columns = map(column, _matrix_units(field, rows, cols))
+    entries = tuple([x for row in zip(*columns) for x in row])
+    return Mat(field, len(entries) // nunk if nunk else height, nunk, entries)
+
+
 def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> SubspaceBasis:
     """Basis of {F in k^{rows x cols} : every condition(F) == 0}.
 
@@ -564,28 +589,66 @@ def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> Subspa
     caller free to express conditions as ordinary compositions.
     """
     nunk = rows * cols
-    z, o = field.zero, field.one
-    cond_cols = []
-    for idx in range(nunk):
-        e = Mat(field, rows, cols, tuple(o if t == idx else z for t in range(nunk)))
-        cond_cols.append(vstack([vec(c(e)) for c in conditions]))
-    system = hstack(cond_cols) if cond_cols else Mat.zeros(field, 0, 0)
     if nunk == 0:
         return SubspaceBasis(0, Mat.zeros(field, 0, 0))
+    system = _unit_system(field, rows, cols, lambda e: tuple(
+        chain.from_iterable(c(e).entries for c in conditions)), 0)
     return SubspaceBasis(nunk, kernel_basis(system))
 
 
 def affine_matrix_system(field: Field, rows: int, cols: int, residual):
     """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine."""
-    nunk = rows * cols
-    z, o = field.zero, field.one
-    r0 = vec(residual(Mat.zeros(field, rows, cols)))
-    cols_out = []
-    for idx in range(nunk):
-        e = Mat(field, rows, cols, tuple(o if t == idx else z for t in range(nunk)))
-        cols_out.append(vec(residual(e)) - r0)
-    a = hstack(cols_out) if cols_out else Mat.zeros(field, r0.rows, 0)
-    return a, -r0
+    r0 = residual(Mat.zeros(field, rows, cols))
+    a = _unit_system(field, rows, cols, lambda e: (residual(e) - r0).entries,
+                     len(r0.entries))
+    return a, -vec(r0)
+
+
+@dataclass(frozen=True)
+class CompiledBilinear:
+    """f(X, Y) = beta(X, Y) + f(0, 0), beta bilinear, compiled to matrices.
+
+    X has n0 entries, Y has n1 and f's value r.  b is (n0*r) x n1 with
+    b[i*r + q, j] = vec(beta(E_i, E_j))[q] for the row-major matrix units
+    E_i of X and E_j of Y, and gamma = vec(f(0, 0)).  The layout is
+    row-major, so one set of entries serves either argument fixed:
+      X fixed at x:  A = reshape(vec(x)^T . reshape(b, n0 x r*n1), r x n1)
+      Y fixed at y:  A = reshape(b . vec(y), n0 x r)^T
+    and f(x, y) == 0 iff A vec(other argument) = -gamma.
+    """
+
+    n0: int
+    b: Mat
+    gamma: Mat
+
+    def fix(self, k: int, value: Mat) -> Mat:
+        """A of the system in the free argument, argument k (0 = X) at value."""
+        F, n0, r, n1 = self.b.field, self.n0, self.gamma.rows, self.b.cols
+        if k == 0:
+            row = Mat(F, 1, n0, value.entries)
+            return Mat(F, r, n1, (row * Mat(F, n0, r * n1, self.b.entries)).entries)
+        return Mat(F, n0, r, (self.b * vec(value)).entries).t
+
+
+def compile_bilinear(field: Field, shape0, shape1, f) -> CompiledBilinear:
+    """Compile f(X, Y), X of shape0 and Y of shape1, by one affine_matrix_system
+    in Y with X at zero and one with X at each matrix unit.
+
+    Raises AssertionError if f has a linear term in either argument.
+    """
+    n0 = shape0[0] * shape0[1]
+    zero = Mat.zeros(field, *shape0)
+    a0, rhs = affine_matrix_system(field, *shape1, lambda y: f(zero, y))
+    if not a0.is_zero():
+        raise AssertionError("coupling has a linear term in its second argument")
+    blocks = []
+    for unit in _matrix_units(field, *shape0):
+        a, b = affine_matrix_system(field, *shape1, lambda y: f(unit, y))
+        if b != rhs:
+            raise AssertionError("coupling has a linear term in its first argument")
+        blocks.append(a.entries)
+    return CompiledBilinear(n0, Mat(field, n0 * rhs.rows, a0.cols,
+                                    tuple(chain.from_iterable(blocks))), -rhs)
 
 
 def basis_columns(field: Field, basis: Mat, rows: int, cols: int):

@@ -7,11 +7,33 @@ objects used across the adjunction, measuring and criteria tests.
 from __future__ import annotations
 
 from entwine.exactlin import Field, Mat, kron, block_diag
-from entwine.algstruct import Algebra, Coalgebra, Comodule, ModuleRight, ModuleLeft
+from entwine.algstruct import (
+    Algebra, Coalgebra, Comodule, ModuleRight, ModuleLeft, group_algebra,
+    group_like_coalgebra, matrix_algebra, trunc_poly_algebra,
+    upper_triangular_algebra,
+)
+from entwine.entwining import (
+    regular_doi_koppinen, trivial_entwining, trivial_entwining_coalg,
+)
 from entwine.comodcat import EntwinedModule
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, curry_left, uncurry_left,
 )
+
+
+def entwinings(field: Field) -> dict:
+    """Small standard entwinings over field, by name: the regular
+    Doi-Koppinen entwinings of kZ2 and kZ3, the trivial entwinings of M2,
+    of the 2x2 upper triangular matrices and of k[x]/x^2, and the trivial
+    entwining of the group-like coalgebra on two points."""
+    return {
+        "dk2": regular_doi_koppinen(group_algebra(2, field)),
+        "dk3": regular_doi_koppinen(group_algebra(3, field)),
+        "m2": trivial_entwining(matrix_algebra(2, field)),
+        "ut": trivial_entwining(upper_triangular_algebra(field)),
+        "tp2": trivial_entwining(trunc_poly_algebra(2, field)),
+        "gl2": trivial_entwining_coalg(group_like_coalgebra(field, 2)),
+    }
 
 
 def graded_comodule(c: Coalgebra, grades) -> Comodule:
