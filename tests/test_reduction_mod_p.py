@@ -7,7 +7,9 @@ for which every witness entry is p-integral: the workspace read with
 satisfy the component equations of `components` (for a cointegral, the
 conditions of `oracles`) over F_p.  The structure constants are integers
 and reduction mod p is a ring map on p-integral rationals, so the reduced
-witness is a witness; the decider must find one too.
+witness is a witness.  A linear decider then finds one; the Frobenius
+ladder is not complete in general, but on these instances it must find one
+as well.
 """
 
 from __future__ import annotations
