@@ -36,7 +36,9 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -70,6 +72,14 @@ class InputError(ValueError):
         super().__init__("%s: %s" % (where, message) if where else message)
 
 
+# Bound on the entries of the largest dense matrix a workspace implies.
+# The checks and deciders build matrices of up to about the square of a
+# structure map's entries (kron(mult, I_n) has n^5 for the n^3 of mult),
+# so no map may have more than its square root: 4096 entries, 16 times
+# the largest map of the test suite and the benchmark.
+MAX_DENSE_ENTRIES = 1 << 24
+
+
 # -- scalar and tensor encoding ---------------------------------------
 
 
@@ -93,7 +103,12 @@ def _scalar_out(f: Field, x):
 def _sparse_in(f: Field, entries, file_shape, perm, n_out, where: str) -> Mat:
     """Entry lists in file leg order; `perm` lists which file leg each
     internal tensor leg reads, the first n_out internal legs being the
-    output of the map."""
+    output of the map.  A map too large for MAX_DENSE_ENTRIES is refused
+    before anything is allocated."""
+    size = math.prod(file_shape)
+    if size * size > MAX_DENSE_ENTRIES:
+        raise InputError(where, "%d entries imply dense matrices over the limit "
+                         "of %d entries" % (size, MAX_DENSE_ENTRIES))
     if not isinstance(entries, list):
         raise InputError(where, "expected a list of entries")
     items = []
@@ -264,17 +279,17 @@ def parse_workspace(path: str, override: Field = None) -> Workspace:
     def algebra(where, spec, f):
         _obj(spec, where, ("dim",), ("unit", "mult"))
         n = _dim_of(spec, where)
-        unit = Mat(f, n, 1, _vector_in(f, spec.get("unit"), n, where + ".unit"))
         mult = _sparse_in(f, spec.get("mult", []), (n, n, n),
                           *_OUTPUT_LAST, where + ".mult")
+        unit = Mat(f, n, 1, _vector_in(f, spec.get("unit"), n, where + ".unit"))
         return wrap(where, lambda: Algebra(f, n, mult, unit))
 
     def coalgebra(where, spec, f):
         _obj(spec, where, ("dim",), ("counit", "comult"))
         c = _dim_of(spec, where)
-        counit = Mat(f, 1, c, _vector_in(f, spec.get("counit"), c, where + ".counit"))
         comult = _sparse_in(f, spec.get("comult", []), (c, c, c),
                             *_INPUT_FIRST, where + ".comult")
+        counit = Mat(f, 1, c, _vector_in(f, spec.get("counit"), c, where + ".counit"))
         return wrap(where, lambda: Coalgebra(f, c, comult, counit))
 
     algebras = build("algebras", algebra)
@@ -573,6 +588,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(self.prog, message)
 
 
+# Built once per process, on first use: a parser holds reference cycles
+# that only the cyclic garbage collector frees, and parsing leaves it
+# unchanged.
+@functools.cache
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("path", help="workspace JSON file")
@@ -673,9 +692,8 @@ def _text_lines(d: dict, prefix="") -> list:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
             raise InputError("entwine", "no command given (try --help)")
         override = (None if args.field_override is None

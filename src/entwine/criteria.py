@@ -21,7 +21,7 @@ from itertools import combinations, product
 from .exactlin import (
     Field, Mat, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
-    compile_bilinear, rref,
+    compile_bilinear, rref, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict
 from .algstruct import (
@@ -128,110 +128,101 @@ class Cointegral:
 
 # -- condition systems at the base field ------------------------------
 #
-# Each _*_residual factory returns callables that are linear (for the
-# memberships) or affine (for the normalizations) in the unknown, and
-# vanish exactly when the family is admissible.  The contramodule- and
-# comodule-side systems are written out independently on purpose: they
-# cross-check each other in the tests and no relation between the two
-# verdicts is assumed.
+# Each _*_residual factory states identities as term lists (see
+# exactlin.TermList) that are linear (for the memberships) or affine (for
+# the normalizations) in the unknown, and vanish exactly when the family
+# is admissible.  The contramodule- and comodule-side systems are written
+# out independently on purpose: they cross-check each other in the tests
+# and no relation between the two verdicts is assumed.
 
 
-def _stacked(parts) -> Mat:
-    return vstack([vec(p) for p in parts])
+def _term(coeff, left: Mat, a: int, b: int, right: Mat, transposed=False) -> Term:
+    """coeff . left . (I_a (x) U (x) I_b) . right, U the unknown or its
+    transpose."""
+    return Term(coeff, left, (Lift(a, b, right, transposed),))
 
 
 def _v1_residual(e: Entwining):
-    """Compatibility of sigma with the coaction of the free contramodule."""
+    """Compatibility of sigma with the coaction of the free contramodule:
+    head (I_c (x) psi^T) (s (x) I_c) - head (I_c (x) s)."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    head = kron(e.coalg.comult.t, i_n)
-    psi_t = e.psi.t
-
-    def resid(s: Mat) -> Mat:
-        return head * (kron(i_c, psi_t) * kron(s, i_c) - kron(i_c, s))
-
-    return [resid]
+    i_c = Mat.identity(F, c)
+    head = kron(e.coalg.comult.t, Mat.identity(F, n))
+    return [TermList((_term(1, head * kron(i_c, e.psi.t), 1, c, i_c),
+                      _term(-1, head, c, 1, i_c)))]
 
 
 def _v1_norm(e: Entwining):
-    unit_t = e.alg.unit.t
-    counit_t = e.coalg.counit.t
+    """(I_c (x) unit^T) s - counit^T."""
     i_c = Mat.identity(e.field, e.coalg.dim)
-
-    def resid(s: Mat) -> Mat:
-        return kron(i_c, unit_t) * s - counit_t
-
-    return resid
+    return TermList((_term(1, kron(i_c, e.alg.unit.t), 1, 1, Mat.identity(e.field, 1)),),
+                    -e.coalg.counit.t)
 
 
 def _v1p_residual(e: Entwining):
-    """Compatibility of sigma with the coaction of the cofree comodule."""
+    """Compatibility of sigma with the coaction of the cofree comodule:
+    (r (x) I_c) (I_c (x) psi) tail - (I_c (x) r) tail."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    tail = kron(e.coalg.comult, i_n)
-    psi = e.psi
-
-    def resid(r: Mat) -> Mat:
-        return (kron(r, i_c) * kron(i_c, psi) - kron(i_c, r)) * tail
-
-    return [resid]
+    i_c = Mat.identity(F, c)
+    tail = kron(e.coalg.comult, Mat.identity(F, n))
+    return [TermList((_term(1, i_c, 1, c, kron(i_c, e.psi) * tail),
+                      _term(-1, i_c, c, 1, tail)))]
 
 
 def _v1p_norm(e: Entwining):
+    """r (I_c (x) unit) - counit."""
     i_c = Mat.identity(e.field, e.coalg.dim)
-    unit, counit = e.alg.unit, e.coalg.counit
-
-    def resid(r: Mat) -> Mat:
-        return r * kron(i_c, unit) - counit
-
-    return resid
+    return TermList((_term(1, Mat.identity(e.field, 1), 1, 1, kron(i_c, e.alg.unit)),),
+                    -e.coalg.counit)
 
 
 def _w1_residuals(e: Entwining):
     """Compatibility of rho with the action and with the coaction, on the
-    contramodule side."""
+    contramodule side:
+      psi^T (I_n (x) th^T) (mult^T (x) I_n) - (th^T (x) I_n) (I_n (x) mult^T),
+      comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) psi^T)
+        - comult^T (th^T (x) I_c)."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    mult_t, comult_t = e.alg.mult.t, e.coalg.comult.t
-    psi_t = e.psi.t
-
-    def action_side(th: Mat) -> Mat:
-        return (psi_t * kron(i_n, th.t) * kron(mult_t, i_n)
-                - kron(th.t, i_n) * kron(i_n, mult_t))
-
-    def coaction_side(th: Mat) -> Mat:
-        return (comult_t * kron(i_c, th.t) * kron(psi_t, i_n) * kron(i_n, psi_t)
-                - comult_t * kron(th.t, i_c))
-
+    i_n = Mat.identity(F, n)
+    mult_t, comult_t, psi_t = e.alg.mult.t, e.coalg.comult.t, e.psi.t
+    action_side = TermList((
+        _term(1, psi_t, n, 1, kron(mult_t, i_n), True),
+        _term(-1, Mat.identity(F, c * n), 1, n, kron(i_n, mult_t), True)))
+    coaction_side = TermList((
+        _term(1, comult_t, c, 1, kron(psi_t, i_n) * kron(i_n, psi_t), True),
+        _term(-1, comult_t, 1, c, Mat.identity(F, n * n * c), True)))
     return [action_side, coaction_side]
 
 
 def _w1p_residuals(e: Entwining):
     """Compatibility of rho with the coaction and with the action, on the
-    comodule side."""
+    comodule side:
+      (I_n (x) psi) (psi (x) I_n) (I_c (x) th) comult - (th (x) I_c) comult,
+      (I_n (x) mult) (th (x) I_n) - (mult (x) I_n) (I_n (x) th) psi."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    mult, comult = e.alg.mult, e.coalg.comult
-    psi = e.psi
-
-    def coaction_side(th: Mat) -> Mat:
-        return (kron(i_n, psi) * kron(psi, i_n) * kron(i_c, th) * comult
-                - kron(th, i_c) * comult)
-
-    def action_side(th: Mat) -> Mat:
-        return (kron(i_n, mult) * kron(th, i_n)
-                - kron(mult, i_n) * kron(i_n, th) * psi)
-
+    i_n = Mat.identity(F, n)
+    mult, comult, psi = e.alg.mult, e.coalg.comult, e.psi
+    coaction_side = TermList((
+        _term(1, kron(i_n, psi) * kron(psi, i_n), c, 1, comult),
+        _term(-1, Mat.identity(F, n * n * c), 1, c, comult)))
+    action_side = TermList((
+        _term(1, kron(i_n, mult), 1, n, Mat.identity(F, c * n)),
+        _term(-1, kron(mult, i_n), n, 1, psi)))
     return [coaction_side, action_side]
 
 
+def _w1_norm(e: Entwining):
+    """Normalization of rho, the same on both sides: mult th - unit counit."""
+    return TermList((_term(1, e.alg.mult, 1, 1, Mat.identity(e.field, e.coalg.dim)),),
+                    -(e.alg.unit * e.coalg.counit))
+
+
 def _system_matrix(e: Entwining, rows: int, cols: int, residuals) -> Mat:
-    a, b = affine_matrix_system(e.field, rows, cols,
-                                lambda u: _stacked([r(u) for r in residuals]))
+    a, b = affine_matrix_system(e.field, rows, cols, residuals)
     if not b.is_zero():
         raise AssertionError("membership system must be homogeneous")
     return a
@@ -278,10 +269,10 @@ def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str,
                    wit_key: str, wit_of,
                    log=("normalized family: linear system infeasible",
                         "normalized family found by linear solve")) -> Verdict:
-    a, b = affine_matrix_system(e.field, rows, cols,
-                                lambda u: _stacked([r(u) for r in residuals]))
+    a, b = affine_matrix_system(e.field, rows, cols, residuals)
     sol = solve_affine(a, b)
     data = {"unknowns": rows * cols, "rows": a.rows}
+    del a, b  # not needed for the substitution check; frees the largest matrix
     if sol is None:
         return Verdict("NONE", certificate="linear", data=data, log=log[:1])
     u = unvec(e.field, sol[0], rows, cols)
@@ -303,8 +294,7 @@ def decide_sep_contra_f(e: Entwining) -> Verdict:
     """Existence of a normalized rho family on the contramodule side,
     splitting the forgetful direction."""
     n, c = e.alg.dim, e.coalg.dim
-    unit, counit, mult = e.alg.unit, e.coalg.counit, e.alg.mult
-    residuals = _w1_residuals(e) + [lambda th: mult * th - unit * counit]
+    residuals = _w1_residuals(e) + [_w1_norm(e)]
     return _decide_linear(e, n * n, c, residuals, "sep-contra-f",
                           "theta", lambda th: th)
 
@@ -320,8 +310,7 @@ def decide_sep_co_t(e: Entwining) -> Verdict:
 def decide_sep_co_f(e: Entwining) -> Verdict:
     """Comodule-side counterpart of decide_sep_contra_f."""
     n, c = e.alg.dim, e.coalg.dim
-    unit, counit, mult = e.alg.unit, e.coalg.counit, e.alg.mult
-    residuals = _w1p_residuals(e) + [lambda th: mult * th - unit * counit]
+    residuals = _w1p_residuals(e) + [_w1_norm(e)]
     return _decide_linear(e, n * n, c, residuals, "sep-co-f",
                           "theta", lambda th: th)
 
@@ -340,37 +329,38 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 
 
 def _frobenius_couplings_contra(e: Entwining):
+    """The two couplings of (s, th), bilinear plus a constant:
+      comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) s) - counit^T unit^T,
+      comult^T (I_c (x) th^T) (s (x) I_n) - counit^T unit^T."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    comult_t, counit_t = e.coalg.comult.t, e.coalg.counit.t
-    unit_t, psi_t = e.alg.unit.t, e.psi.t
-    const = counit_t * unit_t
+    i_n = Mat.identity(F, n)
+    comult_t, psi_t = e.coalg.comult.t, e.psi.t
+    const = -(e.coalg.counit.t * e.alg.unit.t)
 
-    def through_psi(s: Mat, th: Mat) -> Mat:
-        return comult_t * kron(i_c, th.t) * kron(psi_t, i_n) * kron(i_n, s) - const
+    def coupling(middle, a, b):
+        return TermList((Term(1, comult_t, (Lift(c, 1, middle, True, 1),
+                                            Lift(a, b, i_n))),), const)
 
-    def direct(s: Mat, th: Mat) -> Mat:
-        return comult_t * kron(i_c, th.t) * kron(s, i_n) - const
-
-    return [through_psi, direct]
+    return [coupling(kron(psi_t, i_n), n, 1),
+            coupling(Mat.identity(F, c * n * n), 1, n)]
 
 
 def _frobenius_couplings_co(e: Entwining):
+    """The two couplings of (r, th), bilinear plus a constant:
+      (I_n (x) r) (psi (x) I_n) (I_c (x) th) comult - unit counit,
+      (r (x) I_n) (I_c (x) th) comult - unit counit."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    comult, counit = e.coalg.comult, e.coalg.counit
-    unit, psi = e.alg.unit, e.psi
-    const = unit * counit
+    i_n = Mat.identity(F, n)
+    const = -(e.alg.unit * e.coalg.counit)
 
-    def through_psi(r: Mat, th: Mat) -> Mat:
-        return kron(i_n, r) * kron(psi, i_n) * kron(i_c, th) * comult - const
+    def coupling(a, b, middle):
+        return TermList((Term(1, i_n, (Lift(a, b, middle),
+                                       Lift(c, 1, e.coalg.comult, False, 1))),), const)
 
-    def direct(r: Mat, th: Mat) -> Mat:
-        return kron(r, i_n) * kron(i_c, th) * comult - const
-
-    return [through_psi, direct]
+    return [coupling(n, 1, kron(e.psi, i_n)),
+            coupling(1, n, Mat.identity(F, c * n * n))]
 
 
 def _combine(field: Field, basis_mats, coeffs):
@@ -393,8 +383,9 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     vec(coupling(0, 0)).  A solve with side 0 fixed at s uses A =
     reshape(vec(s)^T . reshape(B, n0 x r*n1), r x n1); with side 1 fixed
     at t, A = reshape(B . vec(t), n0 x r)^T; b = -gamma in both.  The
-    closures stay the statement of each identity: they compile B and
-    re-verify every witness by substitution.
+    term lists stay the statement of each identity: contracted, they give B
+    and the membership systems; evaluated, they re-verify every witness by
+    substitution.
     """
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
@@ -544,26 +535,28 @@ _COINTEGRAL_NAMES = ("coaction-compatibility", "action-compatibility",
 
 
 def _cointegral_residuals(e: Entwining):
+    """The cointegral identities in phi:
+      (I_n (x) psi) (psi (x) phi) (I_c (x) coev (x) I_c) comult
+        - (I_n (x) phi (x) I_c) (coev (x) comult),
+      (I_n (x) mult) (I_n (x) phi (x) I_n) (coev (x) I_cn)
+        - (mult (x) phi) (I_n (x) coev (x) I_c) psi,
+      mult (I_n (x) phi) (coev (x) I_c) - unit counit,
+    with psi (x) phi = (psi (x) I_n) (I_cn (x) phi), and mult (x) phi
+    likewise."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    i_cn = Mat.identity(F, c * n)
-    mult, unit = e.alg.mult, e.alg.unit
-    comult, counit = e.coalg.comult, e.coalg.counit
-    psi = e.psi
+    mult, comult, psi = e.alg.mult, e.coalg.comult, e.psi
     coev = coevaluation(F, n)
-
-    def coaction_side(phi: Mat) -> Mat:
-        return (kron(i_n, psi) * kron(psi, phi) * kron(i_c, kron(coev, i_c)) * comult
-                - kron(i_n, kron(phi, i_c)) * kron(coev, comult))
-
-    def action_side(phi: Mat) -> Mat:
-        return (kron(i_n, mult) * kron(i_n, kron(phi, i_n)) * kron(coev, i_cn)
-                - kron(mult, phi) * kron(i_n, kron(coev, i_c)) * psi)
-
-    def normalization(phi: Mat) -> Mat:
-        return mult * kron(i_n, phi) * kron(coev, i_c) - unit * counit
-
+    coaction_side = TermList((
+        _term(1, kron(i_n, psi) * kron(psi, i_n), c * n, 1,
+              kron(i_c, kron(coev, i_c)) * comult),
+        _term(-1, Mat.identity(F, n * n * c), n, c, kron(coev, comult))))
+    action_side = TermList((
+        _term(1, kron(i_n, mult), n, n, kron(coev, Mat.identity(F, c * n))),
+        _term(-1, kron(mult, i_n), n * n, 1, kron(i_n, kron(coev, i_c)) * psi)))
+    normalization = TermList((_term(1, mult, n, 1, kron(coev, i_c)),),
+                             -(e.alg.unit * e.coalg.counit))
     return [coaction_side, action_side, normalization]
 
 

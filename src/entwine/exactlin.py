@@ -13,6 +13,22 @@ compare; no result relies on it, as any other zero fails the truth test.
 Tensor legs flatten first-factor-major: the flat index of (i1, ..., ik)
 over shape (d1, ..., dk) is ((i1*d2 + i2)*d3 + ...). kron follows the same
 convention, so kron(f, g) is the matrix of f (x) g on flattened legs.
+
+An identity linear in an unknown matrix X is stated once as a term list
+(TermList) in the normal form
+
+    sum of c . L . (I_a (x) X' (x) I_b) . R, plus a constant K,
+
+X' being X or its transpose, L and R fixed; a bilinear identity has one
+such lift per argument in each term, L . lift(U) . M . lift(V) . R.
+Calling a term list evaluates it with the dense kernels.
+affine_matrix_system, mat_solution_basis and compile_bilinear contract it:
+by vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient of
+X'[p, q] in entry (r, s) is the sum over alpha, beta of L[r, (alpha, p,
+beta)] R[(alpha, q, beta), s], one product of L and R with their legs
+regrouped by permute_legs.  Given any other callable they evaluate it on
+every matrix unit instead; algstruct, comodcat, contracat, measuring and
+the Maschke probe of criteria pass closures.
 """
 
 from __future__ import annotations
@@ -372,6 +388,9 @@ def rref(m: Mat):
     prime, p = F.kind == "prime", F.p
     nrows, ncols = m.rows, m.cols
     rows = [list(m.row(i)) for i in range(nrows)]
+    # Eliminate without the input alongside when the caller passed a
+    # temporary, as solve_affine does.
+    del m
     pivots = []
     r = 0
     for c in range(ncols):
@@ -404,8 +423,7 @@ def rref(m: Mat):
                     row[j] %= p
         pivots.append(c)
         r += 1
-    flat = tuple(x for row in rows for x in row)
-    return Mat(F, nrows, ncols, flat), tuple(pivots)
+    return Mat(F, nrows, ncols, tuple(chain.from_iterable(rows))), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -445,11 +463,10 @@ def solve_affine(a: Mat, b: Mat):
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
-    cols = a.cols + b.cols
-    entries = tuple(chain.from_iterable(
-        r for r in map(add, map(a.row, range(a.rows)), map(b.row, range(b.rows)))
-        if any(r)))
-    R, pivots = rref(Mat(a.field, len(entries) // cols if cols else 0, cols, entries))
+    keep = [i for i in range(a.rows) if any(a.row(i)) or any(b.row(i))]
+    # [a | b] is passed as a temporary, so rref frees it before eliminating.
+    R, pivots = rref(Mat(a.field, len(keep), a.cols + b.cols, tuple(chain.from_iterable(
+        a.row(i) + b.row(i) for i in keep))))
     if any(p >= a.cols for p in pivots):
         return None
     F = a.field
@@ -562,6 +579,158 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
 # -- solution spaces of matrix equations ------------------------------
 
 
+@dataclass(frozen=True)
+class Lift:
+    """The factor (I_a (x) U (x) I_b) . right of a term, where U is the
+    unknown on `side` (0 or 1), or its transpose."""
+
+    a: int
+    b: int
+    right: Mat
+    transposed: bool = False
+    side: int = 0
+
+
+@dataclass(frozen=True)
+class Term:
+    """coeff . left . lift_1 . lift_2 ...: one lift for a linear term, one
+    per argument for a bilinear term."""
+
+    coeff: object
+    left: Mat
+    lifts: tuple
+
+
+@dataclass(frozen=True)
+class TermList:
+    """An identity in normal form: the sum of its terms plus const (None
+    for zero).  Calling it evaluates it; `affine_matrix_system`,
+    `mat_solution_basis` and `compile_bilinear` contract it."""
+
+    terms: tuple
+    const: Mat = None
+
+    @property
+    def shape(self):
+        if self.const is not None:
+            return self.const.rows, self.const.cols
+        t = self.terms[0]
+        return t.left.rows, t.lifts[-1].right.cols
+
+    def __call__(self, *xs) -> Mat:
+        out = self.const
+        for t in self.terms:
+            v = t.left
+            F = v.field
+            for lift in t.lifts:
+                u = xs[lift.side].t if lift.transposed else xs[lift.side]
+                # The lift times right first: no product as wide as the lift.
+                v = v * (kron(Mat.identity(F, lift.a),
+                              kron(u, Mat.identity(F, lift.b))) * lift.right)
+            if t.coeff != 1:
+                v = v.scale(t.coeff)
+            out = v if out is None else out + v
+        return out
+
+
+def _regroup(m: Mat, shape, rows: int, cols: int) -> Mat:
+    """m read as a tensor of four legs of the given shape, its middle two
+    legs swapped, read back as a rows x cols matrix."""
+    t = permute_legs(Tensor(m.field, shape, m.entries), (0, 2, 1, 3))
+    return Mat(m.field, rows, cols, t.entries)
+
+
+def _lifted_shape(lift: Lift, shapes):
+    rows, cols = shapes[lift.side]
+    return (cols, rows) if lift.transposed else (rows, cols)
+
+
+def _contract(term: Term, shapes) -> Mat:
+    """The coefficients of a term: row (r, p_1, q_1, ..., p_j, q_j) and
+    column s hold the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in
+    entry (r, s) of its value, U_i the unknown of lift i as lifted.
+
+    Each lift costs one product.  By vec(L X R) = (L (x) R^T) vec(X),
+    applied per leg, the coefficient of X[p, q] in (L (I_a (x) X (x) I_b)
+    R)[r, s] is the sum over alpha, beta of L[r, (alpha, p, beta)] .
+    R[(alpha, q, beta), s]: the product of L regrouped (r, p) x (alpha,
+    beta) and R regrouped (alpha, beta) x (q, s).  Read with rows (r, p,
+    q), that product is the left factor of the next lift.
+    """
+    cur = term.left
+    for lift in term.lifts:
+        xr, xc = _lifted_shape(lift, shapes)
+        a, b, right = lift.a, lift.b, lift.right
+        if cur.cols != a * xr * b or right.rows != a * xc * b:
+            raise ValueError("term does not fit the shape of its unknown")
+        prod = (_regroup(cur, (cur.rows, a, xr, b), cur.rows * xr, a * b)
+                * _regroup(right, (a, xc, b, right.cols), a * b, xc * right.cols))
+        cur = Mat(cur.field, cur.rows * xr * xc, right.cols, prod.entries)
+    return cur
+
+
+def _accumulate(acc: dict, term: Term, shapes, start: int, ncols: int, weights) -> None:
+    """Add the term's coefficients into acc, the nonzero entries of a flat
+    matrix with ncols columns by index: the coefficient in entry (r, s) of
+    the value, of unknown entries with flat indices i_1, i_2, ..., goes to
+    index start + (r*k + s)*ncols + sum of weights[side_j]*i_j, k the
+    value's columns."""
+    cur = _contract(term, shapes)
+    F, k = cur.field, cur.cols
+    # Index, at r = s = 0, of each row (p_1, q_1, ...) of a block of cur.
+    inner = [0]
+    for lift in term.lifts:
+        cols, w = shapes[lift.side][1], weights[lift.side]
+        wp, wq = (w, w * cols) if lift.transposed else (w * cols, w)
+        xr, xc = _lifted_shape(lift, shapes)
+        inner = [x + p * wp for x in inner for p in range(xr)]
+        inner = [x + q * wq for x in inner for q in range(xc)]
+    block, rstep = len(inner), k * ncols
+    e, c = cur.entries, F.of(term.coeff)
+    if F.kind == "prime":
+        p = F.p
+        for idx in compress(range(len(e)), e):
+            row, s = divmod(idx, k)
+            r, u = divmod(row, block)
+            i = start + r * rstep + inner[u] + s * ncols
+            acc[i] = (acc.get(i, 0) + c * e[idx]) % p
+    else:
+        one = c == F.one
+        for idx in compress(range(len(e)), e):
+            row, s = divmod(idx, k)
+            r, u = divmod(row, block)
+            i = start + r * rstep + inner[u] + s * ncols
+            v = e[idx] if one else c * e[idx]
+            w = acc.get(i)
+            acc[i] = v if w is None else w + v
+
+
+def _dense(field: Field, rows: int, cols: int, acc: dict) -> Mat:
+    """The rows x cols matrix with the entries of acc and zeros elsewhere."""
+    return Mat(field, rows, cols, tuple(map(acc.get, range(rows * cols), repeat(field.zero))))
+
+
+def _term_lists(x):
+    """x as a list of term lists, or None if x is a plain callable or a
+    list holding one."""
+    forms = x if isinstance(x, (list, tuple)) else (x,)
+    return forms if all(isinstance(f, TermList) for f in forms) else None
+
+
+def _contracted_system(field: Field, rows: int, cols: int, forms):
+    """(A, b) with A vec(X) = b iff every form vanishes at X, the forms'
+    values stacked in order, each row-major."""
+    nunk = rows * cols
+    acc, rhs, off = {}, [], 0
+    for f in forms:
+        for t in f.terms:
+            _accumulate(acc, t, ((rows, cols),), off * nunk, nunk, (1,))
+        h = f.shape[0] * f.shape[1]
+        rhs.append((field.zero,) * h if f.const is None else (-f.const).entries)
+        off += h
+    return _dense(field, off, nunk, acc), Mat(field, off, 1, tuple(chain.from_iterable(rhs)))
+
+
 def _matrix_units(field: Field, rows: int, cols: int):
     """The matrix units of k^{rows x cols}, in row-major order, made one at
     a time."""
@@ -584,20 +753,32 @@ def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat
 def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> SubspaceBasis:
     """Basis of {F in k^{rows x cols} : every condition(F) == 0}.
 
-    conditions: callables Mat -> Mat, linear in the unknown matrix.  The
-    system is assembled by evaluating on the matrix units, which keeps the
-    caller free to express conditions as ordinary compositions.
+    conditions: a list of term lists, linear in the unknown matrix, whose
+    system is contracted; or of callables Mat -> Mat, linear in it, whose
+    system is assembled by evaluating them on the matrix units.
     """
     nunk = rows * cols
     if nunk == 0:
         return SubspaceBasis(0, Mat.zeros(field, 0, 0))
-    system = _unit_system(field, rows, cols, lambda e: tuple(
-        chain.from_iterable(c(e).entries for c in conditions)), 0)
+    forms = _term_lists(conditions)
+    if forms is not None:
+        system = _contracted_system(field, rows, cols, forms)[0]
+    else:
+        system = _unit_system(field, rows, cols, lambda e: tuple(
+            chain.from_iterable(c(e).entries for c in conditions)), 0)
     return SubspaceBasis(nunk, kernel_basis(system))
 
 
 def affine_matrix_system(field: Field, rows: int, cols: int, residual):
-    """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine."""
+    """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine.
+
+    residual: a term list, or a list of term lists whose values are
+    stacked, contracted; or a callable Mat -> Mat, evaluated at zero and
+    on the matrix units.
+    """
+    forms = _term_lists(residual)
+    if forms is not None:
+        return _contracted_system(field, rows, cols, forms)
     r0 = residual(Mat.zeros(field, rows, cols))
     a = _unit_system(field, rows, cols, lambda e: (residual(e) - r0).entries,
                      len(r0.entries))
@@ -631,12 +812,21 @@ class CompiledBilinear:
 
 
 def compile_bilinear(field: Field, shape0, shape1, f) -> CompiledBilinear:
-    """Compile f(X, Y), X of shape0 and Y of shape1, by one affine_matrix_system
-    in Y with X at zero and one with X at each matrix unit.
+    """Compile f(X, Y), X of shape0 and Y of shape1.
 
-    Raises AssertionError if f has a linear term in either argument.
+    A term list, each term with one lift on each side, is contracted.  A
+    plain callable is assembled by one affine_matrix_system in Y with X at
+    zero and one with X at each matrix unit; it raises AssertionError if f
+    has a linear term in either argument.
     """
     n0 = shape0[0] * shape0[1]
+    if isinstance(f, TermList):
+        r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
+        acc = {}
+        for t in f.terms:
+            _accumulate(acc, t, (shape0, shape1), 0, n1, (r * n1, 1))
+        gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
+        return CompiledBilinear(n0, _dense(field, n0 * r, n1, acc), gamma)
     zero = Mat.zeros(field, *shape0)
     a0, rhs = affine_matrix_system(field, *shape1, lambda y: f(zero, y))
     if not a0.is_zero():
@@ -740,17 +930,18 @@ class Tensor:
 
 
 def permute_legs(t: Tensor, perm) -> Tensor:
-    """New leg i is old leg perm[i]; applying perm then its inverse is id."""
+    """New leg i is old leg perm[i]; applying perm then its inverse is id.
+
+    One index map, built leg by leg: the old flat position of each new
+    multi-index is the sum of its legs' old strides.
+    """
     perm = tuple(perm)
     if sorted(perm) != list(range(len(t.shape))):
         raise ValueError("not a permutation of the legs")
-    shape = tuple(t.shape[p] for p in perm)
-    size = len(t.entries)
-    data = [t.field.zero] * size
-    for flat in range(size):
-        multi = flat_to_multi(flat, shape)
-        old = [0] * len(perm)
-        for i, p in enumerate(perm):
-            old[p] = multi[i]
-        data[flat] = t.entries[multi_to_flat(tuple(old), t.shape)]
-    return Tensor(t.field, shape, tuple(data))
+    strides = _strides(t.shape)
+    index = [0]
+    for p in perm:
+        offsets = [j * strides[p] for j in range(t.shape[p])]
+        index = [i + o for i in index for o in offsets]
+    return Tensor(t.field, tuple(t.shape[p] for p in perm),
+                  tuple(map(t.entries.__getitem__, index)))

@@ -1,5 +1,6 @@
 """Workspace files and the command-line front end."""
 
+import gc
 import json
 import os
 from pathlib import Path
@@ -300,3 +301,59 @@ def test_reports_are_deterministic(capsys):
         return "".join(chunks)
 
     assert sweep() == sweep()
+
+
+def test_main_builds_no_garbage_and_repeats_itself(capsys):
+    argv = ("frobenius", KZ2, "E", "--format", "json")
+    run(capsys, *argv)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _, first, _ = run(capsys, *argv)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    _, second, _ = run(capsys, *argv)
+    assert first == second
+    code, out, err = run(capsys, "frobenius", KZ2)
+    assert (code, out) == (3, "") and err.startswith("error: entwine frobenius:")
+    with pytest.raises(SystemExit) as stop:
+        main(["--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: entwine")
+
+
+@pytest.mark.parametrize("doc, where, built", [
+    ({"algebras": {"A": {"dim": 17, "unit": [1] * 17}}}, "algebras.A.mult", 0),
+    ({"coalgebras": {"C": {"dim": 17, "counit": [1] * 17}}}, "coalgebras.C.comult", 0),
+    ({"algebras": {"A": {"dim": 9}}, "coalgebras": {"C": {"dim": 8}},
+      "entwinings": {"E": {"algebra": "A", "coalgebra": "C"}}}, "entwinings.E.psi", 4),
+    ({"algebras": {"A": {"dim": 1}}, "coalgebras": {"C": {"dim": 1}},
+      "entwinings": {"E": {"algebra": "A", "coalgebra": "C"}},
+      "modules": {"M": {"entwining": "E", "dim": 65}}}, "modules.M.action", 5),
+])
+def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypatch,
+                                                      doc, where, built):
+    # Only the `built` matrices and tensors of the valid objects before the
+    # oversized map may be constructed; any further one fails the test.
+    made = []
+
+    def counted(real):
+        def make(*args):
+            made.append(args)
+            assert len(made) <= built, "dense structure built before the size check"
+            return real(*args)
+        return make
+
+    monkeypatch.setattr(cli, "Mat", counted(cli.Mat))
+    monkeypatch.setattr(cli.Tensor, "from_items", counted(cli.Tensor.from_items))
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(dict(doc, field={"kind": "rational"})))
+    with pytest.raises(InputError, match="over the limit") as refused:
+        parse_workspace(str(p))
+    assert refused.value.where == where and len(made) == built
+    made.clear()
+    code, out, err = run(capsys, "check", str(p))
+    assert (code, out) == (3, "") and "over the limit" in err

@@ -1,0 +1,101 @@
+"""Differential test of the contracted decider systems.
+
+Every identity of `entwine.criteria` is a term list (`exactlin.TermList`):
+`affine_matrix_system` and `mat_solution_basis` build its system by leg
+contraction, and `compile_bilinear` compiles a coupling the same way.  The
+reference is the closure of the same identity in `reference_residuals`,
+which those functions assemble by evaluation on matrix units.  Both must
+give the same (A, b), solution basis, B and gamma entry for entry, and the
+same value at random unknowns, on the corpus entwinings over Q, F_2 and
+F_5.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from entwine import criteria
+from entwine.exactlin import (
+    Field, Mat, affine_matrix_system, compile_bilinear, mat_solution_basis,
+)
+import reference_residuals as ref
+from corpus import entwinings
+
+FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
+NAMES = sorted(entwinings(FIELDS["Q"]))
+
+
+def linear_identities(e):
+    """Per identity family: the unknown's shape, then (term list, closure)
+    pairs, the membership conditions first and the normalization last."""
+    n, c = e.alg.dim, e.coalg.dim
+    pairs = lambda forms, closures: list(zip(forms, closures))  # noqa: E731
+    return {
+        "v1": ((c * n, 1), pairs(criteria._v1_residual(e) + [criteria._v1_norm(e)],
+                                 ref.v1_residual(e) + [ref.v1_norm(e)])),
+        "v1p": ((1, c * n), pairs(criteria._v1p_residual(e) + [criteria._v1p_norm(e)],
+                                  ref.v1p_residual(e) + [ref.v1p_norm(e)])),
+        "w1": ((n * n, c), pairs(criteria._w1_residuals(e) + [criteria._w1_norm(e)],
+                                 ref.w1_residuals(e) + [ref.w1_norm(e)])),
+        "w1p": ((n * n, c), pairs(criteria._w1p_residuals(e) + [criteria._w1_norm(e)],
+                                  ref.w1p_residuals(e) + [ref.w1_norm(e)])),
+        "cointegral": ((n, n * c), pairs(criteria._cointegral_residuals(e),
+                                         ref.cointegral_residuals(e))),
+    }
+
+
+def random_value(F, rng, shape):
+    return Mat(F, *shape, tuple(F.of(rng.choice((0, 0, 1, -1, 2, -3)))
+                                for _ in range(shape[0] * shape[1])))
+
+
+@pytest.mark.parametrize("family", ["v1", "v1p", "w1", "w1p", "cointegral"])
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+@pytest.mark.parametrize("name", NAMES)
+def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
+    F = FIELDS[fname]
+    e = entwinings(F)[name]
+    shape, pairs = linear_identities(e)[family]
+    forms = [f for f, _ in pairs]
+    closures = [r for _, r in pairs]
+    for form, closure in pairs:
+        assert affine_matrix_system(F, *shape, form) == affine_matrix_system(F, *shape, closure)
+    # Stacked, as the deciders pose them.
+    assert (affine_matrix_system(F, *shape, forms)
+            == affine_matrix_system(F, *shape,
+                                    lambda u: ref.stacked([r(u) for r in closures])))
+    # The membership conditions, as the Frobenius ladder poses them.
+    if family != "cointegral":
+        assert (mat_solution_basis(F, *shape, forms[:-1])
+                == mat_solution_basis(F, *shape, closures[:-1]))
+    rng = random.Random("%s-%s-%s" % (name, fname, family))
+    for _ in range(2):
+        x = random_value(F, rng, shape)
+        for form, closure in pairs:
+            assert form(x) == closure(x)
+
+
+FROBENIUS = {
+    "co": (lambda n, c: ((1, c * n), (n * n, c)),
+           criteria._frobenius_couplings_co, ref.frobenius_couplings_co),
+    "contra": (lambda n, c: ((c * n, 1), (n * n, c)),
+               criteria._frobenius_couplings_contra, ref.frobenius_couplings_contra),
+}
+
+
+@pytest.mark.parametrize("variance", sorted(FROBENIUS))
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+@pytest.mark.parametrize("name", NAMES)
+def test_contracted_couplings_match_unit_assembly(name, fname, variance):
+    F = FIELDS[fname]
+    e = entwinings(F)[name]
+    shapes_of, forms_of, closures_of = FROBENIUS[variance]
+    shapes = shapes_of(e.alg.dim, e.coalg.dim)
+    rng = random.Random("%s-%s-%s" % (name, fname, variance))
+    for form, closure in zip(forms_of(e), closures_of(e)):
+        assert compile_bilinear(F, *shapes, form) == compile_bilinear(F, *shapes, closure)
+        for _ in range(2):
+            x, y = (random_value(F, rng, shape) for shape in shapes)
+            assert form(x, y) == closure(x, y)
