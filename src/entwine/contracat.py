@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
-from .exactlin import in_subspace  # noqa: F401 (re-exported)
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Coalgebra, ModuleLeft, check_module_left, module_hom_left,

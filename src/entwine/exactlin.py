@@ -865,14 +865,6 @@ def multi_to_flat(multi, shape) -> int:
     return flat
 
 
-def flat_to_multi(flat: int, shape):
-    out = []
-    for st in _strides(shape):
-        out.append(flat // st)
-        flat %= st
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Tensor:
     """Dense tensor, row-major entries (first leg major)."""

@@ -12,6 +12,15 @@ quotient (hat_tensor, cohom), together with the unit and counit of each
 adjunction.  The Galois deciders evaluate those (co)units at the
 representing objects and report bijectivity.
 
+Each functor is presented once per call: a private builder returns the
+object with its kernel inclusion or with the cokernel presenting it, and
+the (co)units and adjunction checks read from that presentation.  Maps
+that share an identity leg are multiplied before they are lifted, by
+kron(I, X) kron(I, Y) = kron(I, X Y) on the module side and by
+hom_pre(g, m) hom_pre(h, m) = hom_pre(h g, m) and
+under(hom_pre(g, m), k) = hom_pre(g (x) I_k, m) on the contramodule side,
+where I_k (x) g is hom_pre(g, k).t.
+
 The Galois half builds the measuring canonically attached to a
 coalgebra-Galois extension: coinvariants, the canonical map on the
 tensor product over the coinvariants, the entwining it transports, and
@@ -194,9 +203,7 @@ def canonical_map(g: GaloisData):
            - kron(i_n, mult * kron(inc, i_n)))
     dom = cokernel(rel)
     unreduced = kron(mult, Mat.identity(F, g.coalg.dim)) * kron(i_n, coact)
-    if not (unreduced * rel).is_zero():
-        raise ValueError("canonical map does not kill the relations")
-    return dom, unreduced * dom.section
+    return dom, _descend(unreduced, dom, "canonical map")
 
 
 def is_galois(g: GaloisData) -> bool:
@@ -248,6 +255,13 @@ def _require_morphism(conditions, f: Mat, what: str, failures) -> None:
             raise ValueError("%s %s" % (what, failure))
 
 
+def _descend(f: Mat, cok, what: str) -> Mat:
+    """f on the quotient that cok presents; f must kill its relations."""
+    if not (f * cok.relations).is_zero():
+        raise ValueError("%s does not kill the relations" % what)
+    return f * cok.section
+
+
 def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
     """M (x) C' over the source from a module over the target algebra,
     or M' (x) A over the target from a comodule over the source
@@ -259,11 +273,11 @@ def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
         if x.alg != m.dst.alg:
             raise ValueError("module is not over the target algebra")
         i_m = Mat.identity(F, x.dim)
+        i_cp = Mat.identity(F, cp)
         coaction = kron(i_m, m.src.coalg.comult)
-        action = (kron(x.action, Mat.identity(F, cp))
-                  * kron(i_m, kron(m.alpha, Mat.identity(F, cp)))
-                  * kron(i_m, kron(Mat.identity(F, cp), m.src.psi))
-                  * kron(i_m, kron(m.src.coalg.comult, Mat.identity(F, np_))))
+        action = (kron(x.action, i_cp)
+                  * kron(i_m, kron(m.alpha, i_cp) * kron(i_cp, m.src.psi)
+                         * kron(m.src.coalg.comult, Mat.identity(F, np_))))
         return EntwinedModule(m.src, x.dim * cp, action, coaction)
     if isinstance(x, Comodule):
         if x.coalg != m.src.coalg:
@@ -271,9 +285,8 @@ def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
         i_m = Mat.identity(F, x.dim)
         i_n = Mat.identity(F, n)
         action = kron(i_m, m.dst.alg.mult)
-        coaction = (kron(i_m, kron(m.dst.alg.mult, Mat.identity(F, c)))
-                    * kron(i_m, kron(i_n, m.dst.psi))
-                    * kron(i_m, kron(m.gamma, i_n))
+        coaction = (kron(i_m, kron(m.dst.alg.mult, Mat.identity(F, c))
+                         * kron(i_n, m.dst.psi) * kron(m.gamma, i_n))
                     * kron(x.coaction, i_n))
         return EntwinedModule(m.dst, x.dim * n, action, coaction)
     raise ValueError("expected a ModuleRight or a Comodule")
@@ -288,35 +301,42 @@ def _mc_module(m: Measuring, x: EntwinedModule) -> ModuleRight:
     return ModuleRight(m.dst.alg, x.dim * c, action)
 
 
-def t_upper(m: Measuring, x: EntwinedModule) -> Mat:
-    """Defining map of the cotensor: M (x) C' -> M (x) C (x) C'."""
+def _t_upper(m: Measuring, x: EntwinedModule):
+    """t_upper and its domain M (x) C', which its morphism check induces."""
     if x.ent != m.dst:
         raise ValueError("object is not over the target entwining")
     F = m.field
     c = m.dst.coalg.dim
     cp = m.src.coalg.dim
-    i_m = Mat.identity(F, x.dim)
     i_cp = Mat.identity(F, cp)
     t = (kron(x.coaction, i_cp)
          - kron(x.action, Mat.identity(F, c * cp))
-         * kron(i_m, kron(m.gamma, i_cp))
-         * kron(i_m, m.src.coalg.comult))
+         * kron(Mat.identity(F, x.dim), kron(m.gamma, i_cp) * m.src.coalg.comult))
     dom = comodule_side_induce(m, x.as_module())
     cod = comodule_side_induce(m, _mc_module(m, x))
     _require_morphism(morphism_conditions(dom, cod), t, "t_upper", _CO_FAILURES)
-    return t
+    return t, dom
+
+
+def t_upper(m: Measuring, x: EntwinedModule) -> Mat:
+    """Defining map of the cotensor: M (x) C' -> M (x) C (x) C'."""
+    return _t_upper(m, x)[0]
+
+
+def _cotensor(m: Measuring, x: EntwinedModule):
+    """The cotensor of x with its kernel inclusion iota."""
+    t, dom = _t_upper(m, x)
+    iota = kernel_basis(t)
+    F = m.field
+    np_, cp = m.src.alg.dim, m.src.coalg.dim
+    action = restrict_map(dom.action, kron(iota, Mat.identity(F, np_)), iota)
+    coaction = restrict_map(dom.coaction, iota, kron(iota, Mat.identity(F, cp)))
+    return EntwinedModule(m.src, iota.cols, action, coaction), iota
 
 
 def cotensor(m: Measuring, x: EntwinedModule) -> EntwinedModule:
     """Kernel of t_upper with the restricted structure maps."""
-    t = t_upper(m, x)
-    ind = comodule_side_induce(m, x.as_module())
-    iota = kernel_basis(t)
-    F = m.field
-    np_, cp = m.src.alg.dim, m.src.coalg.dim
-    action = restrict_map(ind.action, kron(iota, Mat.identity(F, np_)), iota)
-    coaction = restrict_map(ind.coaction, iota, kron(iota, Mat.identity(F, cp)))
-    return EntwinedModule(m.src, iota.cols, action, coaction)
+    return _cotensor(m, x)[0]
 
 
 def t_lower(m: Measuring, x: EntwinedModule) -> Mat:
@@ -326,16 +346,14 @@ def t_lower(m: Measuring, x: EntwinedModule) -> Mat:
     F = m.field
     n = m.dst.alg.dim
     np_ = m.src.alg.dim
-    i_m = Mat.identity(F, x.dim)
     i_n = Mat.identity(F, n)
     return (kron(x.action, i_n)
-            - kron(i_m, m.dst.alg.mult)
-            * kron(i_m, kron(m.alpha, i_n))
+            - kron(Mat.identity(F, x.dim), m.dst.alg.mult * kron(m.alpha, i_n))
             * kron(x.coaction, Mat.identity(F, np_ * n)))
 
 
-def hat_tensor(m: Measuring, x: EntwinedModule) -> EntwinedModule:
-    """Cokernel of t_lower with the descended structure maps."""
+def _hat_tensor(m: Measuring, x: EntwinedModule):
+    """The hat tensor of x with the cokernel of t_lower presenting it."""
     t = t_lower(m, x)
     ind = comodule_side_induce(m, x.as_comodule())
     cok = cokernel(t)
@@ -349,47 +367,44 @@ def hat_tensor(m: Measuring, x: EntwinedModule) -> EntwinedModule:
         raise ValueError("coaction does not descend to the quotient")
     action = cok.projection * ind.action * kron(cok.section, i_n)
     coaction = kron(cok.projection, i_c) * ind.coaction * cok.section
-    return EntwinedModule(m.dst, cok.dim, action, coaction)
+    return EntwinedModule(m.dst, cok.dim, action, coaction), cok
+
+
+def hat_tensor(m: Measuring, x: EntwinedModule) -> EntwinedModule:
+    """Cokernel of t_lower with the descended structure maps."""
+    return _hat_tensor(m, x)[0]
+
+
+def _raw_omega(m: Measuring, y: EntwinedModule, cok) -> Mat:
+    """Insert the unit, then project: y -> hat_tensor(y) (x) C'."""
+    F = m.field
+    return (kron(cok.projection * kron(Mat.identity(F, y.dim), m.dst.alg.unit),
+                 Mat.identity(F, m.src.coalg.dim))
+            * y.coaction)
+
+
+def _upsilon(m: Measuring, x: EntwinedModule, iota: Mat) -> Mat:
+    """Evaluate the counit, then multiply: cotensor(x) (x) A -> x."""
+    F = m.field
+    return x.action * kron(kron(Mat.identity(F, x.dim), m.src.coalg.counit) * iota,
+                           Mat.identity(F, m.dst.alg.dim))
 
 
 def unit_omega(m: Measuring, x: EntwinedModule) -> Mat:
     """x -> cotensor(hat_tensor(x)): insert the unit, then project."""
-    if x.ent != m.src:
-        raise ValueError("object is not over the source entwining")
-    F = m.field
-    cp = m.src.coalg.dim
-    i_cp = Mat.identity(F, cp)
-    y = hat_tensor(m, x)
-    cok = cokernel(t_lower(m, x))
-    raw = (kron(cok.projection, i_cp)
-           * kron(Mat.identity(F, x.dim), kron(m.dst.alg.unit, i_cp))
-           * x.coaction)
-    iota = kernel_basis(t_upper(m, y))
-    omega = restrict_map(raw, Mat.identity(F, x.dim), iota)
-    k = cotensor(m, y)
+    y, cok = _hat_tensor(m, x)
+    k, iota = _cotensor(m, y)
+    omega = restrict_map(_raw_omega(m, x, cok), Mat.identity(m.field, x.dim), iota)
     _require_morphism(morphism_conditions(x, k), omega, "unit_omega", _CO_FAILURES)
     return omega
 
 
 def counit_upsilon(m: Measuring, x: EntwinedModule) -> Mat:
     """hat_tensor(cotensor(x)) -> x: evaluate the counit, then multiply."""
-    if x.ent != m.dst:
-        raise ValueError("object is not over the target entwining")
-    F = m.field
-    n = m.dst.alg.dim
-    i_n = Mat.identity(F, n)
-    i_m = Mat.identity(F, x.dim)
-    k = cotensor(m, x)
-    iota = kernel_basis(t_upper(m, x))
-    comp = (x.action
-            * kron(i_m, kron(m.src.coalg.counit, i_n))
-            * kron(iota, i_n))
-    t_low = t_lower(m, k)
-    if not (comp * t_low).is_zero():
-        raise ValueError("counit composite does not kill the relations")
-    cok = cokernel(t_low)
-    upsilon = comp * cok.section
-    _require_morphism(morphism_conditions(hat_tensor(m, k), x), upsilon,
+    k, iota = _cotensor(m, x)
+    y, cok = _hat_tensor(m, k)
+    upsilon = _descend(_upsilon(m, x, iota), cok, "counit composite")
+    _require_morphism(morphism_conditions(y, x), upsilon,
                       "counit_upsilon", _CO_FAILURES)
     return upsilon
 
@@ -423,7 +438,6 @@ def contra_induce(m: Measuring, x) -> EntwinedContraModule:
     """Hom(C', M) over the source from a left module over the target
     algebra, or Hom(A, N) over the target from a contramodule over the
     source coalgebra."""
-    F = m.field
     n, c = m.dst.alg.dim, m.dst.coalg.dim
     np_, cp = m.src.alg.dim, m.src.coalg.dim
     if isinstance(x, ModuleLeft):
@@ -431,10 +445,10 @@ def contra_induce(m: Measuring, x) -> EntwinedContraModule:
             raise ValueError("module is not over the target algebra")
         mx = x.dim
         pi = hom_pre(m.src.coalg.comult, mx)
-        mu = (under(hom_pre(m.src.coalg.comult, mx), np_)
-              * hom_pre(m.src.psi, mx * cp)
-              * under(hom_pre(m.alpha, mx), cp)
-              * under(curry_left(x.action, mx, n), cp))
+        # One precomposition: (alpha (x) C')(C' (x) psi')(comult' (x) A').
+        g = (under(m.alpha, cp) * hom_pre(m.src.psi, cp).t
+             * under(m.src.coalg.comult, np_))
+        mu = hom_pre(g, mx) * under(curry_left(x.action, mx, n), cp)
         return EntwinedContraModule(m.src, mx * cp, pi,
                                     uncurry_left(mu, mx * cp, np_))
     if isinstance(x, ContraModule):
@@ -442,10 +456,10 @@ def contra_induce(m: Measuring, x) -> EntwinedContraModule:
             raise ValueError("contramodule is not over the source coalgebra")
         mx = x.dim
         mu = hom_pre(m.dst.alg.mult, mx)
-        pi = (under(x.pi, n)
-              * under(hom_pre(m.gamma, mx), n)
-              * hom_pre(m.dst.psi, mx * n)
-              * under(hom_pre(m.dst.alg.mult, mx), c))
+        # One precomposition: (mult (x) C)(A (x) psi)(gamma (x) A).
+        g = (under(m.dst.alg.mult, c) * hom_pre(m.dst.psi, n).t
+             * under(m.gamma, n))
+        pi = under(x.pi, n) * hom_pre(g, mx)
         return EntwinedContraModule(m.dst, mx * n, pi,
                                     uncurry_left(mu, mx * n, n))
     raise ValueError("expected a ModuleLeft or a ContraModule")
@@ -455,18 +469,16 @@ def s_upper(m: Measuring, x: EntwinedContraModule) -> Mat:
     """Defining map of the cokernel: Hom(C (x) C', M) -> Hom(C', M)."""
     if x.ent != m.dst:
         raise ValueError("object is not over the target entwining")
-    F = m.field
     c = m.dst.coalg.dim
     cp = m.src.coalg.dim
     mx = x.dim
     return (under(x.pi, cp)
-            - hom_pre(m.src.coalg.comult, mx)
-            * under(hom_pre(m.gamma, mx), cp)
+            - hom_pre(under(m.gamma, cp) * m.src.coalg.comult, mx)
             * under(curry_left(x.action, mx, m.dst.alg.dim), c * cp))
 
 
-def cohom(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
-    """Cokernel of s_upper with the descended structure maps."""
+def _cohom(m: Measuring, x: EntwinedContraModule):
+    """The cohom of x with the cokernel of s_upper presenting it."""
     s = s_upper(m, x)
     y = contra_induce(m, x.as_module())
     cok = cokernel(s)
@@ -480,7 +492,12 @@ def cohom(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
         raise ValueError("action does not descend to the quotient")
     pi = cok.projection * y.pi * kron(cok.section, i_cp)
     action = cok.projection * y.action * kron(i_np, cok.section)
-    return EntwinedContraModule(m.src, cok.dim, pi, action)
+    return EntwinedContraModule(m.src, cok.dim, pi, action), cok
+
+
+def cohom(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
+    """Cokernel of s_upper with the descended structure maps."""
+    return _cohom(m, x)[0]
 
 
 def s_lower(m: Measuring, x: EntwinedContraModule) -> Mat:
@@ -492,12 +509,11 @@ def s_lower(m: Measuring, x: EntwinedContraModule) -> Mat:
     mx = x.dim
     return (under(curry_left(x.action, mx, np_), n)
             - under(x.pi, np_ * n)
-            * under(hom_pre(m.alpha, mx), n)
-            * hom_pre(m.dst.alg.mult, mx))
+            * hom_pre(m.dst.alg.mult * under(m.alpha, n), mx))
 
 
-def hom_tilde(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
-    """Kernel of s_lower with the restricted structure maps."""
+def _hom_tilde(m: Measuring, x: EntwinedContraModule):
+    """The hom tilde of x with its kernel inclusion."""
     s = s_lower(m, x)
     y = contra_induce(m, x.as_contra())
     k = kernel_basis(s)
@@ -505,47 +521,42 @@ def hom_tilde(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
     n, c = m.dst.alg.dim, m.dst.coalg.dim
     action = restrict_map(y.action, kron(Mat.identity(F, n), k), k)
     pi = restrict_map(y.pi, kron(k, Mat.identity(F, c)), k)
-    return EntwinedContraModule(m.dst, k.cols, pi, action)
+    return EntwinedContraModule(m.dst, k.cols, pi, action), k
+
+
+def hom_tilde(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
+    """Kernel of s_lower with the restricted structure maps."""
+    return _hom_tilde(m, x)[0]
+
+
+def _raw_psi(m: Measuring, x: EntwinedContraModule, cok) -> Mat:
+    """Insert the counit, then project: x -> cohom(x) (x) A*."""
+    n = m.dst.alg.dim
+    return (under(cok.projection * hom_pre(m.src.coalg.counit, x.dim), n)
+            * curry_left(x.action, x.dim, n))
+
+
+def _phi(m: Measuring, y: EntwinedContraModule, iota: Mat) -> Mat:
+    """Evaluate at the unit, then apply pi: hom_tilde(y) (x) C'* -> y."""
+    return y.pi * under(hom_pre(m.dst.alg.unit, y.dim) * iota, m.src.coalg.dim)
 
 
 def unit_psi(m: Measuring, x: EntwinedContraModule) -> Mat:
     """x -> hom_tilde(cohom(x)): insert the counit, then project."""
-    if x.ent != m.dst:
-        raise ValueError("object is not over the target entwining")
-    F = m.field
-    n = m.dst.alg.dim
-    i_n = Mat.identity(F, n)
-    z = cohom(m, x)
-    cok = cokernel(s_upper(m, x))
-    raw = (kron(cok.projection, i_n)
-           * kron(kron(Mat.identity(F, x.dim), m.src.coalg.counit.t), i_n)
-           * curry_left(x.action, x.dim, n))
-    k = kernel_basis(s_lower(m, z))
-    psi = restrict_map(raw, Mat.identity(F, x.dim), k)
-    _require_morphism(contra_morphism_conditions(x, hom_tilde(m, z)), psi,
+    z, cok = _cohom(m, x)
+    w, k = _hom_tilde(m, z)
+    psi = restrict_map(_raw_psi(m, x, cok), Mat.identity(m.field, x.dim), k)
+    _require_morphism(contra_morphism_conditions(x, w), psi,
                       "unit_psi", _CONTRA_FAILURES)
     return psi
 
 
 def counit_phi(m: Measuring, y: EntwinedContraModule) -> Mat:
     """cohom(hom_tilde(y)) -> y: evaluate at the unit, then apply pi."""
-    if y.ent != m.src:
-        raise ValueError("object is not over the source entwining")
-    F = m.field
-    cp = m.src.coalg.dim
-    i_cp = Mat.identity(F, cp)
-    my = y.dim
-    iota = kernel_basis(s_lower(m, y))
-    comp = (y.pi
-            * kron(kron(Mat.identity(F, my), m.dst.alg.unit.t), i_cp)
-            * kron(iota, i_cp))
-    w = hom_tilde(m, y)
-    s = s_upper(m, w)
-    if not (comp * s).is_zero():
-        raise ValueError("counit composite does not kill the relations")
-    cok = cokernel(s)
-    phi = comp * cok.section
-    _require_morphism(contra_morphism_conditions(cohom(m, w), y), phi,
+    w, iota = _hom_tilde(m, y)
+    z, cok = _cohom(m, w)
+    phi = _descend(_phi(m, y, iota), cok, "counit composite")
+    _require_morphism(contra_morphism_conditions(z, y), phi,
                       "counit_phi", _CONTRA_FAILURES)
     return phi
 
@@ -579,32 +590,21 @@ def adjunction_check_measuring(m: Measuring, x, y) -> Report:
 
 def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report:
     F = m.field
-    n = m.dst.alg.dim
-    i_n = Mat.identity(F, n)
+    i_n = Mat.identity(F, m.dst.alg.dim)
     i_cp = Mat.identity(F, m.src.coalg.dim)
-    hat_y = hat_tensor(m, y)
-    cot_x = cotensor(m, x)
+    i_y = Mat.identity(F, y.dim)
+    hat_y, cok_y = _hat_tensor(m, y)
+    cot_x, iota_x = _cotensor(m, x)
     left = hom_space(hat_y, x)
     right = hom_space(y, cot_x)
-    iota_x = kernel_basis(t_upper(m, x))
-    t_low = t_lower(m, y)
-    cok_y = cokernel(t_low)
-    raw_omega = (kron(cok_y.projection, i_cp)
-                 * kron(Mat.identity(F, y.dim), kron(m.dst.alg.unit, i_cp))
-                 * y.coaction)
-    ups_comp = (x.action
-                * kron(Mat.identity(F, x.dim), kron(m.src.coalg.counit, i_n))
-                * kron(iota_x, i_n))
+    raw_omega = _raw_omega(m, y, cok_y)
+    upsilon = _upsilon(m, x, iota_x)
 
     def down(zeta: Mat) -> Mat:
-        return restrict_map(kron(zeta, i_cp) * raw_omega,
-                            Mat.identity(F, y.dim), iota_x)
+        return restrict_map(kron(zeta, i_cp) * raw_omega, i_y, iota_x)
 
     def up(xi: Mat) -> Mat:
-        bar = ups_comp * kron(xi, i_n)
-        if not (bar * t_low).is_zero():
-            raise ValueError("transposed map does not kill the relations")
-        return bar * cok_y.section
+        return _descend(upsilon * kron(xi, i_n), cok_y, "transposed map")
 
     return hom_bijection_report("adjunction-measuring-co",
                                 left, (x.dim, hat_y.dim), right, (cot_x.dim, y.dim),
@@ -613,32 +613,20 @@ def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report
 
 def _adjunction_contra(m: Measuring, x: EntwinedContraModule,
                        y: EntwinedContraModule) -> Report:
-    F = m.field
-    n = m.dst.alg.dim
-    i_n = Mat.identity(F, n)
-    i_cp = Mat.identity(F, m.src.coalg.dim)
-    coh_x = cohom(m, x)
-    ht_y = hom_tilde(m, y)
+    n, cp = m.dst.alg.dim, m.src.coalg.dim
+    i_x = Mat.identity(m.field, x.dim)
+    coh_x, cok_x = _cohom(m, x)
+    ht_y, k_y = _hom_tilde(m, y)
     left = contra_hom_space(coh_x, y)
     right = contra_hom_space(x, ht_y)
-    s_up = s_upper(m, x)
-    cok_x = cokernel(s_up)
-    raw_psi = (kron(cok_x.projection, i_n)
-               * kron(kron(Mat.identity(F, x.dim), m.src.coalg.counit.t), i_n)
-               * curry_left(x.action, x.dim, n))
-    k_y = kernel_basis(s_lower(m, y))
+    raw_psi = _raw_psi(m, x, cok_x)
+    phi = _phi(m, y, k_y)
 
     def down(zeta: Mat) -> Mat:
-        return restrict_map(kron(zeta, i_n) * raw_psi,
-                            Mat.identity(F, x.dim), k_y)
+        return restrict_map(under(zeta, n) * raw_psi, i_x, k_y)
 
     def up(xi: Mat) -> Mat:
-        bar = (y.pi
-               * kron(kron(Mat.identity(F, y.dim), m.dst.alg.unit.t), i_cp)
-               * kron(k_y * xi, i_cp))
-        if not (bar * s_up).is_zero():
-            raise ValueError("transposed map does not kill the relations")
-        return bar * cok_x.section
+        return _descend(phi * under(xi, cp), cok_x, "transposed map")
 
     return hom_bijection_report("adjunction-measuring-contra",
                                 left, (y.dim, coh_x.dim), right, (ht_y.dim, x.dim),

@@ -2,7 +2,7 @@
 
 import random
 
-from entwine.exactlin import Field, Mat, kron
+from entwine.exactlin import Field, Mat, kron, in_subspace
 from entwine.algstruct import (
     group_algebra, regular_right_module, regular_comodule, comodule_hom,
     zero_comodule, zero_module_right,
@@ -10,7 +10,7 @@ from entwine.algstruct import (
 from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import (
     EntwinedModule, check_entwined_module, forget_fc, induce_tc, induce_mc,
-    hom_space, in_subspace, adjunction_check_tc_fc,
+    hom_space, adjunction_check_tc_fc,
 )
 from corpus import (
     graded_comodule, involution_module, random_involution, direct_sum_entwined,

@@ -2,7 +2,7 @@
 
 import random
 
-from entwine.exactlin import Field, Mat, kron
+from entwine.exactlin import Field, Mat, kron, in_subspace
 from entwine.algstruct import (
     field_coalgebra, group_algebra, regular_left_module, ModuleLeft,
 )
@@ -10,7 +10,7 @@ from entwine.entwining import regular_doi_koppinen
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, check_contramodule,
     check_entwined_contramodule, free_contramodule, plain_contra_hom,
-    induce_contra_t, induce_a_t, contra_hom_space, in_subspace,
+    induce_contra_t, induce_a_t, contra_hom_space,
     forget_contra, forget_module_left, adjunction_check_f_t,
     adjunction_check_at_af, hom_pre, under, curry_left, uncurry_left,
 )

@@ -4,6 +4,7 @@ import pytest
 
 from entwine.exactlin import (
     Field, Mat, kron, kernel_basis, rank, SubspaceBasis, same_subspace,
+    in_subspace,
 )
 from entwine.algstruct import (
     ModuleRight, ModuleLeft, check_algebra, field_algebra, group_algebra,
@@ -16,7 +17,7 @@ from entwine.entwining import (
 )
 from entwine.comodcat import (
     EntwinedModule, check_entwined_module, forget_fc, induce_tc, induce_mc,
-    hom_space, in_subspace,
+    hom_space,
 )
 from entwine.contracat import (
     EntwinedContraModule, check_entwined_contramodule, free_contramodule,
