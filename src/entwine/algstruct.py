@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Field, Mat, kron, flip, mat_solution_basis, SubspaceBasis
+from .exactlin import (
+    Field, Mat, kron, flip, mat_solution_basis, SubspaceBasis, Lift, Term, TermList,
+)
 from .report import Report, eq_check
 
 
@@ -203,33 +205,50 @@ def check_comodule(x: Comodule) -> Report:
 
 
 # -- hom spaces of plain structures -----------------------------------
+#
+# Each square below is the condition, linear in a map f: x -> y, that f
+# commutes with one structure map (s_x on x, s_y on y), stated as a term
+# list; it vanishes exactly when the square commutes.
+
+
+def right_action_square(s_x: Mat, s_y: Mat, d: int) -> TermList:
+    """f s_x - s_y (f (x) I_d), for structure maps M (x) V -> M with
+    dim V = d: a right action, or the pi of a contramodule."""
+    return TermList((Term(1, None, (Lift(1, 1, s_x),)), Term(-1, s_y, (Lift(1, d),))))
+
+
+def left_action_square(s_x: Mat, s_y: Mat, d: int) -> TermList:
+    """f s_x - s_y (I_d (x) f), for left actions V (x) M -> M, dim V = d."""
+    return TermList((Term(1, None, (Lift(1, 1, s_x),)), Term(-1, s_y, (Lift(d, 1),))))
+
+
+def coaction_square(s_x: Mat, s_y: Mat, d: int) -> TermList:
+    """(f (x) I_d) s_x - s_y f, for coactions M -> M (x) V, dim V = d."""
+    return TermList((Term(1, None, (Lift(1, d, s_x),)), Term(-1, s_y, (Lift(1, 1),))))
 
 
 def module_hom_right(x: ModuleRight, y: ModuleRight) -> SubspaceBasis:
+    """Maps f with f x.action = y.action (f (x) I_n)."""
     if x.alg != y.alg:
         raise ValueError("modules over different algebras")
-    i_n = Mat.identity(x.alg.field, x.alg.dim)
-    return mat_solution_basis(
-        x.alg.field, y.dim, x.dim,
-        [lambda f: f * x.action - y.action * kron(f, i_n)])
+    return mat_solution_basis(x.alg.field, y.dim, x.dim,
+                              [right_action_square(x.action, y.action, x.alg.dim)])
 
 
 def module_hom_left(x: ModuleLeft, y: ModuleLeft) -> SubspaceBasis:
+    """Maps f with f x.action = y.action (I_n (x) f)."""
     if x.alg != y.alg:
         raise ValueError("modules over different algebras")
-    i_n = Mat.identity(x.alg.field, x.alg.dim)
-    return mat_solution_basis(
-        x.alg.field, y.dim, x.dim,
-        [lambda f: f * x.action - y.action * kron(i_n, f)])
+    return mat_solution_basis(x.alg.field, y.dim, x.dim,
+                              [left_action_square(x.action, y.action, x.alg.dim)])
 
 
 def comodule_hom(x: Comodule, y: Comodule) -> SubspaceBasis:
+    """Maps f with (f (x) I_c) x.coaction = y.coaction f."""
     if x.coalg != y.coalg:
         raise ValueError("comodules over different coalgebras")
-    i_c = Mat.identity(x.coalg.field, x.coalg.dim)
-    return mat_solution_basis(
-        x.coalg.field, y.dim, x.dim,
-        [lambda f: kron(f, i_c) * x.coaction - y.coaction * f])
+    return mat_solution_basis(x.coalg.field, y.dim, x.dim,
+                              [coaction_square(x.coaction, y.coaction, x.coalg.dim)])
 
 
 # -- builders ---------------------------------------------------------

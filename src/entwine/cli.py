@@ -574,7 +574,7 @@ def _cmd_cointegral(ws: Workspace, args):
 def _cmd_maschke_probe(ws: Workspace, args):
     e = _lookup(ws.entwinings, args.name, "entwining")
     v = find_cointegral(e)
-    phi = Cointegral(e, v.witness["phi"]) if v.found else None
+    phi = Cointegral.from_verdict(e, v)
     rep = semisimplicity_probe(e, phi)
     return {"subject": args.name, "cointegral_status": v.status,
             "report": rep.as_dict()}, (0 if rep.passed else 1)

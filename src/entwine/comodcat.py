@@ -14,7 +14,7 @@ from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Comodule, ModuleRight, check_comodule, check_module_right,
-    comodule_hom,
+    coaction_square, comodule_hom, right_action_square,
 )
 from .entwining import Entwining
 
@@ -90,15 +90,13 @@ def induce_mc(e: Entwining, m: ModuleRight) -> EntwinedModule:
 
 def morphism_conditions(x: EntwinedModule, y: EntwinedModule):
     """The action and the coaction square of a map f: x -> y, in that
-    order; each is linear in f and vanishes exactly when f commutes with
-    that structure map."""
-    F = x.ent.field
-    i_n = Mat.identity(F, x.ent.alg.dim)
-    i_c = Mat.identity(F, x.ent.coalg.dim)
-    return [
-        lambda f: f * x.action - y.action * kron(f, i_n),
-        lambda f: kron(f, i_c) * x.coaction - y.coaction * f,
-    ]
+    order, as term lists:
+      f x.action - y.action (f (x) I_n),
+      (f (x) I_c) x.coaction - y.coaction f;
+    each is linear in f and vanishes exactly when f commutes with that
+    structure map."""
+    return [right_action_square(x.action, y.action, x.ent.alg.dim),
+            coaction_square(x.coaction, y.coaction, x.ent.coalg.dim)]
 
 
 def hom_space(x: EntwinedModule, y: EntwinedModule) -> SubspaceBasis:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
-    Coalgebra, ModuleLeft, check_module_left, module_hom_left,
+    Coalgebra, ModuleLeft, check_module_left, left_action_square,
+    module_hom_left, right_action_square,
 )
 from .entwining import Entwining
 
@@ -96,13 +97,11 @@ def free_contramodule(c: Coalgebra, m0: int) -> ContraModule:
 
 
 def plain_contra_hom(x: ContraModule, y: ContraModule) -> SubspaceBasis:
+    """Maps f with f x.pi = y.pi under(f, c), under(f, c) = f (x) I_c."""
     if x.coalg != y.coalg:
         raise ValueError("contramodules over different coalgebras")
-    F = x.coalg.field
-    c = x.coalg.dim
-    return mat_solution_basis(F, y.dim, x.dim, [
-        lambda f: f * x.pi - y.pi * under(f, c),
-    ])
+    return mat_solution_basis(x.coalg.field, y.dim, x.dim,
+                              [right_action_square(x.pi, y.pi, x.coalg.dim)])
 
 
 @dataclass(frozen=True)
@@ -182,15 +181,14 @@ def induce_a_t(e: Entwining, n: ModuleLeft) -> EntwinedContraModule:
 
 
 def contra_morphism_conditions(x: EntwinedContraModule, y: EntwinedContraModule):
-    """The action and the pi square of a map f: x -> y, in that order;
+    """The action and the pi square of a map f: x -> y, in that order, as
+    term lists:
+      f x.action - y.action (I_n (x) f),
+      f x.pi - y.pi under(f, c);
     each is linear in f and vanishes exactly when f commutes with that
     structure map."""
-    i_n = Mat.identity(x.ent.field, x.ent.alg.dim)
-    c = x.ent.coalg.dim
-    return [
-        lambda f: f * x.action - y.action * kron(i_n, f),
-        lambda f: f * x.pi - y.pi * under(f, c),
-    ]
+    return [left_action_square(x.action, y.action, x.ent.alg.dim),
+            right_action_square(x.pi, y.pi, x.ent.coalg.dim)]
 
 
 def contra_hom_space(x: EntwinedContraModule, y: EntwinedContraModule) -> SubspaceBasis:

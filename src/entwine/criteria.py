@@ -15,7 +15,7 @@ exhaustive-search certificate; anything weaker stays UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import combinations, product
 
 from .exactlin import (
@@ -105,21 +105,34 @@ class Cointegral:
     which fails for kG when the characteristic divides |G|.
 
     Validates its three defining identities on construction, so holders
-    of a Cointegral may average morphisms without re-checking.
+    of a Cointegral may average morphisms without re-checking; raises
+    ValueError naming the first identity that fails.  from_verdict takes
+    the witness of find_cointegral, which has re-verified already.
     """
 
     ent: Entwining
     phi: Mat
+    # True only from from_verdict: the identities hold already.
+    _verified: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, _verified):
         n, c = self.ent.alg.dim, self.ent.coalg.dim
         if (self.phi.rows, self.phi.cols) != (n, n * c):
             raise ValueError("phi must be %d x %d" % (n, n * c))
         if self.phi.field != self.ent.field:
             raise ValueError("field mismatch")
+        if _verified:
+            return
         for name, r in zip(_COINTEGRAL_NAMES, _cointegral_residuals(self.ent)):
             if not r(self.phi).is_zero():
                 raise ValueError("cointegral identity %r fails" % (name,))
+
+    @staticmethod
+    def from_verdict(e: Entwining, v: Verdict):
+        """The Cointegral of the witness of v = find_cointegral(e), or None
+        unless v is FOUND.  A FOUND witness has re-verified by substitution,
+        so its identities are not built or evaluated again."""
+        return Cointegral(e, v.witness["phi"], True) if v.found else None
 
     @property
     def coev(self) -> Mat:
@@ -569,7 +582,8 @@ def find_cointegral(e: Entwining) -> Verdict:
     regular Doi-Koppinen entwining of kG the verdict is FOUND in every
     characteristic; for a trivial entwining it is FOUND exactly when A
     has a separability idempotent (for kG: the characteristic does not
-    divide |G|).
+    divide |G|).  A FOUND witness re-verifies by substitution; if it
+    failed an identity, that would be a solver bug (AssertionError).
     """
     n, c = e.alg.dim, e.coalg.dim
     return _decide_linear(e, n, n * c, _cointegral_residuals(e), "cointegral",
@@ -732,6 +746,17 @@ def _perturbation(field: Field, rows: int, cols: int, conditions) -> Mat:
     return basis_columns(field, space.basis, rows, cols)[0]
 
 
+def _splitting_perturbations(inc: Mat, proj: Mat):
+    """The term lists w inc, in w: y -> x, and proj w, in w: x -> y, for
+    the inclusion inc of x into y and its projection proj: a w in the
+    kernel of the first, added to proj, keeps it a retraction of inc, and
+    one in the kernel of the second, added to inc, keeps it a section of
+    proj."""
+    square = (inc.cols, inc.cols)
+    return (TermList((Term(1, None, (Lift(1, 1, inc),)),), shape=square),
+            TermList((Term(1, proj, (Lift(1, 1),)),), shape=square))
+
+
 def _probe_side(rep: Report, prefix: str, split, x1, x2, y, conditions, kind) -> None:
     """The probe's five instances in one entwined category: x1 -> x1,
     the zero map x1 -> x2, a retraction and a section of the inclusion
@@ -747,17 +772,12 @@ def _probe_side(rep: Report, prefix: str, split, x1, x2, y, conditions, kind) ->
     zmap = Mat.zeros(F, x2.dim, x1.dim)
     rep.add(eq_check(prefix + "-zero-map", split(x1, x2, zmap), zmap))
 
-    retr = proj + _perturbation(F, x1.dim, y.dim, [
-        conditions(y, x1)[1],
-        lambda w: w * inc,
-    ])
+    after_inc, before_proj = _splitting_perturbations(inc, proj)
+    retr = proj + _perturbation(F, x1.dim, y.dim, [conditions(y, x1)[1], after_inc])
     rt = split(y, x1, retr)
     rep.add(eq_check(prefix + "-retraction", rt * inc, ident))
 
-    sect = inc + _perturbation(F, y.dim, x1.dim, [
-        conditions(x1, y)[1],
-        lambda w: proj * w,
-    ])
+    sect = inc + _perturbation(F, y.dim, x1.dim, [conditions(x1, y)[1], before_proj])
     st = split(x1, y, sect)
     rep.add(eq_check(prefix + "-section", proj * st, ident))
 

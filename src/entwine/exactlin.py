@@ -1,14 +1,15 @@
-"""Exact dense linear algebra over Q and over prime fields F_p.
+"""Exact linear algebra over Q and over prime fields F_p.
 
 Scalars are plain Python values: Fraction for the rationals, int residues
 in [0, p) for F_p.  Everything is immutable and every pivot choice is the
 first nonzero entry in row-major scan order, so ranks, kernels, cokernel
 presentations and solutions are reproducible bit for bit.
 
-Entries are stored dense but are mostly zeros, so the kernels skip zeros,
-with one loop per field kind.  Over Q every zero the package builds is the
-shared `Field.zero`, so a zero test `x is not z and x` is mostly a pointer
-compare; no result relies on it, as any other zero fails the truth test.
+Mat stores its entries dense, but they are mostly zeros, so the kernels
+skip zeros, with one loop per field kind.  Over Q every zero the package
+builds is the shared `Field.zero`, so a zero test `x is not z and x` is
+mostly a pointer compare; no result relies on it, as any other zero fails
+the truth test.
 
 Tensor legs flatten first-factor-major: the flat index of (i1, ..., ik)
 over shape (d1, ..., dk) is ((i1*d2 + i2)*d3 + ...). kron follows the same
@@ -20,15 +21,24 @@ An identity linear in an unknown matrix X is stated once as a term list
     sum of c . L . (I_a (x) X' (x) I_b) . R, plus a constant K,
 
 X' being X or its transpose, L and R fixed; a bilinear identity has one
-such lift per argument in each term, L . lift(U) . M . lift(V) . R.
-Calling a term list evaluates it with the dense kernels.
-affine_matrix_system, mat_solution_basis and compile_bilinear contract it:
-by vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient of
-X'[p, q] in entry (r, s) is the sum over alpha, beta of L[r, (alpha, p,
-beta)] R[(alpha, q, beta), s], one product of L and R with their legs
-regrouped by permute_legs.  Given any other callable they evaluate it on
-every matrix unit instead; algstruct, comodcat, contracat, measuring and
-the Maschke probe of criteria pass closures.
+such lift per argument in each term, L . lift(U) . M . lift(V) . R.  An
+identity factor L or R is left implicit (None) and never built.  Calling
+a term list evaluates it with the dense kernels, skipping the implicit
+identities and the 1 x 1 identities of a = 1 or b = 1.
+
+affine_matrix_system, mat_solution_basis and compile_bilinear contract a
+term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
+per leg, the coefficient of X'[p, q] in entry (r, s) is the sum over
+alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
+nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
+multiplied.  mat_solution_basis eliminates the contracted rows as sparse
+rows (SparseRows, through kernel_basis) and never builds a dense system;
+the reduced row echelon form of a row space is unique, so its pivots and
+kernel basis equal the dense elimination's entry for entry.
+affine_matrix_system and compile_bilinear materialize their matrices once
+from the nonzeros.  Given any other callable, the three evaluate it on
+every matrix unit instead; every condition of the package is a term list,
+and only tests and the benchmark pass closures.
 """
 
 from __future__ import annotations
@@ -447,9 +457,79 @@ def _kernel_from_rref(F: Field, R: Mat, pivots, ncols: int) -> Mat:
     return Mat(F, ncols, len(free), data)
 
 
-def kernel_basis(m: Mat) -> Mat:
-    """Columns form the canonical basis of ker(m) (free-column convention)."""
-    return _kernel_from_rref(m.field, *rref(m), m.cols)
+@dataclass(frozen=True)
+class SparseRows:
+    """A matrix with `cols` columns given by its rows, each a dict
+    {column: value} holding at least the row's nonzero entries."""
+
+    field: Field
+    cols: int
+    rows: tuple
+
+
+def _rref_rows(F: Field, rows) -> dict:
+    """The nonzero rows of the reduced row echelon form of the given
+    sparse rows, as {pivot column: row}.
+
+    Rows are taken one at a time.  Every kept row is 1 at its pivot, 0 left
+    of it and 0 at every other pivot, so a new row is reduced by one pass
+    over the pivots it touches; if anything is left, its first column is
+    a new pivot, which is then cleared from the kept rows.  Those
+    properties define the reduced row echelon form, so the result is the
+    unique one of the row space, whatever the order of the rows.
+    """
+    prime, p, one = F.kind == "prime", F.p, F.one
+    piv = {}
+    for row in rows:
+        v = {j: x for j, x in row.items() if x}
+        for c in [j for j in v if j in piv]:
+            _axpy(v, -v[c], piv[c], prime, p)
+        if not v:
+            continue
+        c = min(v)
+        if v[c] != one:
+            inv = F.inv(v[c])
+            v = {j: x * inv % p if prime else x * inv for j, x in v.items()}
+        for kept in piv.values():
+            if c in kept:
+                _axpy(kept, -kept[c], v, prime, p)
+        piv[c] = v
+    return piv
+
+
+def _axpy(v: dict, f, w: dict, prime: bool, p: int) -> None:
+    """v += f . w on sparse rows, dropping the entries that cancel."""
+    for j, x in w.items():
+        y = v.get(j)
+        y = f * x if y is None else y + f * x
+        if prime:
+            y %= p
+        if y:
+            v[j] = y
+        else:
+            del v[j]
+
+
+def kernel_basis(m) -> Mat:
+    """Columns form the canonical basis of ker(m) (free-column convention).
+
+    m is a Mat or SparseRows.  The reduced row echelon form is unique, so
+    the sparse rows give the same pivots and the same basis, entry for
+    entry, as the dense matrix with those rows.
+    """
+    if not isinstance(m, SparseRows):
+        return _kernel_from_rref(m.field, *rref(m), m.cols)
+    F, ncols = m.field, m.cols
+    piv = _rref_rows(F, m.rows)
+    free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in piv)}
+    k, out = len(free), [F.zero] * (ncols * len(free))
+    for c, i in free.items():
+        out[c * k + i] = F.one
+    for c, row in piv.items():
+        for j, x in row.items():
+            if j != c:
+                out[c * k + free[j]] = F.neg(x)
+    return Mat(F, ncols, k, tuple(out))
 
 
 def solve_affine(a: Mat, b: Mat):
@@ -582,11 +662,12 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
 @dataclass(frozen=True)
 class Lift:
     """The factor (I_a (x) U (x) I_b) . right of a term, where U is the
-    unknown on `side` (0 or 1), or its transpose."""
+    unknown on `side` (0 or 1), or its transpose; right None is the
+    identity."""
 
     a: int
     b: int
-    right: Mat
+    right: Mat = None
     transposed: bool = False
     side: int = 0
 
@@ -594,7 +675,7 @@ class Lift:
 @dataclass(frozen=True)
 class Term:
     """coeff . left . lift_1 . lift_2 ...: one lift for a linear term, one
-    per argument for a bilinear term."""
+    per argument for a bilinear term; left None is the identity."""
 
     coeff: object
     left: Mat
@@ -605,39 +686,48 @@ class Term:
 class TermList:
     """An identity in normal form: the sum of its terms plus const (None
     for zero).  Calling it evaluates it; `affine_matrix_system`,
-    `mat_solution_basis` and `compile_bilinear` contract it."""
+    `mat_solution_basis` and `compile_bilinear` contract it.
+
+    shape is the (rows, cols) of its value.  It is read off const, or off
+    a term's left factor and a term's last right factor, and must be
+    given when those are identities (None) or absent."""
 
     terms: tuple
     const: Mat = None
+    shape: tuple = None
 
-    @property
-    def shape(self):
+    def __post_init__(self):
+        if self.shape is not None:
+            return
         if self.const is not None:
-            return self.const.rows, self.const.cols
-        t = self.terms[0]
-        return t.left.rows, t.lifts[-1].right.cols
+            shape = self.const.rows, self.const.cols
+        else:
+            shape = (next((t.left.rows for t in self.terms if t.left is not None), None),
+                     next((t.lifts[-1].right.cols for t in self.terms
+                           if t.lifts[-1].right is not None), None))
+        if None in shape:
+            raise ValueError("the value shape cannot be read off the factors")
+        object.__setattr__(self, "shape", shape)
 
     def __call__(self, *xs) -> Mat:
         out = self.const
         for t in self.terms:
             v = t.left
-            F = v.field
             for lift in t.lifts:
                 u = xs[lift.side].t if lift.transposed else xs[lift.side]
+                F = u.field
+                if lift.a != 1:
+                    u = kron(Mat.identity(F, lift.a), u)
+                if lift.b != 1:
+                    u = kron(u, Mat.identity(F, lift.b))
                 # The lift times right first: no product as wide as the lift.
-                v = v * (kron(Mat.identity(F, lift.a),
-                              kron(u, Mat.identity(F, lift.b))) * lift.right)
+                if lift.right is not None:
+                    u = u * lift.right
+                v = u if v is None else v * u
             if t.coeff != 1:
                 v = v.scale(t.coeff)
             out = v if out is None else out + v
         return out
-
-
-def _regroup(m: Mat, shape, rows: int, cols: int) -> Mat:
-    """m read as a tensor of four legs of the given shape, its middle two
-    legs swapped, read back as a rows x cols matrix."""
-    t = permute_legs(Tensor(m.field, shape, m.entries), (0, 2, 1, 3))
-    return Mat(m.field, rows, cols, t.entries)
 
 
 def _lifted_shape(lift: Lift, shapes):
@@ -645,38 +735,69 @@ def _lifted_shape(lift: Lift, shapes):
     return (cols, rows) if lift.transposed else (rows, cols)
 
 
-def _contract(term: Term, shapes) -> Mat:
-    """The coefficients of a term: row (r, p_1, q_1, ..., p_j, q_j) and
-    column s hold the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in
-    entry (r, s) of its value, U_i the unknown of lift i as lifted.
+def _nonzeros(m: Mat, n: int, one):
+    """(row, column, value) of each nonzero entry of m, or of I_n if m is
+    None."""
+    if m is None:
+        return [(i, i, one) for i in range(n)]
+    e, k = m.entries, m.cols
+    return [(i // k, i % k, e[i]) for i in compress(range(len(e)), e)]
 
-    Each lift costs one product.  By vec(L X R) = (L (x) R^T) vec(X),
-    applied per leg, the coefficient of X[p, q] in (L (I_a (x) X (x) I_b)
-    R)[r, s] is the sum over alpha, beta of L[r, (alpha, p, beta)] .
-    R[(alpha, q, beta), s]: the product of L regrouped (r, p) x (alpha,
-    beta) and R regrouped (alpha, beta) x (q, s).  Read with rows (r, p,
-    q), that product is the left factor of the next lift.
+
+def _contract(field: Field, term: Term, shapes):
+    """The coefficients of a term: (entries, k), entries the nonzero
+    (row, s, value) with row (r, p_1, q_1, ..., p_j, q_j) flattened and
+    value the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry
+    (r, s) of the term's value, U_i the unknown of lift i as lifted, and
+    k the value's column count.
+
+    By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient
+    of X[p, q] in (L (I_a (x) X (x) I_b) R)[r, s] is the sum over alpha,
+    beta of L[r, (alpha, p, beta)] . R[(alpha, q, beta), s].  Each lift
+    indexes the nonzeros of L and of R by (alpha, beta) and multiplies the
+    matching pairs; read with rows (r, p, q), the result is the left
+    factor of the next lift.  Identity factors (None) are never built.
     """
-    cur = term.left
+    prime, p, one = field.kind == "prime", field.p, field.one
+    first = term.lifts[0]
+    xr = _lifted_shape(first, shapes)[0]
+    width = first.a * xr * first.b if term.left is None else term.left.cols
+    cur = _nonzeros(term.left, width, one)
     for lift in term.lifts:
         xr, xc = _lifted_shape(lift, shapes)
         a, b, right = lift.a, lift.b, lift.right
-        if cur.cols != a * xr * b or right.rows != a * xc * b:
+        if width != a * xr * b or right is not None and right.rows != a * xc * b:
             raise ValueError("term does not fit the shape of its unknown")
-        prod = (_regroup(cur, (cur.rows, a, xr, b), cur.rows * xr, a * b)
-                * _regroup(right, (a, xc, b, right.cols), a * b, xc * right.cols))
-        cur = Mat(cur.field, cur.rows * xr * xc, right.cols, prod.entries)
-    return cur
+        by_leg = {}
+        for r, j, v in cur:
+            ap, beta = divmod(j, b)
+            alpha, pp = divmod(ap, xr)
+            by_leg.setdefault(alpha * b + beta, []).append(((r * xr + pp) * xc, v))
+        out = {}
+        for i, s, w in _nonzeros(right, a * xc * b, one):
+            aq, beta = divmod(i, b)
+            alpha, q = divmod(aq, xc)
+            for row, v in by_leg.get(alpha * b + beta, ()):
+                key = (row + q, s)
+                x = out.get(key)
+                vw = v if w is one else v * w
+                out[key] = vw if x is None else x + vw
+        if prime:
+            cur = [(row, s, y) for (row, s), x in out.items() if (y := x % p)]
+        else:
+            cur = [(row, s, x) for (row, s), x in out.items() if x]
+        width = a * xc * b if right is None else right.cols
+    return cur, width
 
 
-def _accumulate(acc: dict, term: Term, shapes, start: int, ncols: int, weights) -> None:
+def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: int,
+                weights) -> None:
     """Add the term's coefficients into acc, the nonzero entries of a flat
     matrix with ncols columns by index: the coefficient in entry (r, s) of
     the value, of unknown entries with flat indices i_1, i_2, ..., goes to
     index start + (r*k + s)*ncols + sum of weights[side_j]*i_j, k the
-    value's columns."""
-    cur = _contract(term, shapes)
-    F, k = cur.field, cur.cols
+    value's columns.  Entries that cancel are dropped."""
+    cur, k = _contract(field, term, shapes)
     # Index, at r = s = 0, of each row (p_1, q_1, ...) of a block of cur.
     inner = [0]
     for lift in term.lifts:
@@ -686,23 +807,20 @@ def _accumulate(acc: dict, term: Term, shapes, start: int, ncols: int, weights) 
         inner = [x + p * wp for x in inner for p in range(xr)]
         inner = [x + q * wq for x in inner for q in range(xc)]
     block, rstep = len(inner), k * ncols
-    e, c = cur.entries, F.of(term.coeff)
-    if F.kind == "prime":
-        p = F.p
-        for idx in compress(range(len(e)), e):
-            row, s = divmod(idx, k)
-            r, u = divmod(row, block)
-            i = start + r * rstep + inner[u] + s * ncols
-            acc[i] = (acc.get(i, 0) + c * e[idx]) % p
-    else:
-        one = c == F.one
-        for idx in compress(range(len(e)), e):
-            row, s = divmod(idx, k)
-            r, u = divmod(row, block)
-            i = start + r * rstep + inner[u] + s * ncols
-            v = e[idx] if one else c * e[idx]
-            w = acc.get(i)
-            acc[i] = v if w is None else w + v
+    c = field.of(term.coeff)
+    prime, p, one = field.kind == "prime", field.p, c == field.one
+    for row, s, v in cur:
+        r, u = divmod(row, block)
+        i = start + r * rstep + inner[u] + s * ncols
+        v = v if one else c * v
+        w = acc.get(i)
+        w = v if w is None else w + v
+        if prime:
+            w %= p
+        if w:
+            acc[i] = w
+        else:
+            acc.pop(i, None)
 
 
 def _dense(field: Field, rows: int, cols: int, acc: dict) -> Mat:
@@ -718,17 +836,18 @@ def _term_lists(x):
 
 
 def _contracted_system(field: Field, rows: int, cols: int, forms):
-    """(A, b) with A vec(X) = b iff every form vanishes at X, the forms'
-    values stacked in order, each row-major."""
+    """(acc, height, b): the nonzero entries of A by flat index, the row
+    count of A, and b, with A vec(X) = b iff every form vanishes at X, the
+    forms' values stacked in order, each row-major."""
     nunk = rows * cols
     acc, rhs, off = {}, [], 0
     for f in forms:
         for t in f.terms:
-            _accumulate(acc, t, ((rows, cols),), off * nunk, nunk, (1,))
+            _accumulate(acc, field, t, ((rows, cols),), off * nunk, nunk, (1,))
         h = f.shape[0] * f.shape[1]
         rhs.append((field.zero,) * h if f.const is None else (-f.const).entries)
         off += h
-    return _dense(field, off, nunk, acc), Mat(field, off, 1, tuple(chain.from_iterable(rhs)))
+    return acc, off, Mat(field, off, 1, tuple(chain.from_iterable(rhs)))
 
 
 def _matrix_units(field: Field, rows: int, cols: int):
@@ -754,15 +873,19 @@ def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> Subspa
     """Basis of {F in k^{rows x cols} : every condition(F) == 0}.
 
     conditions: a list of term lists, linear in the unknown matrix, whose
-    system is contracted; or of callables Mat -> Mat, linear in it, whose
-    system is assembled by evaluating them on the matrix units.
+    system is contracted and eliminated as sparse rows; or of callables
+    Mat -> Mat, linear in it, whose system is assembled by evaluating them
+    on the matrix units.
     """
     nunk = rows * cols
     if nunk == 0:
         return SubspaceBasis(0, Mat.zeros(field, 0, 0))
     forms = _term_lists(conditions)
     if forms is not None:
-        system = _contracted_system(field, rows, cols, forms)[0]
+        by_row = {}
+        for i, v in _contracted_system(field, rows, cols, forms)[0].items():
+            by_row.setdefault(i // nunk, {})[i % nunk] = v
+        system = SparseRows(field, nunk, tuple(by_row.values()))
     else:
         system = _unit_system(field, rows, cols, lambda e: tuple(
             chain.from_iterable(c(e).entries for c in conditions)), 0)
@@ -778,7 +901,8 @@ def affine_matrix_system(field: Field, rows: int, cols: int, residual):
     """
     forms = _term_lists(residual)
     if forms is not None:
-        return _contracted_system(field, rows, cols, forms)
+        acc, height, b = _contracted_system(field, rows, cols, forms)
+        return _dense(field, height, rows * cols, acc), b
     r0 = residual(Mat.zeros(field, rows, cols))
     a = _unit_system(field, rows, cols, lambda e: (residual(e) - r0).entries,
                      len(r0.entries))
@@ -824,7 +948,7 @@ def compile_bilinear(field: Field, shape0, shape1, f) -> CompiledBilinear:
         r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
         acc = {}
         for t in f.terms:
-            _accumulate(acc, t, (shape0, shape1), 0, n1, (r * n1, 1))
+            _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
         gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
         return CompiledBilinear(n0, _dense(field, n0 * r, n1, acc), gamma)
     zero = Mat.zeros(field, *shape0)

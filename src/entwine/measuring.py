@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from .exactlin import (
     Mat, kron, kernel_basis, cokernel, restrict_map, mat_solution_basis,
-    SubspaceBasis, rank, inverse,
+    SubspaceBasis, rank, inverse, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict, hom_bijection_report
 from .algstruct import (
@@ -168,20 +168,22 @@ class Coinvariants:
         return self.space.dim
 
 
+def _coinvariant_condition(g: GaloisData) -> TermList:
+    """coaction mult (b (x) I_n) - (mult (x) I_c)(b (x) coaction), linear
+    in b: its column i is coaction(b a) - b . coaction(a) at the i-th
+    basis vector a."""
+    n, c = g.alg.dim, g.coalg.dim
+    mult, coact = g.alg.mult, g.coaction
+    return TermList((
+        Term(1, coact * mult, (Lift(1, n),)),
+        Term(-1, kron(mult, Mat.identity(g.field, c)), (Lift(1, n * c, coact),))))
+
+
 def coinvariants(g: GaloisData) -> Coinvariants:
     """b with coaction(b a) = b . coaction(a) for every a, as a subalgebra."""
     F = g.field
-    n = g.alg.dim
-    i_c = Mat.identity(F, g.coalg.dim)
-    mult, coact = g.alg.mult, g.coaction
-    cols = [Mat.identity(F, n).col_mat(i) for i in range(n)]
-    conditions = []
-    for i in range(n):
-        def cond(b: Mat, col=cols[i]) -> Mat:
-            return (coact * mult * kron(b, col)
-                    - kron(mult, i_c) * kron(b, coact * col))
-        conditions.append(cond)
-    space = mat_solution_basis(F, n, 1, conditions)
+    mult = g.alg.mult
+    space = mat_solution_basis(F, g.alg.dim, 1, [_coinvariant_condition(g)])
     inc = space.basis
     # Closure under multiplication and membership of the unit; failure
     # here means broken input arithmetic, not a data condition.

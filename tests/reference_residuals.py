@@ -1,18 +1,23 @@
-"""The identities of `entwine.criteria` as closures: the reference for its
-term lists.
+"""Every linear condition of the package as closures: the reference for
+its term lists.
 
-Each factory returns callables that are linear (for the memberships),
-affine (for the normalizations) or bilinear plus a constant (for the
-Frobenius couplings) in the unknowns, and vanish exactly when the family
-is admissible.  They are written as plain compositions of `kron` and
-products, so `affine_matrix_system` and `compile_bilinear` assemble them
-by evaluation on matrix units, independently of the contraction of the
-term lists.
+The first half holds the identities of `entwine.criteria`.  Each factory
+returns callables that are linear (for the memberships), affine (for the
+normalizations) or bilinear plus a constant (for the Frobenius couplings)
+in the unknowns, and vanish exactly when the family is admissible.  The
+second half holds the morphism conditions of the hom spaces of
+`algstruct`, `comodcat` and `contracat`, the coinvariant conditions of
+`measuring` and the Maschke probe's perturbation conditions, as the
+package stated them before they became term lists.  All are plain
+compositions of `kron` and products, so `affine_matrix_system`,
+`mat_solution_basis` and `compile_bilinear` assemble them by evaluation
+on matrix units, independently of the contraction of the term lists.
 """
 
 from __future__ import annotations
 
 from entwine.exactlin import Mat, kron, vec, vstack
+from entwine.contracat import under
 from entwine.entwining import Entwining
 from entwine.criteria import coevaluation
 
@@ -172,3 +177,68 @@ def w1_norm(e: Entwining):
     """Normalization of rho, the same on both sides."""
     unit, counit, mult = e.alg.unit, e.coalg.counit, e.alg.mult
     return lambda th: mult * th - unit * counit
+
+
+# -- morphism conditions, coinvariants and the probe's perturbations --
+
+
+def module_hom_right_conditions(x, y):
+    i_n = Mat.identity(x.alg.field, x.alg.dim)
+    return [lambda f: f * x.action - y.action * kron(f, i_n)]
+
+
+def module_hom_left_conditions(x, y):
+    i_n = Mat.identity(x.alg.field, x.alg.dim)
+    return [lambda f: f * x.action - y.action * kron(i_n, f)]
+
+
+def comodule_hom_conditions(x, y):
+    i_c = Mat.identity(x.coalg.field, x.coalg.dim)
+    return [lambda f: kron(f, i_c) * x.coaction - y.coaction * f]
+
+
+def morphism_conditions(x, y):
+    """`comodcat.morphism_conditions`: the action, then the coaction."""
+    F = x.ent.field
+    i_n = Mat.identity(F, x.ent.alg.dim)
+    i_c = Mat.identity(F, x.ent.coalg.dim)
+    return [
+        lambda f: f * x.action - y.action * kron(f, i_n),
+        lambda f: kron(f, i_c) * x.coaction - y.coaction * f,
+    ]
+
+
+def contra_morphism_conditions(x, y):
+    """`contracat.contra_morphism_conditions`: the action, then pi."""
+    i_n = Mat.identity(x.ent.field, x.ent.alg.dim)
+    c = x.ent.coalg.dim
+    return [
+        lambda f: f * x.action - y.action * kron(i_n, f),
+        lambda f: f * x.pi - y.pi * under(f, c),
+    ]
+
+
+def plain_contra_hom_conditions(x, y):
+    c = x.coalg.dim
+    return [lambda f: f * x.pi - y.pi * under(f, c)]
+
+
+def coinvariant_conditions(g):
+    """One condition per basis vector a of the algebra, in order."""
+    F = g.field
+    n = g.alg.dim
+    i_c = Mat.identity(F, g.coalg.dim)
+    mult, coact = g.alg.mult, g.coaction
+    cols = [Mat.identity(F, n).col_mat(i) for i in range(n)]
+    conditions = []
+    for i in range(n):
+        def cond(b: Mat, col=cols[i]) -> Mat:
+            return (coact * mult * kron(b, col)
+                    - kron(mult, i_c) * kron(b, coact * col))
+        conditions.append(cond)
+    return conditions
+
+
+def splitting_perturbations(inc, proj):
+    """The perturbation conditions of the retraction and of the section."""
+    return (lambda w: w * inc), (lambda w: proj * w)
