@@ -556,8 +556,6 @@ def _cmd_separability(ws: Workspace, args):
 
 def _cmd_frobenius(ws: Workspace, args):
     e = _lookup(ws.entwinings, args.name, "entwining")
-    if args.budget < 0:
-        raise InputError("--budget", "must be non-negative")
     vs = {"co": decide_frobenius_co(e, budget_bits=args.budget),
           "contra": decide_frobenius_contra(e, budget_bits=args.budget)}
     return {"subject": args.name, "budget": args.budget,
@@ -621,7 +619,8 @@ def _build_parser() -> _Parser:
                        help="coupled sigma/rho families, both sides")
     q.add_argument("name")
     q.add_argument("--budget", type=int, default=12, metavar="BITS",
-                   help="enumerate at most 2^BITS candidates (default 12)")
+                   help="enumerate at most 2^BITS candidates, BITS from 0 to 64 "
+                        "(default 12)")
     for cmd, hlp in (("cotensor", "corestrict a module along a measuring"),
                      ("hattensor", "induce a module along a measuring"),
                      ("cohom", "corestrict a contramodule along a measuring"),

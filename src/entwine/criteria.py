@@ -399,7 +399,12 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     term lists stay the statement of each identity: contracted, they give B
     and the membership systems; evaluated, they re-verify every witness by
     substitution.
+
+    budget_bits must lie in [0, 64]: no sweep of 2^64 candidates ends, and
+    the budget is reported as the number 2^budget_bits.
     """
+    if not 0 <= budget_bits <= 64:
+        raise ValueError("budget_bits must be in [0, 64], got %r" % (budget_bits,))
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     shapes = (s_shape, (n * n, c))

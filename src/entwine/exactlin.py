@@ -1,15 +1,21 @@
 """Exact linear algebra over Q and over prime fields F_p.
 
 Scalars are plain Python values: Fraction for the rationals, int residues
-in [0, p) for F_p.  Everything is immutable and every pivot choice is the
-first nonzero entry in row-major scan order, so ranks, kernels, cokernel
-presentations and solutions are reproducible bit for bit.
+in [0, p) for F_p.  Everything is immutable and every elimination ends in
+the reduced row echelon form, which is unique, so ranks, kernels,
+cokernel presentations and solutions are reproducible bit for bit.
 
 Mat stores its entries dense, but they are mostly zeros, so the kernels
 skip zeros, with one loop per field kind.  Over Q every zero the package
 builds is the shared `Field.zero`, so a zero test `x is not z and x` is
 mostly a pointer compare; no result relies on it, as any other zero fails
 the truth test.
+
+There is one elimination, _rref_rows, on sparse rows: dicts {column:
+value} of the nonzero entries.  rref, rank, kernel_basis (of a Mat or of
+SparseRows), solve_affine, inverse and cokernel all go through it, and
+every kernel basis is read off its result the same way (_kernel).  The
+form is unique, so none of them depends on the order rows are reduced in.
 
 Tensor legs flatten first-factor-major: the flat index of (i1, ..., ik)
 over shape (d1, ..., dk) is ((i1*d2 + i2)*d3 + ...). kron follows the same
@@ -32,9 +38,7 @@ per leg, the coefficient of X'[p, q] in entry (r, s) is the sum over
 alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
 multiplied.  mat_solution_basis eliminates the contracted rows as sparse
-rows (SparseRows, through kernel_basis) and never builds a dense system;
-the reduced row echelon form of a row space is unique, so its pivots and
-kernel basis equal the dense elimination's entry for entry.
+rows (SparseRows, through kernel_basis) and never builds a dense system.
 affine_matrix_system and compile_bilinear materialize their matrices once
 from the nonzeros.  Given any other callable, the three evaluate it on
 every matrix unit instead; every condition of the package is a term list,
@@ -387,89 +391,35 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 # -- elimination ------------------------------------------------------
 
 
-def rref(m: Mat):
-    """Reduced row echelon form.  Returns (R, pivot column tuple).
-
-    Pivot selection is the first row with a nonzero entry, scanning
-    columns left to right; no magnitude heuristics, fully deterministic.
-    Rows are eliminated in place, on the pivot row's nonzero columns only.
-    """
-    F, z = m.field, m.field.zero
-    prime, p = F.kind == "prime", F.p
-    nrows, ncols = m.rows, m.cols
-    rows = [list(m.row(i)) for i in range(nrows)]
-    # Eliminate without the input alongside when the caller passed a
-    # temporary, as solve_affine does.
-    del m
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c] is not z and rows[i][c]), -1)
-        if pr < 0:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        # Entries left of c in the pivot row are already zero.
-        nz = [j for j in range(c + 1, ncols) if prow[j] is not z and prow[j]]
-        piv = prow[c]
-        if piv != F.one:
-            ipiv = F.inv(piv)
-            for j in nz:
-                prow[j] = prow[j] * ipiv % p if prime else prow[j] * ipiv
-            prow[c] = F.one
-        for i in range(nrows):
-            row = rows[i]
-            f = row[c]
-            if i == r or f is z or not f:
-                continue
-            row[c], g = z, -f
-            for j in nz:
-                w = row[j]
-                row[j] = g * prow[j] if w is z else w + g * prow[j]
-            if prime:
-                for j in nz:
-                    row[j] %= p
-        pivots.append(c)
-        r += 1
-    return Mat(F, nrows, ncols, tuple(chain.from_iterable(rows))), tuple(pivots)
-
-
-def rank(m: Mat) -> int:
-    return len(rref(m)[1])
-
-
-def _kernel_from_rref(F: Field, R: Mat, pivots, ncols: int) -> Mat:
-    """Canonical kernel basis read off an rref whose first ncols columns
-    are the reduced matrix (free-column convention)."""
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    z, o = F.zero, F.one
-    cols = []
-    for fcol in free:
-        x = [z] * ncols
-        x[fcol] = o
-        for j, pcol in enumerate(pivots):
-            x[pcol] = F.neg(R[j, fcol])
-        cols.append(x)
-    data = tuple(cols[j][i] for i in range(ncols) for j in range(len(free)))
-    return Mat(F, ncols, len(free), data)
-
-
 @dataclass(frozen=True)
 class SparseRows:
     """A matrix with `cols` columns given by its rows, each a dict
-    {column: value} holding at least the row's nonzero entries."""
+    {column: value} holding at least the row's nonzero entries.
+    kernel_basis eliminates it as it eliminates a Mat with those rows."""
 
     field: Field
     cols: int
     rows: tuple
 
 
+def _row_dicts(m):
+    """The rows of m, a Mat or SparseRows, as new dicts {column: value} of
+    their nonzero entries, made one at a time."""
+    if isinstance(m, SparseRows):
+        return ({j: x for j, x in r.items() if x} for r in m.rows)
+    e, k, z = m.entries, m.cols, m.field.zero
+    rows = (e[i * k:(i + 1) * k] for i in range(m.rows))
+    if m.field.kind == "prime":
+        # compress() skips zero residues in C.
+        cols = range(k)
+        return (dict(zip(compress(cols, r), compress(r, r))) for r in rows)
+    return ({j: x for j, x in enumerate(r) if x is not z and x} for r in rows)
+
+
 def _rref_rows(F: Field, rows) -> dict:
-    """The nonzero rows of the reduced row echelon form of the given
-    sparse rows, as {pivot column: row}.
+    """The nonzero rows of the reduced row echelon form of the given rows,
+    dicts {column: value} of nonzero entries, as {pivot column: row}.  The
+    rows are reduced in place.
 
     Rows are taken one at a time.  Every kept row is 1 at its pivot, 0 left
     of it and 0 at every other pivot, so a new row is reduced by one pass
@@ -480,26 +430,29 @@ def _rref_rows(F: Field, rows) -> dict:
     """
     prime, p, one = F.kind == "prime", F.p, F.one
     piv = {}
-    for row in rows:
-        v = {j: x for j, x in row.items() if x}
+    for v in rows:
         for c in [j for j in v if j in piv]:
-            _axpy(v, -v[c], piv[c], prime, p)
+            _axpy(v, -v.pop(c), piv[c], c, prime, p)
         if not v:
             continue
         c = min(v)
         if v[c] != one:
             inv = F.inv(v[c])
-            v = {j: x * inv % p if prime else x * inv for j, x in v.items()}
+            for j, x in v.items():
+                v[j] = x * inv % p if prime else x * inv
         for kept in piv.values():
             if c in kept:
-                _axpy(kept, -kept[c], v, prime, p)
+                _axpy(kept, -kept.pop(c), v, c, prime, p)
         piv[c] = v
     return piv
 
 
-def _axpy(v: dict, f, w: dict, prime: bool, p: int) -> None:
-    """v += f . w on sparse rows, dropping the entries that cancel."""
+def _axpy(v: dict, f, w: dict, c: int, prime: bool, p: int) -> None:
+    """v += f . w on sparse rows, dropping the entries that cancel.  w's
+    pivot column c is skipped: the caller has popped it from v."""
     for j, x in w.items():
+        if j == c:
+            continue
         y = v.get(j)
         y = f * x if y is None else y + f * x
         if prime:
@@ -510,36 +463,68 @@ def _axpy(v: dict, f, w: dict, prime: bool, p: int) -> None:
             del v[j]
 
 
-def kernel_basis(m) -> Mat:
-    """Columns form the canonical basis of ker(m) (free-column convention).
-
-    m is a Mat or SparseRows.  The reduced row echelon form is unique, so
-    the sparse rows give the same pivots and the same basis, entry for
-    entry, as the dense matrix with those rows.
-    """
-    if not isinstance(m, SparseRows):
-        return _kernel_from_rref(m.field, *rref(m), m.cols)
-    F, ncols = m.field, m.cols
-    piv = _rref_rows(F, m.rows)
+def _kernel(F: Field, piv: dict, ncols: int) -> Mat:
+    """The canonical basis of the kernel of the reduced rows piv, as
+    _rref_rows gives them, in its first ncols columns: column i is 1 at
+    the i-th free (non-pivot) column, 0 at the others, and at each pivot
+    minus the pivot row's entry in that free column."""
     free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in piv)}
     k, out = len(free), [F.zero] * (ncols * len(free))
     for c, i in free.items():
         out[c * k + i] = F.one
     for c, row in piv.items():
         for j, x in row.items():
-            if j != c:
-                out[c * k + free[j]] = F.neg(x)
+            i = free.get(j)
+            if i is not None:
+                out[c * k + i] = F.neg(x)
     return Mat(F, ncols, k, tuple(out))
+
+
+def rref(m: Mat):
+    """Reduced row echelon form.  Returns (R, pivot column tuple), R the
+    nonzero rows in pivot order, then zero rows.
+
+    The rows' nonzero entries are eliminated by _rref_rows; the form is
+    unique, so it does not depend on the order rows are taken in.
+    """
+    F, nrows, ncols = m.field, m.rows, m.cols
+    rows = list(_row_dicts(m))
+    # Eliminate without the input alongside when the caller passed a
+    # temporary, as solve_affine does.
+    del m
+    piv = _rref_rows(F, rows)
+    pivots = sorted(piv)
+    out = [F.zero] * (nrows * ncols)
+    for i, c in enumerate(pivots):
+        base = i * ncols
+        for j, x in piv[c].items():
+            out[base + j] = x
+    return Mat(F, nrows, ncols, tuple(out)), tuple(pivots)
+
+
+def rank(m: Mat) -> int:
+    return len(rref(m)[1])
+
+
+def kernel_basis(m) -> Mat:
+    """Columns form the canonical basis of ker(m) (free-column convention).
+
+    m is a Mat or SparseRows; either way its rows' nonzero entries go
+    through the one elimination, _rref_rows, so a Mat and SparseRows with
+    the same rows give the same basis, entry for entry.
+    """
+    return _kernel(m.field, _rref_rows(m.field, _row_dicts(m)), m.cols)
 
 
 def solve_affine(a: Mat, b: Mat):
     """All solutions of a x = b: (particular, kernel_basis(a)) or None.
 
-    One elimination serves both: row operations on [a | b] act on the
-    columns of a exactly as rref(a) does, so with no pivot in b the first
-    a.cols columns are rref(a) with its pivots.  Zero rows of [a | b] are
-    left out of it: they change neither the pivots nor the nonzero rows of
-    its rref, which is all that is read.
+    One rref of [a | b] serves both: row operations on [a | b] act on the
+    columns of a exactly as on a alone, so with no pivot in b the first
+    a.cols columns are the rref of a, and the pivot rows' b columns give a
+    particular solution.  Zero rows of [a | b] are left out of it: they
+    change neither the pivots nor the nonzero rows of its rref, which is
+    all that is read.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
@@ -547,14 +532,15 @@ def solve_affine(a: Mat, b: Mat):
     # [a | b] is passed as a temporary, so rref frees it before eliminating.
     R, pivots = rref(Mat(a.field, len(keep), a.cols + b.cols, tuple(chain.from_iterable(
         a.row(i) + b.row(i) for i in keep))))
-    if any(p >= a.cols for p in pivots):
+    if pivots and pivots[-1] >= a.cols:
         return None
     F = a.field
     part = [(F.zero,) * b.cols] * a.cols
     for j, pcol in enumerate(pivots):
         part[pcol] = R.row(j)[a.cols:]
     particular = Mat(F, a.cols, b.cols, tuple(x for row in part for x in row))
-    return particular, _kernel_from_rref(F, R, pivots, a.cols)
+    # zip stops at the last pivot row: the zero rows are never converted.
+    return particular, _kernel(F, dict(zip(pivots, _row_dicts(R))), a.cols)
 
 
 def inverse(m: Mat) -> Mat:

@@ -112,6 +112,46 @@ def in_span(field: Field, vectors, target) -> bool:
     return True
 
 
+def rref_oracle(m: Mat):
+    """Gauss-Jordan elimination on whole dense rows, column by column, the
+    pivot the first nonzero entry at or below the current row: the
+    reduced row echelon form as a flat entry list, and the pivot columns."""
+    F = m.field
+    rows = [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pr = next((i for i in range(r, m.rows) if rows[i][c] != F.zero), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = F.inv(rows[r][c])
+        rows[r] = [F.mul(inv, x) for x in rows[r]]
+        for i in range(m.rows):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return [x for row in rows for x in row], pivots
+
+
+def kernel_oracle(m: Mat) -> Mat:
+    """Free-column basis of ker(m) read off rref_oracle: column i is 1 at
+    the i-th free column, 0 at the other free columns, and at each pivot
+    minus the pivot row's entry in that free column."""
+    F = m.field
+    flat, pivots = rref_oracle(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        x = [F.zero] * m.cols
+        x[free] = F.one
+        for j, pcol in enumerate(pivots):
+            x[pcol] = F.sub(F.zero, flat[j * m.cols + free])
+        basis.append(x)
+    return Mat(F, m.cols, len(basis), tuple(col[i] for i in range(m.cols) for col in basis))
+
+
 def _transpose(vectors):
     return [list(col) for col in zip(*vectors)]
 

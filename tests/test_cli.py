@@ -255,6 +255,7 @@ def test_input_errors_exit_three(capsys, tmp_path):
                  ["cointegral", KZ2, "E", "--field", "prime:4"],
                  ["cointegral", KZ2, "E", "--field", "real"],
                  ["frobenius", KZ2, "E", "--budget", "-1"],
+                 ["frobenius", KZ2, "E", "--budget", "20000"],
                  ["cotensor", KZ2, "I", "N"],
                  ["galois", KZ2, "E"]):
         code, out, err = run(capsys, *argv)

@@ -286,6 +286,18 @@ def test_frobenius_budget_zero_is_unknown():
     assert decide_frobenius_co(e).status == "NONE"
 
 
+def test_frobenius_budget_outside_zero_to_64_is_refused():
+    """The budget is 2^budget_bits candidates: below 0 it means nothing,
+    above 64 no sweep ends, and 2^20000 would not even print."""
+    e = trivial_entwining(upper_triangular_algebra(F2))
+    for decide in (decide_frobenius_co, decide_frobenius_contra):
+        for bits in (-1, 65, 20000):
+            with pytest.raises(ValueError, match="budget_bits"):
+                decide(e, budget_bits=bits)
+        v = decide(e, budget_bits=64)
+        assert v.status == "NONE" and v.data["budget_candidates"] == 2 ** 64
+
+
 def test_frobenius_dk_and_one_dim_cases():
     for field in (Q, F2):
         assert decide_frobenius_co(dk(2, field)).found

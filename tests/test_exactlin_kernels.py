@@ -1,7 +1,11 @@
 """Differential tests of the zero-skipping exactlin kernels.
 
-Every kernel is compared with a naive reference written here from the
-scalar operations of `Field` alone.  Inputs are seeded random matrices at
+Every kernel is compared with a naive reference written from the scalar
+operations of `Field` alone: the products here, the elimination
+(`rref_oracle`, `kernel_oracle`) in `oracles.py`.  `rref`, `rank`,
+`kernel_basis`, `solve_affine`, `cokernel` and `inverse` all go through
+the package's one sparse-row elimination, so each is checked against the
+dense reference.  Inputs are seeded random matrices at
 fills 0, about 3%, 50% and 100%, over Q, F_2 and F_5.  Over Q each input
 is also rebuilt with fresh `Fraction(0)` objects in place of the shared
 zero, and products that cancel to zero are fed back in, so a kernel that
@@ -16,8 +20,10 @@ from fractions import Fraction
 import pytest
 
 from entwine.exactlin import (
-    Field, Mat, hstack, kernel_basis, kron, rref, solve_affine, vstack,
+    Field, Mat, cokernel, hstack, inverse, kernel_basis, kron, rank, rref,
+    solve_affine, vstack,
 )
+from oracles import kernel_oracle, rref_oracle
 
 Q = Field.rational()
 FIELDS = {"Q": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
@@ -82,45 +88,6 @@ def ref_kron(a, b):
                     out.append(F.mul(a.entries[i * a.cols + j],
                                      b.entries[k * b.cols + l]))
     return out
-
-
-def ref_rref(m):
-    F = m.field
-    rows = [list(m.entries[i * m.cols:(i + 1) * m.cols]) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pr = next((i for i in range(r, m.rows) if rows[i][c] != F.zero), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(m.rows):
-            if i != r:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return [x for row in rows for x in row], pivots
-
-
-def ref_kernel(m):
-    """Free-column basis of ker(m), as a list of columns."""
-    F = m.field
-    flat, pivots = ref_rref(m)
-    basis = []
-    for free in (c for c in range(m.cols) if c not in pivots):
-        x = [F.zero] * m.cols
-        x[free] = F.one
-        for j, pcol in enumerate(pivots):
-            x[pcol] = F.sub(F.zero, flat[j * m.cols + free])
-        basis.append(x)
-    return basis
-
-
-def columns(m):
-    return [list(m.entries[j::m.cols]) for j in range(m.cols)] if m.cols else []
 
 
 def assert_entries(m, want, rows, cols):
@@ -212,23 +179,86 @@ def test_elementwise_match_reference(field_name, fill):
 
 # -- elimination ------------------------------------------------------
 
+def elimination_inputs(F, rng, fill):
+    """Random matrices at the fill, and a rank-deficient one whose lower
+    block repeats combinations of the upper."""
+    out = [rand_mat(F, rng, rows, cols, fill)
+           for rows, cols in [(1, 1), (4, 6), (6, 4), (7, 9), (0, 3), (3, 0)]]
+    top = rand_mat(F, rng, 3, 7, max(fill, 0.5))
+    out.append(vstack([top, Mat.from_rows(F, [[1, 1, 0]]) * top, top]))
+    return out
+
+
+def transpose(m):
+    return Mat(m.field, m.cols, m.rows, tuple(m.entries[i * m.cols + j]
+                                              for j in range(m.cols) for i in range(m.rows)))
+
+
+def unit_triangular(F, rng, n, fill, lower):
+    m = rand_mat(F, rng, n, n, fill)
+    return Mat(F, n, n, tuple(F.one if i == j else m.entries[i * n + j] if (i > j) == lower
+                              else F.zero for i in range(n) for j in range(n)))
+
+
 @params
 def test_rref_matches_reference(field_name, fill):
     F, rng = FIELDS[field_name], seeded(field_name, fill)
-    for rows, cols in [(1, 1), (4, 6), (6, 4), (7, 9), (0, 3), (3, 0)]:
-        m = rand_mat(F, rng, rows, cols, fill)
-        want, pivots = ref_rref(m)
+    for m in elimination_inputs(F, rng, fill):
+        want, pivots = rref_oracle(m)
         for m2 in variants(m):
             r, got = rref(m2)
             assert got == tuple(pivots)
-            assert_entries(r, want, rows, cols)
-    # Rank-deficient: the lower block repeats combinations of the upper.
-    top = rand_mat(F, rng, 3, 7, max(fill, 0.5))
-    m = vstack([top, Mat.from_rows(F, [[1, 1, 0]]) * top, top])
-    want, pivots = ref_rref(m)
-    r, got = rref(m)
-    assert got == tuple(pivots) and len(got) <= 3
-    assert_entries(r, want, 7, 7)
+            assert_entries(r, want, m.rows, m.cols)
+
+
+@params
+def test_rank_matches_reference(field_name, fill):
+    F, rng = FIELDS[field_name], seeded(field_name, fill)
+    for m in elimination_inputs(F, rng, fill):
+        want = len(rref_oracle(m)[1])
+        for m2 in variants(m):
+            assert rank(m2) == want
+
+
+@params
+def test_cokernel_matches_reference(field_name, fill):
+    """Quotient coordinates are the non-pivot columns of the rref of m^T;
+    the projection is 1 at its coordinate and minus the pivot rows' entry
+    in that column at each pivot, and the section includes them back."""
+    F, rng = FIELDS[field_name], seeded(field_name, fill)
+    for m in elimination_inputs(F, rng, fill):
+        flat, pivots = rref_oracle(transpose(m))
+        free = [t for t in range(m.rows) if t not in pivots]
+        proj = [F.one if s == t else F.sub(F.zero, flat[pivots.index(s) * m.rows + t])
+                if s in pivots else F.zero for t in free for s in range(m.rows)]
+        sect = [F.one if t == s else F.zero for s in range(m.rows) for t in free]
+        for m2 in variants(m):
+            q = cokernel(m2)
+            assert_entries(q.projection, proj, len(free), m.rows)
+            assert_entries(q.section, sect, m.rows, len(free))
+
+
+@params
+def test_inverse_matches_reference(field_name, fill):
+    """Random square matrices, mostly singular at low fills, and products
+    of unit lower and upper triangular ones, always invertible: the
+    inverse is the right block of the rref of [m | I], and m is singular
+    iff that rref has a pivot outside the first n columns."""
+    F, rng = FIELDS[field_name], seeded(field_name, fill)
+    for n in (0, 1, 2, 4, 6):
+        lower = unit_triangular(F, rng, n, fill, True)
+        upper = unit_triangular(F, rng, n, fill, False)
+        for m in (rand_mat(F, rng, n, n, fill), Mat(F, n, n, tuple(ref_matmul(lower, upper)))):
+            eye = [F.one if i == j else F.zero for i in range(n) for j in range(n)]
+            flat, pivots = rref_oracle(Mat(F, n, 2 * n, tuple(
+                x for i in range(n) for x in m.entries[i * n:(i + 1) * n] + tuple(eye[i * n:(i + 1) * n]))))
+            for m2 in variants(m):
+                if pivots != list(range(n)):
+                    with pytest.raises(ValueError):
+                        inverse(m2)
+                    continue
+                assert_entries(inverse(m2), [flat[i * 2 * n + n + j] for i in range(n)
+                                             for j in range(n)], n, n)
 
 
 @params
@@ -236,12 +266,10 @@ def test_kernel_basis_matches_reference(field_name, fill):
     F, rng = FIELDS[field_name], seeded(field_name, fill)
     for rows, cols in [(1, 1), (3, 6), (6, 4), (5, 8)]:
         m = rand_mat(F, rng, rows, cols, fill)
-        want = ref_kernel(m)
+        want = kernel_oracle(m)
         for m2 in variants(m):
             k = kernel_basis(m2)
-            assert columns(k) == want
-            assert_entries(k, [x for i in range(cols) for x in
-                               (col[i] for col in want)], cols, len(want))
+            assert_entries(k, want.entries, cols, want.cols)
             assert (m2 * k).is_zero()
 
 
@@ -253,7 +281,7 @@ def test_solve_affine_matches_reference(field_name, fill):
         # One right-hand side in the image, and one random.
         x = rand_mat(F, rng, cols, rhs, 0.5)
         for b in (a * x, rand_mat(F, rng, rows, rhs, max(fill, 0.5))):
-            flat, pivots = ref_rref(hstack([a, b]))
+            flat, pivots = rref_oracle(hstack([a, b]))
             for a2 in variants(a):
                 for b2 in variants(b):
                     sol = solve_affine(a2, b2)
@@ -266,6 +294,7 @@ def test_solve_affine_matches_reference(field_name, fill):
                     for j, pcol in enumerate(pivots):
                         want[pcol] = flat[j * width + cols:(j + 1) * width]
                     assert_entries(part, [y for row in want for y in row], cols, rhs)
-                    assert columns(kern) == ref_kernel(a)
+                    want_kern = kernel_oracle(a)
+                    assert_entries(kern, want_kern.entries, cols, want_kern.cols)
                     assert a2 * part == b
         assert solve_affine(a, a * x) is not None

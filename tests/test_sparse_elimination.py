@@ -1,10 +1,13 @@
-"""Differential test of the sparse-row elimination behind kernel_basis.
+"""Differential test of the sparse-row elimination behind rref and
+kernel_basis.
 
 `kernel_basis` takes a dense `Mat` or `SparseRows`, a matrix given by
-{column: value} rows.  The reduced row echelon form of a row space is
-unique, so the sparse elimination must give the pivots, the reduced rows
-and the canonical kernel basis of the dense one entry for entry, whatever
-the order of the rows.  Inputs are seeded random matrices at fills 0,
+{column: value} rows; `rref` takes a `Mat`.  All go through one
+sparse-row elimination.  The reduced row echelon form of a row space is
+unique, so it must give the pivots, the reduced rows and the canonical
+kernel basis of the naive dense Gauss-Jordan reference (`rref_oracle`,
+`kernel_oracle` in `oracles.py`) entry for entry, whatever the order of
+the rows.  Inputs are seeded random matrices at fills 0,
 about 3%, 50% and 100% over Q, F_2 and F_5, with rows that cancel
 (differences and multiples of other rows), duplicate rows, zero rows,
 explicit zero entries (over Q fresh `Fraction(0)` objects), no rows at
@@ -18,7 +21,8 @@ from fractions import Fraction
 
 import pytest
 
-from entwine.exactlin import Field, Mat, SparseRows, _rref_rows, kernel_basis, rref
+from entwine.exactlin import Field, Mat, SparseRows, kernel_basis, rref
+from oracles import kernel_oracle, rref_oracle
 
 FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
 FILLS = (0.0, 0.03, 0.5, 1.0)
@@ -63,28 +67,38 @@ def dense(F, rows, cols):
     return Mat(F, len(rows), cols, tuple(x for r in rows for x in r))
 
 
+def assert_typed(F, m):
+    for x in m.entries:
+        if F.kind == "rational":
+            assert type(x) is Fraction
+        else:
+            assert type(x) is int and 0 <= x < F.p
+
+
 def check(F, rows, cols, rng):
     d = dense(F, rows, cols)
-    want_basis = kernel_basis(d)
-    want_r, want_piv = rref(d)
+    want_basis = kernel_oracle(d)
+    want_r, want_piv = rref_oracle(d)
+    r, piv = rref(d)
+    assert piv == tuple(want_piv)
+    assert list(r.entries) == want_r and (r.rows, r.cols) == (len(rows), cols)
+    assert_typed(F, r)
+    assert kernel_basis(d) == want_basis
     for explicit_zeros in (False, True):
         sparse = as_sparse(F, rows, cols, explicit_zeros)
         got = kernel_basis(sparse)
         assert got == want_basis
         assert (got.rows, got.cols) == (want_basis.rows, want_basis.cols)
-        for x in got.entries:
-            if F.kind == "rational":
-                assert type(x) is Fraction
-            else:
-                assert type(x) is int and 0 <= x < F.p
-        piv = _rref_rows(F, sparse.rows)
-        assert tuple(sorted(piv)) == want_piv
-        for i, c in enumerate(sorted(piv)):
-            assert [piv[c].get(j, F.zero) for j in range(cols)] == list(want_r.row(i))
+        assert_typed(F, got)
         # The same rows in another order.
         shuffled = list(sparse.rows)
         rng.shuffle(shuffled)
         assert kernel_basis(SparseRows(F, cols, tuple(shuffled))) == want_basis
+        # The input rows are read, not reduced in place.
+        assert sparse == as_sparse(F, rows, cols, explicit_zeros)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    assert rref(dense(F, [rows[i] for i in order], cols)) == (r, piv)
 
 
 @pytest.mark.parametrize("fill", FILLS)
