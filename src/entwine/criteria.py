@@ -21,7 +21,7 @@ from itertools import combinations, product
 from .exactlin import (
     Field, Mat, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
-    compile_bilinear, rref, Lift, Term, TermList,
+    compile_bilinear, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict
 from .algstruct import (
@@ -332,13 +332,15 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 #
 # The joint system couples a sigma family and a rho family bilinearly,
 # so completeness cannot come from one linear solve.  One ladder runs
-# over the two sides, indexed 0 (sigma) and 1 (rho): fixing either side
-# makes the couplings linear in the other.  Its rungs: fix one side on a
-# basis vector of its membership space and solve the other side
-# linearly, sigma basis first; alternate between partially constrained
-# solves seeded from either side, rho seeds first; over a prime field
-# with a small enough membership space, enumerate the smaller side
-# outright, which alone can certify NONE.
+# over the two sides, indexed 0 (sigma) and 1 (rho), in the coordinates
+# of their membership spaces: every candidate is a coordinate vector, so
+# membership holds by construction, and fixing either side makes the
+# couplings linear in the other side's coordinates.  Its rungs: fix one
+# side on a membership basis vector and solve the other side linearly,
+# sigma basis first; alternate between partially constrained solves
+# seeded from either side, rho seeds first; over a prime field with a
+# small enough membership space, enumerate the smaller side outright,
+# which alone can certify NONE.
 
 
 def _frobenius_couplings_contra(e: Entwining):
@@ -376,28 +378,24 @@ def _frobenius_couplings_co(e: Entwining):
             coupling(1, n, Mat.identity(F, c * n * n))]
 
 
-def _combine(field: Field, basis_mats, coeffs):
-    out = basis_mats[0] * field.of(coeffs[0])
-    for b, k in zip(basis_mats[1:], coeffs[1:]):
-        out = out + b * field.of(k)
-    return out
-
-
 _SIDES = ("sigma", "rho")
 
 
 def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
                       budget_bits: int, tag: str) -> Verdict:
-    """The Frobenius ladder on one variance.
+    """The Frobenius ladder on one variance, in membership coordinates.
 
-    Each coupling is compiled once per call (`compile_bilinear`) into B of
-    shape (n0*r) x n1, rows ordered side-0 unit first, where n0 and n1 are
-    the unknowns of sides 0 and 1 and r the coupling's rows, and gamma =
-    vec(coupling(0, 0)).  A solve with side 0 fixed at s uses A =
-    reshape(vec(s)^T . reshape(B, n0 x r*n1), r x n1); with side 1 fixed
-    at t, A = reshape(B . vec(t), n0 x r)^T; b = -gamma in both.  The
-    term lists stay the statement of each identity: contracted, they give B
-    and the membership systems; evaluated, they re-verify every witness by
+    Both membership bases P_0 and P_1 are computed first.  Each coupling
+    is compiled once per call (`compile_bilinear`) in their coordinates
+    into B of shape (d0*r) x d1, d0 and d1 the membership dimensions and r
+    the coupling's rows, and gamma = vec(coupling(0, 0)).  A solve with
+    side 0 fixed at coordinates x uses A = reshape(x^T . reshape(B, d0 x
+    r*d1), r x d1); with side 1 fixed at y, A = reshape(B . y, d0 x r)^T;
+    b = -gamma in both.  Coordinate i is the value at the i-th free column
+    of the membership system, and a solve leaves free coordinates at
+    zero, so its answer is that of the membership rows stacked with the
+    coupling rows in the full unknowns.  A witness is mapped back, P_k . x,
+    only when found; evaluated, the term lists re-verify it by
     substitution.
 
     budget_bits must lie in [0, 64]: no sweep of 2^64 candidates ends, and
@@ -408,56 +406,41 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     shapes = (s_shape, (n * n, c))
-    mems = (s_mem, t_mem)
-    log = []
-
-    def as_row(s: Mat) -> Mat:
-        return s.t if s.cols == 1 and s.rows != 1 else s
-
-    def pair(k, mine, other):
-        """(sigma, rho) from the value on side k and the other side's."""
-        return (mine, other) if k == 0 else (other, mine)
-
-    compiled = [compile_bilinear(F, *shapes, cp) for cp in couplings]
+    spaces = [mat_solution_basis(F, *shapes[k], mem).basis
+              for k, mem in enumerate((s_mem, t_mem))]
+    compiled = [compile_bilinear(F, *shapes, cp, spaces) for cp in couplings]
     rhs = [-cb.gamma for cb in compiled]
-    # Each membership system enters the solves as the nonzero rows of its
-    # rref: they span the same rows, and the rref of [A | b], from which
-    # solve_affine reads its answer, depends only on the row space.
-    mem_rows = []
-    for k in (0, 1):
-        r, pivots = rref(_system_matrix(e, *shapes[k], mems[k]))
-        mem_rows.append(Mat(F, len(pivots), r.cols, r.entries[:len(pivots) * r.cols]))
-    mem_rhs = [Mat.zeros(F, a.rows, 1) for a in mem_rows]
     solved = {}
 
     def solve(k, fixed, cps):
-        """Side k solved linearly with the other side fixed, or None; cps
-        is a range of coupling indices.  Each distinct solve runs once."""
+        """Coordinates of side k solved linearly with the other side fixed
+        at coordinates `fixed`, or None; cps is a range of coupling
+        indices.  Each distinct solve runs once."""
         key = (k, fixed.entries, cps)
         if key not in solved:
-            a = vstack([mem_rows[k]] + [compiled[i].fix(1 - k, fixed) for i in cps])
-            b = vstack([mem_rhs[k]] + [rhs[i] for i in cps])
-            sol = solve_affine(a, b)
-            solved[key] = None if sol is None else unvec(F, sol[0], *shapes[k])
+            sol = solve_affine(vstack([compiled[i].fix(1 - k, fixed) for i in cps]),
+                               vstack([rhs[i] for i in cps]))
+            solved[key] = None if sol is None else sol[0]
         return solved[key]
 
     def extend(k, v, cps):
-        """(sigma, rho) with side k at v and the other side solved, or None."""
+        """(sigma, rho) coordinates with side k at v and the other side
+        solved, or None."""
         w = solve(1 - k, v, cps)
-        return None if w is None else pair(k, v, w)
+        return None if w is None else (v, w) if k == 0 else (w, v)
 
-    spaces = [mat_solution_basis(F, *shapes[k], mems[k]) for k in (0, 1)]
-    dims = [sp.dim for sp in spaces]
+    dims = [sp.cols for sp in spaces]
     data = {"sigma_parameters": dims[0], "rho_parameters": dims[1],
             "budget_candidates": 1 << budget_bits}
-    log.append("membership spaces: sigma %d, rho %d parameters" % tuple(dims))
+    log = ["membership spaces: sigma %d, rho %d parameters" % tuple(dims)]
 
     def found(hit, how):
-        s, th = hit
+        s, th = (unvec(F, spaces[k] * x, *shapes[k]) for k, x in enumerate(hit))
         _substitution_check(tag, [r(s) for r in s_mem] + [r(th) for r in t_mem]
                             + [cp(s, th) for cp in couplings])
         log.append(how)
-        return Verdict("FOUND", witness={"e": as_row(s), "theta": th},
+        row = s.t if s.cols == 1 and s.rows != 1 else s
+        return Verdict("FOUND", witness={"e": row, "theta": th},
                        log=tuple(log), data=data)
 
     every = range(len(couplings))
@@ -465,18 +448,19 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     # With a zero-dimensional side the joint system is linear outright.
     if 0 in dims:
         k = dims.index(0)
-        hit = extend(k, Mat.zeros(F, *shapes[k]), every)
+        hit = extend(k, Mat.zeros(F, 0, 1), every)
         if hit is not None:
             return found(hit, "%s side is zero; %s solved linearly"
                          % (_SIDES[k], _SIDES[1 - k]))
         log.append("one membership space is zero; joint system linear and infeasible")
         return Verdict("NONE", certificate="linear", log=tuple(log), data=data)
 
-    bases = [basis_columns(F, spaces[k].basis, *shapes[k]) for k in (0, 1)]
+    # The membership basis vectors, in coordinates.
+    units = [[Mat.identity(F, d).col_mat(i) for i in range(d)] for d in dims]
 
     # Strategy 1: pin one family to a membership basis vector.
     for k in (0, 1):
-        for i, b in enumerate(bases[k]):
+        for i, b in enumerate(units[k]):
             hit = extend(k, b, every)
             if hit is not None:
                 return found(hit, "strategy 1: %s basis vector %d extends"
@@ -491,7 +475,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
 
     for k in (1, 0):
         how = "strategy 2: alternation from a %s seed" % _SIDES[k]
-        for v in seeds(bases[k]):
+        for v in seeds(units[k]):
             for _ in range(3):
                 hit = extend(k, v, every)
                 if hit is not None:
@@ -515,7 +499,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         count = F.p ** dims[k]
         if count <= (1 << budget_bits):
             for coeffs in product(range(F.p), repeat=dims[k]):
-                hit = extend(k, _combine(F, bases[k], coeffs), every)
+                hit = extend(k, Mat(F, dims[k], 1, tuple(map(F.of, coeffs))), every)
                 if hit is not None:
                     return found(hit, "strategy 3: enumeration hit %r" % (coeffs,))
             log.append("strategy 3: all %d candidates fail" % count)

@@ -39,10 +39,13 @@ alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
 multiplied.  mat_solution_basis eliminates the contracted rows as sparse
 rows (SparseRows, through kernel_basis) and never builds a dense system.
-affine_matrix_system and compile_bilinear materialize their matrices once
-from the nonzeros.  Given any other callable, the three evaluate it on
-every matrix unit instead; every condition of the package is a term list,
-and only tests and the benchmark pass closures.
+affine_matrix_system materializes its matrix once from the nonzeros.
+compile_bilinear takes only term lists: it projects the nonzeros onto
+the sparse rows of two bases, so a coupling is compiled straight into
+basis coordinates.  Given any other callable, affine_matrix_system and
+mat_solution_basis evaluate it on every matrix unit instead; every
+condition of the package is a term list, and only tests and the
+benchmark pass closures.
 """
 
 from __future__ import annotations
@@ -836,21 +839,14 @@ def _contracted_system(field: Field, rows: int, cols: int, forms):
     return acc, off, Mat(field, off, 1, tuple(chain.from_iterable(rhs)))
 
 
-def _matrix_units(field: Field, rows: int, cols: int):
-    """The matrix units of k^{rows x cols}, in row-major order, made one at
-    a time."""
-    nunk = rows * cols
-    z, o = field.zero, field.one
-    for idx in range(nunk):
-        yield Mat(field, rows, cols, (z,) * idx + (o,) + (z,) * (nunk - idx - 1))
-
-
 def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat:
     """The matrix whose column idx is column(E_idx), a tuple of entries,
-    for each row-major matrix unit E_idx of k^{rows x cols}.  The columns
-    are transposed once; height is the row count when there is no unit."""
-    nunk = rows * cols
-    columns = map(column, _matrix_units(field, rows, cols))
+    for each row-major matrix unit E_idx of k^{rows x cols}, made one at a
+    time.  The columns are transposed once; height is the row count when
+    there is no unit."""
+    nunk, z, o = rows * cols, field.zero, field.one
+    columns = (column(Mat(field, rows, cols, (z,) * i + (o,) + (z,) * (nunk - i - 1)))
+               for i in range(nunk))
     entries = tuple([x for row in zip(*columns) for x in row])
     return Mat(field, len(entries) // nunk if nunk else height, nunk, entries)
 
@@ -897,15 +893,16 @@ def affine_matrix_system(field: Field, rows: int, cols: int, residual):
 
 @dataclass(frozen=True)
 class CompiledBilinear:
-    """f(X, Y) = beta(X, Y) + f(0, 0), beta bilinear, compiled to matrices.
+    """f(X, Y) = beta(X, Y) + f(0, 0), beta bilinear, compiled to matrices
+    in the coordinates of two bases: vec(X) = P x and vec(Y) = Q y.
 
-    X has n0 entries, Y has n1 and f's value r.  b is (n0*r) x n1 with
-    b[i*r + q, j] = vec(beta(E_i, E_j))[q] for the row-major matrix units
-    E_i of X and E_j of Y, and gamma = vec(f(0, 0)).  The layout is
-    row-major, so one set of entries serves either argument fixed:
-      X fixed at x:  A = reshape(vec(x)^T . reshape(b, n0 x r*n1), r x n1)
-      Y fixed at y:  A = reshape(b . vec(y), n0 x r)^T
-    and f(x, y) == 0 iff A vec(other argument) = -gamma.
+    x has n0 entries, y has n1 and f's value r.  b is (n0*r) x n1 with
+    b[i*r + q, j] = vec(beta(P_i, Q_j))[q] for the basis columns P_i and
+    Q_j, and gamma = vec(f(0, 0)).  The layout is row-major, so one set of
+    entries serves either argument fixed:
+      x fixed:  A = reshape(x^T . reshape(b, n0 x r*n1), r x n1)
+      y fixed:  A = reshape(b . y, n0 x r)^T
+    and f == 0 iff A (other coordinates) = -gamma.
     """
 
     n0: int
@@ -913,42 +910,43 @@ class CompiledBilinear:
     gamma: Mat
 
     def fix(self, k: int, value: Mat) -> Mat:
-        """A of the system in the free argument, argument k (0 = X) at value."""
+        """A of the system in the free argument, argument k (0 = X) at the
+        coordinate column value."""
         F, n0, r, n1 = self.b.field, self.n0, self.gamma.rows, self.b.cols
         if k == 0:
             row = Mat(F, 1, n0, value.entries)
             return Mat(F, r, n1, (row * Mat(F, n0, r * n1, self.b.entries)).entries)
-        return Mat(F, n0, r, (self.b * vec(value)).entries).t
+        return Mat(F, n0, r, (self.b * value).entries).t
 
 
-def compile_bilinear(field: Field, shape0, shape1, f) -> CompiledBilinear:
-    """Compile f(X, Y), X of shape0 and Y of shape1.
+def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> CompiledBilinear:
+    """Compile the term list f(X, Y), X of shape0 and Y of shape1, in the
+    coordinates of bases = (P, Q), whose columns are vectorized values of X
+    and of Y.
 
-    A term list, each term with one lift on each side, is contracted.  A
-    plain callable is assembled by one affine_matrix_system in Y with X at
-    zero and one with X at each matrix unit; it raises AssertionError if f
-    has a linear term in either argument.
+    The terms are contracted into the coefficient of X[u] Y[v] in each
+    entry q of the value, and each nonzero is projected onto the sparse
+    rows u of P and v of Q.  Each term must have one lift on each side.
     """
-    n0 = shape0[0] * shape0[1]
-    if isinstance(f, TermList):
-        r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
-        acc = {}
-        for t in f.terms:
-            _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
-        gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
-        return CompiledBilinear(n0, _dense(field, n0 * r, n1, acc), gamma)
-    zero = Mat.zeros(field, *shape0)
-    a0, rhs = affine_matrix_system(field, *shape1, lambda y: f(zero, y))
-    if not a0.is_zero():
-        raise AssertionError("coupling has a linear term in its second argument")
-    blocks = []
-    for unit in _matrix_units(field, *shape0):
-        a, b = affine_matrix_system(field, *shape1, lambda y: f(unit, y))
-        if b != rhs:
-            raise AssertionError("coupling has a linear term in its first argument")
-        blocks.append(a.entries)
-    return CompiledBilinear(n0, Mat(field, n0 * rhs.rows, a0.cols,
-                                    tuple(chain.from_iterable(blocks))), -rhs)
+    if any(sorted(lift.side for lift in t.lifts) != [0, 1] for t in f.terms):
+        raise ValueError("coupling term is not bilinear")
+    r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
+    acc, out = {}, {}
+    for t in f.terms:
+        _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
+    rows0, rows1 = (list(_row_dicts(m)) for m in bases)
+    d0, d1 = bases[0].cols, bases[1].cols
+    for idx, w in acc.items():
+        u, qv = divmod(idx, r * n1)
+        q, v = divmod(qv, n1)
+        for i, x in rows0[u].items():
+            wx, base = w * x, (i * r + q) * d1
+            for j, y in rows1[v].items():
+                out[base + j] = out.get(base + j, 0) + wx * y
+    prime = field.kind == "prime"
+    out = {i: y for i, x in out.items() if (y := x % field.p if prime else x)}
+    gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
+    return CompiledBilinear(d0, _dense(field, d0 * r, d1, out), gamma)
 
 
 def basis_columns(field: Field, basis: Mat, rows: int, cols: int):

@@ -9,14 +9,15 @@ second half holds the morphism conditions of the hom spaces of
 `algstruct`, `comodcat` and `contracat`, the coinvariant conditions of
 `measuring` and the Maschke probe's perturbation conditions, as the
 package stated them before they became term lists.  All are plain
-compositions of `kron` and products, so `affine_matrix_system`,
-`mat_solution_basis` and `compile_bilinear` assemble them by evaluation
-on matrix units, independently of the contraction of the term lists.
+compositions of `kron` and products, so `affine_matrix_system` and
+`mat_solution_basis` assemble them by evaluation on matrix units, and
+`coupling_system` evaluates a coupling at pairs of basis vectors, both
+independently of the contraction of the term lists.
 """
 
 from __future__ import annotations
 
-from entwine.exactlin import Mat, kron, vec, vstack
+from entwine.exactlin import Mat, basis_columns, kron, vec, vstack
 from entwine.contracat import under
 from entwine.entwining import Entwining
 from entwine.criteria import coevaluation
@@ -147,6 +148,36 @@ def frobenius_couplings_co(e: Entwining):
         return kron(r, i_n) * kron(i_c, th) * comult - const
 
     return [through_psi, direct]
+
+
+def coupling_system(f, shapes, bases):
+    """fix(k, u), the matrix A of the coupling f, bilinear plus a
+    constant, in the coordinates of bases = (P, Q), with argument k fixed
+    at the coordinate column u: f == 0 iff A (other coordinates) =
+    -vec(f(0, 0)).
+
+    Block j has column l equal to vec(f(P_j, Q_l)) - vec(f(0, 0)), P_j and
+    Q_l the basis columns as matrices.  With the first argument fixed, A
+    is the sum of u_j times block j; with the second, column j of A is
+    block j times u."""
+    F = bases[0].field
+    ps, qs = (basis_columns(F, b, *shape) for b, shape in zip(bases, shapes))
+    f0 = vec(f(*(Mat.zeros(F, *shape) for shape in shapes)))
+
+    def from_columns(cols, width):
+        return Mat(F, f0.rows, width, tuple(x for row in zip(*cols) for x in row))
+
+    blocks = [from_columns([(vec(f(p, q)) - f0).entries for q in qs], len(qs)) for p in ps]
+
+    def fix(k: int, u: Mat) -> Mat:
+        if k == 0:
+            out = Mat.zeros(F, f0.rows, len(qs))
+            for x, block in zip(u.entries, blocks):
+                out = out + block.scale(x)
+            return out
+        return from_columns([(block * u).entries for block in blocks], len(ps))
+
+    return fix
 
 
 def cointegral_residuals(e: Entwining):

@@ -4,10 +4,11 @@ Every identity of `entwine.criteria` is a term list (`exactlin.TermList`):
 `affine_matrix_system` and `mat_solution_basis` build its system by leg
 contraction, and `compile_bilinear` compiles a coupling the same way.  The
 reference is the closure of the same identity in `reference_residuals`,
-which those functions assemble by evaluation on matrix units.  Both must
-give the same (A, b), solution basis, B and gamma entry for entry, and the
-same value at random unknowns, on the corpus entwinings over Q, F_2 and
-F_5.
+which the first two functions assemble by evaluation on matrix units,
+and which `coupling_system` evaluates at pairs of random basis vectors
+for a coupling.  Both must give the same (A, b), solution basis,
+fixed-argument system and gamma entry for entry, and the same value at
+random unknowns, on the corpus entwinings over Q, F_2 and F_5.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 
 from entwine import criteria
 from entwine.exactlin import (
-    Field, Mat, affine_matrix_system, compile_bilinear, mat_solution_basis,
+    Field, Mat, affine_matrix_system, compile_bilinear, mat_solution_basis, vec,
 )
 import reference_residuals as ref
 from corpus import entwinings
@@ -94,8 +95,18 @@ def test_contracted_couplings_match_unit_assembly(name, fname, variance):
     shapes_of, forms_of, closures_of = FROBENIUS[variance]
     shapes = shapes_of(e.alg.dim, e.coalg.dim)
     rng = random.Random("%s-%s-%s" % (name, fname, variance))
+    # Random square bases: every basis entry, not just 0 and 1, is
+    # projected through.
+    bases = [random_value(F, rng, (rows * cols, rows * cols)) for rows, cols in shapes]
     for form, closure in zip(forms_of(e), closures_of(e)):
-        assert compile_bilinear(F, *shapes, form) == compile_bilinear(F, *shapes, closure)
+        cb = compile_bilinear(F, *shapes, form, bases)
+        fix = ref.coupling_system(closure, shapes, bases)
+        assert cb.gamma == vec(closure(*(Mat.zeros(F, *shape) for shape in shapes)))
+        for k, (rows, cols) in enumerate(shapes):
+            d = rows * cols
+            for u in ([Mat.zeros(F, d, 1), random_value(F, rng, (d, 1))]
+                      + [Mat.identity(F, d).col_mat(i) for i in range(d)]):
+                assert cb.fix(k, u) == fix(k, u)
         for _ in range(2):
             x, y = (random_value(F, rng, shape) for shape in shapes)
             assert form(x, y) == closure(x, y)

@@ -129,3 +129,11 @@ def test_rho_sweep_hit_when_rho_space_is_smaller():
     assert v.log[1:] == ("strategy 1: no membership basis vector extends",
                          "strategy 2: alternation exhausted without a witness",
                          "strategy 3: enumeration hit (1, 1, 1, 0)")
+
+
+def test_sigma_sweep_hit_on_regular_dk_kz5_over_f5():
+    # |G| = 5: the sweep runs 5^5 candidates in membership coordinates and
+    # hits at the all-ones point.
+    v = both_sides(regular_doi_koppinen(group_algebra(5, Field.prime(5))))
+    assert v.found
+    assert v.log[-1] == "strategy 3: enumeration hit (1, 1, 1, 1, 1)"
