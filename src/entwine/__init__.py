@@ -7,11 +7,11 @@ procedures for separability, Frobenius properties, cointegrals and
 Maschke-type splittings.  All arithmetic is exact, over Q or F_p.
 """
 
-from .exactlin import Field, Mat, Tensor, kron, flip
+from .exactlin import Field, Mat, kron, flip
 from .report import Check, Report
 
 __all__ = [
-    "Field", "Mat", "Tensor", "kron", "flip",
+    "Field", "Mat", "kron", "flip",
     "Check", "Report",
 ]
 

@@ -22,10 +22,18 @@ Each sparse entry lists basis indices followed by a scalar; mult entry
 [i,j,k,s] says the product of basis vectors i and j contains k with
 coefficient s, comult entry [i,j,k,s] says basis vector i maps to the
 pair (j,k), psi entry [c,a,a2,c2,s] sends the pair (c,a) to (a2,c2),
-and so on with inputs before outputs in reading order.  Scalars are
-ints or strings like "3/4"; omitted entries are zero; indices are
-0-based.  Structure keys may be left out entirely (zero map), so a
-minimal algebra is {"dim": 1}.
+and so on with inputs before outputs in reading order.  Omitted
+entries are zero; indices are 0-based.  Structure keys may be left out
+entirely (zero map), so a minimal algebra is {"dim": 1}.
+
+A scalar is a JSON int, or a string holding an int, a fraction such as
+"-3/4" or a decimal such as "0.25"; exponent forms such as "1e3" are
+refused.  The prime p must be below 2^64.  A dim may not exceed the
+square root of MAX_DENSE_ENTRIES, nor may the entry count of any map.
+
+The table _KINDS below is the format's single statement: parsing,
+serialization, the Workspace fields and the order of `check` all read
+it.
 
 Exit codes: 0 all checks pass / verdicts FOUND, 1 a check fails or a
 verdict is NONE, 2 a verdict is UNKNOWN, 3 unusable input.  Reports
@@ -41,11 +49,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
-from itertools import product
+from operator import attrgetter
+from types import SimpleNamespace
 
-from .exactlin import Field, Mat, Tensor, rank
+from .exactlin import Field, Mat, rank
 from .algstruct import (
     Algebra, Coalgebra, Comodule, check_algebra, check_coalgebra,
     check_comodule,
@@ -80,7 +89,7 @@ class InputError(ValueError):
 MAX_DENSE_ENTRIES = 1 << 24
 
 
-# -- scalar and tensor encoding ---------------------------------------
+# -- scalars and structure maps ---------------------------------------
 
 
 def _scalar_in(f: Field, x, where: str):
@@ -100,47 +109,56 @@ def _scalar_out(f: Field, x):
     return str(x)
 
 
-def _sparse_in(f: Field, entries, file_shape, perm, n_out, where: str) -> Mat:
-    """Entry lists in file leg order; `perm` lists which file leg each
-    internal tensor leg reads, the first n_out internal legs being the
-    output of the map.  A map too large for MAX_DENSE_ENTRIES is refused
-    before anything is allocated."""
-    size = math.prod(file_shape)
+def _matrix_legs(shape, n_in: int) -> tuple:
+    """File leg positions in matrix order: the outputs, then the inputs."""
+    return tuple(range(n_in, len(shape))) + tuple(range(n_in))
+
+
+def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> tuple:
+    """Dense entries of a map from its nonzeros [i_1, ..., i_k, s], in file
+    leg order with the first n_in legs the input.  The matrix rows run over
+    the output legs and the columns over the input legs, each first-leg
+    major, so an entry sits at the flat index of its legs in matrix order.
+    A map too large for MAX_DENSE_ENTRIES is refused before anything is
+    allocated."""
+    size = math.prod(shape)
     if size * size > MAX_DENSE_ENTRIES:
         raise InputError(where, "%d entries imply dense matrices over the limit "
                          "of %d entries" % (size, MAX_DENSE_ENTRIES))
     if not isinstance(entries, list):
         raise InputError(where, "expected a list of entries")
-    items = []
+    order = _matrix_legs(shape, n_in)
+    data, duplicate = {}, None
     for t, ent in enumerate(entries):
         spot = "%s entry #%d" % (where, t)
-        if not isinstance(ent, list) or len(ent) != len(file_shape) + 1:
-            raise InputError(spot, "expected [%d indices, scalar]" % len(file_shape))
-        idx = ent[:-1]
-        for i, d in zip(idx, file_shape):
+        if not isinstance(ent, list) or len(ent) != len(shape) + 1:
+            raise InputError(spot, "expected [%d indices, scalar]" % len(shape))
+        for i, d in zip(ent, shape):
             if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < d:
                 raise InputError(spot, "index %r outside [0, %d)" % (i, d))
-        items.append((tuple(idx[p] for p in perm), _scalar_in(f, ent[-1], spot)))
-    shape = tuple(file_shape[p] for p in perm)
-    try:
-        return Tensor.from_items(f, shape, items).flatten(n_out)
-    except ValueError as ex:
-        raise InputError(where, str(ex))
+        flat = 0
+        for p in order:
+            flat = flat * shape[p] + ent[p]
+        if flat in data and duplicate is None:
+            duplicate = tuple(ent[p] for p in order)
+        data[flat] = _scalar_in(f, ent[-1], spot)
+    if duplicate is not None:
+        raise InputError(where, "duplicate entry at index %r" % (duplicate,))
+    return tuple(data.get(flat, f.zero) for flat in range(size))
 
 
-def _sparse_out(m: Mat, internal_shape, perm, n_out) -> list:
-    t = Tensor.from_mat(m, internal_shape[:n_out], internal_shape[n_out:])
+def _sparse_out(m: Mat, shape, n_in: int) -> list:
+    order = _matrix_legs(shape, n_in)
     out = []
-    for multi in product(*(range(d) for d in internal_shape)):
-        s = t[multi]
+    for flat, s in enumerate(m.entries):
         if s == m.field.zero:
             continue
-        file_idx = [0] * len(perm)
-        for pos, p in enumerate(perm):
-            file_idx[p] = multi[pos]
-        out.append((tuple(file_idx), s))
+        idx = [0] * len(shape)
+        for p in reversed(order):
+            flat, idx[p] = divmod(flat, shape[p])
+        out.append((idx, s))
     out.sort(key=lambda pair: pair[0])
-    return [list(idx) + [_scalar_out(m.field, s)] for idx, s in out]
+    return [idx + [_scalar_out(m.field, s)] for idx, s in out]
 
 
 def _vector_in(f: Field, xs, dim, where: str) -> tuple:
@@ -151,40 +169,104 @@ def _vector_in(f: Field, xs, dim, where: str) -> tuple:
     return tuple(_scalar_in(f, x, "%s[%d]" % (where, i)) for i, x in enumerate(xs))
 
 
-# File leg order of each structure map, with the internal leg
-# permutation and output arity.  Maps written [inputs..., output, s]
-# share (2, 0, 1) / 1; maps written [input, outputs..., s] share
-# (1, 2, 0) / 2; psi carries two legs each way.
-_OUTPUT_LAST = ((2, 0, 1), 1)
-_INPUT_FIRST = ((1, 2, 0), 2)
-_PSI_LEGS = ((2, 3, 0, 1), 2)
+# Layouts: how many of a map's file legs, counted from the start, are its
+# input, and whether the file lists every entry (a vector) rather than
+# the nonzeros.  Maps written [inputs..., output, s] have two input legs,
+# maps written [input, outputs..., s] one, and psi two of its four.
+_OUTPUT_LAST = (2, False)
+_INPUT_FIRST = (1, False)
+_PSI_LEGS = (2, False)
+_COLUMN = (0, True)
+_ROW = (1, True)
+
+
+def _map_in(f: Field, spec: dict, key: str, shape, layout, where: str) -> Mat:
+    n_in, dense = layout
+    if dense:
+        values = _vector_in(f, spec.get(key), shape[0], where)
+    else:
+        values = _sparse_in(f, spec.get(key, []), shape, n_in, where)
+    return Mat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]), values)
+
+
+def _map_out(m: Mat, shape, layout):
+    n_in, dense = layout
+    if dense:
+        return [_scalar_out(m.field, x) for x in m.entries]
+    return _sparse_out(m, shape, n_in)
+
+
+def _shape(obj, legs) -> tuple:
+    """The dim of each file leg, an attribute path from the object."""
+    return tuple(attrgetter(leg)(obj) for leg in legs)
+
+
+# -- the format -------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One table of a workspace file.
+
+    refs: (JSON key, target table, attribute) of each reference.  maps:
+    (JSON key, which is also the attribute; file legs; layout) of each
+    structure map, a leg being the attribute path of its dim.  The class
+    takes the references (the field when there are none), then the dim,
+    then the maps.
+    """
+
+    key: str
+    make: type
+    check: object
+    refs: tuple
+    has_dim: bool
+    maps: tuple
+
+
+_ALG = ("algebra", "algebras", "alg")
+_COALG = ("coalgebra", "coalgebras", "coalg")
+_ENT = ("entwining", "entwinings", "ent")
+
+# In read order: a table refers only to the tables above it.
+_KINDS = (
+    _Kind("algebras", Algebra, check_algebra, (), True, (
+        ("mult", ("dim", "dim", "dim"), _OUTPUT_LAST),
+        ("unit", ("dim",), _COLUMN))),
+    _Kind("coalgebras", Coalgebra, check_coalgebra, (), True, (
+        ("comult", ("dim", "dim", "dim"), _INPUT_FIRST),
+        ("counit", ("dim",), _ROW))),
+    _Kind("entwinings", Entwining, check_entwining, (_ALG, _COALG), False, (
+        ("psi", ("coalg.dim", "alg.dim", "alg.dim", "coalg.dim"), _PSI_LEGS),)),
+    _Kind("modules", EntwinedModule, check_entwined_module, (_ENT,), True, (
+        ("action", ("dim", "ent.alg.dim", "dim"), _OUTPUT_LAST),
+        ("coaction", ("dim", "dim", "ent.coalg.dim"), _INPUT_FIRST))),
+    _Kind("contramodules", EntwinedContraModule, check_entwined_contramodule,
+          (_ENT,), True, (
+              ("pi", ("dim", "ent.coalg.dim", "dim"), _OUTPUT_LAST),
+              ("action", ("ent.alg.dim", "dim", "dim"), _OUTPUT_LAST))),
+    _Kind("comodules", Comodule, check_comodule, (_COALG,), True, (
+        ("coaction", ("dim", "dim", "coalg.dim"), _INPUT_FIRST),)),
+    _Kind("measurings", Measuring, check_measuring,
+          (("src", "entwinings", "src"), ("dst", "entwinings", "dst")), False, (
+              ("alpha", ("src.coalg.dim", "src.alg.dim", "dst.alg.dim"), _OUTPUT_LAST),
+              ("gamma", ("src.coalg.dim", "dst.alg.dim", "dst.coalg.dim"),
+               _INPUT_FIRST))),
+    _Kind("galois", GaloisData, lambda g: check_comodule(g.as_comodule()),
+          (_ALG, _COALG), False, (
+              ("coaction", ("alg.dim", "alg.dim", "coalg.dim"), _INPUT_FIRST),)),
+)
+
+_TOP_KEYS = ("field",) + tuple(kind.key for kind in _KINDS)
 
 
 # -- workspace --------------------------------------------------------
 
 
-@dataclass
-class Workspace:
-    field: Field
-    algebras: dict
-    coalgebras: dict
-    entwinings: dict
-    modules: dict
-    contramodules: dict
-    comodules: dict
-    measurings: dict
-    galois: dict
-
-    def tables(self):
-        return (("algebras", self.algebras), ("coalgebras", self.coalgebras),
-                ("entwinings", self.entwinings), ("modules", self.modules),
-                ("contramodules", self.contramodules),
-                ("comodules", self.comodules),
-                ("measurings", self.measurings), ("galois", self.galois))
-
-
-_TOP_KEYS = ("field", "algebras", "coalgebras", "entwinings", "modules",
-             "contramodules", "comodules", "measurings", "galois")
+Workspace = make_dataclass(
+    "Workspace", [("field", Field)] + [(kind.key, dict) for kind in _KINDS],
+    namespace={"__module__": __name__,
+               "tables": lambda self: tuple((kind.key, getattr(self, kind.key))
+                                            for kind in _KINDS)})
 
 
 def _obj(doc, where, required, optional=()):
@@ -196,13 +278,17 @@ def _obj(doc, where, required, optional=()):
     for k in required:
         if k not in doc:
             raise InputError(where, "missing key %r" % (k,))
-    return doc
 
 
 def _dim_of(doc, where) -> int:
     d = doc["dim"]
     if isinstance(d, bool) or not isinstance(d, int) or d < 0:
         raise InputError(where, "dim must be a non-negative int, got %r" % (d,))
+    # Over a zero-dimensional algebra or coalgebra every map is empty, so
+    # only this bounds the dim x dim identities the checks build.
+    if d * d > MAX_DENSE_ENTRIES:
+        raise InputError(where + ".dim", "dim %d implies dense matrices over the "
+                         "limit of %d entries" % (d, MAX_DENSE_ENTRIES))
     return d
 
 
@@ -243,6 +329,25 @@ def field_as_dict(f: Field) -> dict:
     return {"kind": "rational"} if f.kind == "rational" else {"kind": "prime", "p": f.p}
 
 
+def _object_in(kind: _Kind, where: str, spec, f: Field, tables: dict):
+    _obj(spec, where, tuple(key for key, _, _ in kind.refs) + ("dim",) * kind.has_dim,
+         tuple(key for key, _, _ in kind.maps))
+    refs = [_ref(tables[table], spec[key], table[:-1], where)
+            for key, table, _ in kind.refs]
+    env = SimpleNamespace(**{attr: ref for (_, _, attr), ref in zip(kind.refs, refs)})
+    args = refs or [f]
+    if kind.has_dim:
+        env.dim = _dim_of(spec, where)
+        args.append(env.dim)
+    for key, legs, layout in kind.maps:
+        args.append(_map_in(f, spec, key, _shape(env, legs), layout,
+                            "%s.%s" % (where, key)))
+    try:
+        return kind.make(*args)
+    except ValueError as ex:
+        raise InputError(where, str(ex))
+
+
 def parse_workspace(path: str, override: Field = None) -> Workspace:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -251,6 +356,9 @@ def parse_workspace(path: str, override: Field = None) -> Workspace:
         raise InputError(path, str(ex))
     except json.JSONDecodeError as ex:
         raise InputError("%s:%d:%d" % (path, ex.lineno, ex.colno), ex.msg)
+    except (ValueError, RecursionError) as ex:
+        # not UTF-8, an int literal too long to convert, or nested too deep
+        raise InputError(path, str(ex))
     if not isinstance(doc, dict):
         raise InputError(path, "top level must be an object")
     for k in doc:
@@ -261,176 +369,42 @@ def parse_workspace(path: str, override: Field = None) -> Workspace:
     f = _field_in(doc["field"])
     if override is not None:
         f = override
-
-    def build(key, builder):
-        out = {}
-        for name, spec in _table_in(doc, key).items():
-            out[name] = builder("%s.%s" % (key, name), spec, f)
-        return out
-
-    def wrap(where, make):
-        try:
-            return make()
-        except InputError:
-            raise
-        except ValueError as ex:
-            raise InputError(where, str(ex))
-
-    def algebra(where, spec, f):
-        _obj(spec, where, ("dim",), ("unit", "mult"))
-        n = _dim_of(spec, where)
-        mult = _sparse_in(f, spec.get("mult", []), (n, n, n),
-                          *_OUTPUT_LAST, where + ".mult")
-        unit = Mat(f, n, 1, _vector_in(f, spec.get("unit"), n, where + ".unit"))
-        return wrap(where, lambda: Algebra(f, n, mult, unit))
-
-    def coalgebra(where, spec, f):
-        _obj(spec, where, ("dim",), ("counit", "comult"))
-        c = _dim_of(spec, where)
-        comult = _sparse_in(f, spec.get("comult", []), (c, c, c),
-                            *_INPUT_FIRST, where + ".comult")
-        counit = Mat(f, 1, c, _vector_in(f, spec.get("counit"), c, where + ".counit"))
-        return wrap(where, lambda: Coalgebra(f, c, comult, counit))
-
-    algebras = build("algebras", algebra)
-    coalgebras = build("coalgebras", coalgebra)
-
-    def entwining(where, spec, f):
-        _obj(spec, where, ("algebra", "coalgebra"), ("psi",))
-        a = _ref(algebras, spec["algebra"], "algebra", where)
-        c = _ref(coalgebras, spec["coalgebra"], "coalgebra", where)
-        psi = _sparse_in(f, spec.get("psi", []), (c.dim, a.dim, a.dim, c.dim),
-                         *_PSI_LEGS, where + ".psi")
-        return wrap(where, lambda: Entwining(a, c, psi))
-
-    entwinings = build("entwinings", entwining)
-
-    def module(where, spec, f):
-        _obj(spec, where, ("entwining", "dim"), ("action", "coaction"))
-        e = _ref(entwinings, spec["entwining"], "entwining", where)
-        m = _dim_of(spec, where)
-        action = _sparse_in(f, spec.get("action", []), (m, e.alg.dim, m),
-                            *_OUTPUT_LAST, where + ".action")
-        coaction = _sparse_in(f, spec.get("coaction", []), (m, m, e.coalg.dim),
-                              *_INPUT_FIRST, where + ".coaction")
-        return wrap(where, lambda: EntwinedModule(e, m, action, coaction))
-
-    def contramodule(where, spec, f):
-        _obj(spec, where, ("entwining", "dim"), ("pi", "action"))
-        e = _ref(entwinings, spec["entwining"], "entwining", where)
-        m = _dim_of(spec, where)
-        pi = _sparse_in(f, spec.get("pi", []), (m, e.coalg.dim, m),
-                        *_OUTPUT_LAST, where + ".pi")
-        action = _sparse_in(f, spec.get("action", []), (e.alg.dim, m, m),
-                            *_OUTPUT_LAST, where + ".action")
-        return wrap(where, lambda: EntwinedContraModule(e, m, pi, action))
-
-    def comodule(where, spec, f):
-        _obj(spec, where, ("coalgebra", "dim"), ("coaction",))
-        c = _ref(coalgebras, spec["coalgebra"], "coalgebra", where)
-        m = _dim_of(spec, where)
-        coaction = _sparse_in(f, spec.get("coaction", []), (m, m, c.dim),
-                              *_INPUT_FIRST, where + ".coaction")
-        return wrap(where, lambda: Comodule(c, m, coaction))
-
-    def measuring(where, spec, f):
-        _obj(spec, where, ("src", "dst"), ("alpha", "gamma"))
-        src = _ref(entwinings, spec["src"], "entwining", where)
-        dst = _ref(entwinings, spec["dst"], "entwining", where)
-        alpha = _sparse_in(f, spec.get("alpha", []),
-                           (src.coalg.dim, src.alg.dim, dst.alg.dim),
-                           *_OUTPUT_LAST, where + ".alpha")
-        gamma = _sparse_in(f, spec.get("gamma", []),
-                           (src.coalg.dim, dst.alg.dim, dst.coalg.dim),
-                           *_INPUT_FIRST, where + ".gamma")
-        return wrap(where, lambda: Measuring(src, dst, alpha, gamma))
-
-    def galois(where, spec, f):
-        _obj(spec, where, ("algebra", "coalgebra"), ("coaction",))
-        a = _ref(algebras, spec["algebra"], "algebra", where)
-        c = _ref(coalgebras, spec["coalgebra"], "coalgebra", where)
-        coaction = _sparse_in(f, spec.get("coaction", []), (a.dim, a.dim, c.dim),
-                              *_INPUT_FIRST, where + ".coaction")
-        return wrap(where, lambda: GaloisData(a, c, coaction))
-
-    return Workspace(f, algebras, coalgebras, entwinings,
-                     build("modules", module),
-                     build("contramodules", contramodule),
-                     build("comodules", comodule),
-                     build("measurings", measuring),
-                     build("galois", galois))
+    tables = {}
+    for kind in _KINDS:
+        tables[kind.key] = {
+            name: _object_in(kind, "%s.%s" % (kind.key, name), spec, f, tables)
+            for name, spec in _table_in(doc, kind.key).items()}
+    return Workspace(f, **tables)
 
 
 def workspace_as_dict(ws: Workspace) -> dict:
     """Canonical file form: names sorted, zero entries dropped."""
-    f = ws.field
-    ent_names = {id(e): name for name, e in ws.entwinings.items()}
-    alg_names = {id(a): name for name, a in ws.algebras.items()}
-    coalg_names = {id(c): name for name, c in ws.coalgebras.items()}
+    names = {key: {id(obj): name for name, obj in table.items()}
+             for key, table in ws.tables()}
 
-    def name_of(names, obj, table, kind):
-        key = names.get(id(obj))
-        if key is not None:
-            return key
-        for n, other in table.items():
+    def name_of(key, obj):
+        name = names[key].get(id(obj))
+        if name is not None:
+            return name
+        for name, other in getattr(ws, key).items():
             if other == obj:
-                return n
-        raise InputError("serialize", "%s is not named in the workspace" % kind)
+                return name
+        raise InputError("serialize", "%s is not named in the workspace" % key[:-1])
 
-    def vec_out(m: Mat):
-        return [_scalar_out(f, x) for x in m.entries]
+    def one(kind, obj):
+        out = {key: name_of(table, getattr(obj, attr)) for key, table, attr in kind.refs}
+        if kind.has_dim:
+            out["dim"] = obj.dim
+        for key, legs, layout in kind.maps:
+            out[key] = _map_out(getattr(obj, key), _shape(obj, legs), layout)
+        return {k: v for k, v in out.items() if v != []}
 
-    doc = {"field": field_as_dict(f)}
-
-    def put(key, table, one):
+    doc = {"field": field_as_dict(ws.field)}
+    for kind in _KINDS:
+        table = getattr(ws, kind.key)
         if table:
-            doc[key] = {name: one(obj) for name, obj in sorted(table.items())}
-
-    put("algebras", ws.algebras, lambda a: _drop_empty({
-        "dim": a.dim, "unit": vec_out(a.unit),
-        "mult": _sparse_out(a.mult, (a.dim, a.dim, a.dim), *_OUTPUT_LAST)}))
-    put("coalgebras", ws.coalgebras, lambda c: _drop_empty({
-        "dim": c.dim, "counit": vec_out(c.counit),
-        "comult": _sparse_out(c.comult, (c.dim, c.dim, c.dim), *_INPUT_FIRST)}))
-    put("entwinings", ws.entwinings, lambda e: _drop_empty({
-        "algebra": name_of(alg_names, e.alg, ws.algebras, "algebra"),
-        "coalgebra": name_of(coalg_names, e.coalg, ws.coalgebras, "coalgebra"),
-        "psi": _sparse_out(e.psi, (e.alg.dim, e.coalg.dim, e.coalg.dim, e.alg.dim),
-                           *_PSI_LEGS)}))
-    put("modules", ws.modules, lambda x: _drop_empty({
-        "entwining": name_of(ent_names, x.ent, ws.entwinings, "entwining"),
-        "dim": x.dim,
-        "action": _sparse_out(x.action, (x.dim, x.dim, x.ent.alg.dim), *_OUTPUT_LAST),
-        "coaction": _sparse_out(x.coaction, (x.dim, x.ent.coalg.dim, x.dim),
-                                *_INPUT_FIRST)}))
-    put("contramodules", ws.contramodules, lambda x: _drop_empty({
-        "entwining": name_of(ent_names, x.ent, ws.entwinings, "entwining"),
-        "dim": x.dim,
-        "pi": _sparse_out(x.pi, (x.dim, x.dim, x.ent.coalg.dim), *_OUTPUT_LAST),
-        "action": _sparse_out(x.action, (x.dim, x.ent.alg.dim, x.dim),
-                              *_OUTPUT_LAST)}))
-    put("comodules", ws.comodules, lambda x: _drop_empty({
-        "coalgebra": name_of(coalg_names, x.coalg, ws.coalgebras, "coalgebra"),
-        "dim": x.dim,
-        "coaction": _sparse_out(x.coaction, (x.dim, x.coalg.dim, x.dim),
-                                *_INPUT_FIRST)}))
-    put("measurings", ws.measurings, lambda m: _drop_empty({
-        "src": name_of(ent_names, m.src, ws.entwinings, "entwining"),
-        "dst": name_of(ent_names, m.dst, ws.entwinings, "entwining"),
-        "alpha": _sparse_out(m.alpha, (m.dst.alg.dim, m.src.coalg.dim,
-                                       m.src.alg.dim), *_OUTPUT_LAST),
-        "gamma": _sparse_out(m.gamma, (m.dst.alg.dim, m.dst.coalg.dim,
-                                       m.src.coalg.dim), *_INPUT_FIRST)}))
-    put("galois", ws.galois, lambda g: _drop_empty({
-        "algebra": name_of(alg_names, g.alg, ws.algebras, "algebra"),
-        "coalgebra": name_of(coalg_names, g.coalg, ws.coalgebras, "coalgebra"),
-        "coaction": _sparse_out(g.coaction, (g.alg.dim, g.coalg.dim, g.alg.dim),
-                                *_INPUT_FIRST)}))
+            doc[kind.key] = {name: one(kind, obj) for name, obj in sorted(table.items())}
     return doc
-
-
-def _drop_empty(d: dict) -> dict:
-    return {k: v for k, v in d.items() if v != [] and v is not None}
 
 
 def serialize_workspace(ws: Workspace) -> str:
@@ -455,18 +429,6 @@ def _dump(val, ind: int) -> str:
 # -- dispatch ---------------------------------------------------------
 
 
-_CHECKERS = {
-    "algebras": check_algebra,
-    "coalgebras": check_coalgebra,
-    "entwinings": check_entwining,
-    "modules": check_entwined_module,
-    "contramodules": check_entwined_contramodule,
-    "comodules": check_comodule,
-    "measurings": check_measuring,
-    "galois": lambda g: check_comodule(g.as_comodule()),
-}
-
-
 def _lookup(table: dict, name: str, kind: str):
     if name not in table:
         raise InputError(name, "no %s with this name" % kind)
@@ -484,10 +446,10 @@ def _verdict_exit(statuses) -> int:
 def _cmd_check(ws: Workspace, args):
     wanted = list(args.names)
     subjects = []
-    for key, table in ws.tables():
-        for name, obj in table.items():
+    for kind in _KINDS:
+        for name, obj in getattr(ws, kind.key).items():
             if not wanted or name in wanted:
-                subjects.append((key, name, obj))
+                subjects.append((kind, name, obj))
     for name in wanted:
         if not any(n == name for _, n, _ in subjects):
             raise InputError(name, "no object with this name")
@@ -495,10 +457,10 @@ def _cmd_check(ws: Workspace, args):
         raise InputError("check", "workspace has no objects")
     reports = []
     ok = True
-    for key, name, obj in subjects:
-        rep = _CHECKERS[key](obj)
+    for kind, name, obj in subjects:
+        rep = kind.check(obj)
         ok = ok and rep.passed
-        reports.append({"kind": key, "subject": name, "report": rep.as_dict()})
+        reports.append({"kind": kind.key, "subject": name, "report": rep.as_dict()})
     return {"reports": reports}, (0 if ok else 1)
 
 

@@ -234,39 +234,6 @@ def _w1_norm(e: Entwining):
                     -(e.alg.unit * e.coalg.counit))
 
 
-def _system_matrix(e: Entwining, rows: int, cols: int, residuals) -> Mat:
-    a, b = affine_matrix_system(e.field, rows, cols, residuals)
-    if not b.is_zero():
-        raise AssertionError("membership system must be homogeneous")
-    return a
-
-
-def v1_conditions(e: Entwining) -> Mat:
-    """Homogeneous system on the coordinates of s = e^T whose kernel is
-    the space of admissible contramodule-side sigma families."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _system_matrix(e, c * n, 1, _v1_residual(e))
-
-
-def v1p_conditions(e: Entwining) -> Mat:
-    """Comodule-side counterpart of v1_conditions, on the coordinates of e."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _system_matrix(e, 1, c * n, _v1p_residual(e))
-
-
-def w1_conditions(e: Entwining) -> Mat:
-    """Homogeneous system on the entries of theta cutting out admissible
-    contramodule-side rho families."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _system_matrix(e, n * n, c, _w1_residuals(e))
-
-
-def w1p_conditions(e: Entwining) -> Mat:
-    """Comodule-side counterpart of w1_conditions."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _system_matrix(e, n * n, c, _w1p_residuals(e))
-
-
 # -- separability deciders --------------------------------------------
 
 

@@ -17,9 +17,8 @@ SparseRows), solve_affine, inverse and cokernel all go through it, and
 every kernel basis is read off its result the same way (_kernel).  The
 form is unique, so none of them depends on the order rows are reduced in.
 
-Tensor legs flatten first-factor-major: the flat index of (i1, ..., ik)
-over shape (d1, ..., dk) is ((i1*d2 + i2)*d3 + ...). kron follows the same
-convention, so kron(f, g) is the matrix of f (x) g on flattened legs.
+Tensor factors flatten first-factor-major: kron(f, g) is the matrix of
+f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
 
 An identity linear in an unknown matrix X is stated once as a term list
 (TermList) in the normal form
@@ -60,14 +59,31 @@ _Q0 = Fraction(0)
 _Q1 = Fraction(1)
 
 
+# Prime moduli stay below 2^64, where Miller-Rabin with the first twelve
+# primes as bases is exact (it is exact below 3.3e24).
+_MODULUS_BOUND = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for w in _WITNESSES:
+        if p % w == 0:
+            return p == w
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for w in _WITNESSES:
+        x = pow(w, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -84,6 +100,8 @@ class Field:
 
     @staticmethod
     def prime(p: int) -> "Field":
+        if p >= _MODULUS_BOUND:
+            raise ValueError("modulus %r is not below 2^64" % (p,))
         if not _is_prime(p):
             raise ValueError("modulus %r is not prime" % (p,))
         return Field("prime", p)
@@ -141,10 +159,15 @@ class Field:
         return str(a)
 
     def parse(self, s):
+        """An int, or a string of an int, a fraction "-3/4" or a decimal
+        "0.25".  Exponent forms are refused: "1e3000000" alone would
+        build a ten-million-bit numerator."""
         if isinstance(s, int) and not isinstance(s, bool):
             return self.of(s)
         if not isinstance(s, str):
             raise ValueError("scalar must be an int or a string, got %r" % (s,))
+        if "e" in s or "E" in s:
+            raise ValueError("malformed scalar %r" % (s,))
         try:
             q = Fraction(s.strip())
         except (ValueError, ZeroDivisionError):
@@ -952,96 +975,3 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
 def basis_columns(field: Field, basis: Mat, rows: int, cols: int):
     """Iterate the columns of a vectorized basis as rows x cols matrices."""
     return [unvec(field, basis.col_mat(j), rows, cols) for j in range(basis.cols)]
-
-
-# -- tensors ----------------------------------------------------------
-
-
-def _strides(shape):
-    s = [1] * len(shape)
-    for i in range(len(shape) - 2, -1, -1):
-        s[i] = s[i + 1] * shape[i + 1]
-    return s
-
-
-def multi_to_flat(multi, shape) -> int:
-    flat = 0
-    for i, d in zip(multi, shape):
-        if not (0 <= i < d):
-            raise IndexError("index %r out of range for shape %r" % (multi, shape))
-        flat = flat * d + i
-    return flat
-
-
-@dataclass(frozen=True)
-class Tensor:
-    """Dense tensor, row-major entries (first leg major)."""
-
-    field: Field
-    shape: tuple
-    entries: tuple
-
-    @staticmethod
-    def from_items(field: Field, shape, items) -> "Tensor":
-        shape = tuple(shape)
-        size = 1
-        for d in shape:
-            size *= d
-        data = [field.zero] * size
-        seen = set()
-        for multi, scalar in items:
-            multi = tuple(multi)
-            if len(multi) != len(shape):
-                raise ValueError("index %r has wrong arity for shape %r" % (multi, shape))
-            flat = multi_to_flat(multi, shape)
-            if flat in seen:
-                raise ValueError("duplicate entry at index %r" % (multi,))
-            seen.add(flat)
-            data[flat] = field.of(scalar)
-        return Tensor(field, shape, tuple(data))
-
-    def __getitem__(self, multi):
-        return self.entries[multi_to_flat(multi, self.shape)]
-
-    def flatten(self, n_out: int) -> Mat:
-        """First n_out legs become the matrix rows, the rest the columns."""
-        if not (0 <= n_out <= len(self.shape)):
-            raise ValueError("bad output leg count")
-        rows = 1
-        for d in self.shape[:n_out]:
-            rows *= d
-        cols = 1
-        for d in self.shape[n_out:]:
-            cols *= d
-        return Mat(self.field, rows, cols, self.entries)
-
-    @staticmethod
-    def from_mat(m: Mat, out_shape, in_shape) -> "Tensor":
-        shape = tuple(out_shape) + tuple(in_shape)
-        rows = 1
-        for d in out_shape:
-            rows *= d
-        cols = 1
-        for d in in_shape:
-            cols *= d
-        if (rows, cols) != (m.rows, m.cols):
-            raise ValueError("shape does not refine the matrix")
-        return Tensor(m.field, shape, m.entries)
-
-
-def permute_legs(t: Tensor, perm) -> Tensor:
-    """New leg i is old leg perm[i]; applying perm then its inverse is id.
-
-    One index map, built leg by leg: the old flat position of each new
-    multi-index is the sum of its legs' old strides.
-    """
-    perm = tuple(perm)
-    if sorted(perm) != list(range(len(t.shape))):
-        raise ValueError("not a permutation of the legs")
-    strides = _strides(t.shape)
-    index = [0]
-    for p in perm:
-        offsets = [j * strides[p] for j in range(t.shape[p])]
-        index = [i + o for i in index for o in offsets]
-    return Tensor(t.field, tuple(t.shape[p] for p in perm),
-                  tuple(map(t.entries.__getitem__, index)))

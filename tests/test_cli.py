@@ -337,8 +337,8 @@ def test_main_builds_no_garbage_and_repeats_itself(capsys):
 ])
 def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypatch,
                                                       doc, where, built):
-    # Only the `built` matrices and tensors of the valid objects before the
-    # oversized map may be constructed; any further one fails the test.
+    # Only the `built` matrices of the valid objects before the oversized
+    # map may be constructed; any further one fails the test.
     made = []
 
     def counted(real):
@@ -349,7 +349,6 @@ def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypa
         return make
 
     monkeypatch.setattr(cli, "Mat", counted(cli.Mat))
-    monkeypatch.setattr(cli.Tensor, "from_items", counted(cli.Tensor.from_items))
     p = tmp_path / "w.json"
     p.write_text(json.dumps(dict(doc, field={"kind": "rational"})))
     with pytest.raises(InputError, match="over the limit") as refused:

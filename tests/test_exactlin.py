@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from entwine.exactlin import (
-    Field, Mat, Tensor, SubspaceBasis, QuotientPresentation,
+    Field, Mat, SubspaceBasis, QuotientPresentation,
     kron, flip, hstack, vstack, vec, unvec, block_inj, block_proj,
     rref, rank, kernel_basis, solve_affine, inverse, cokernel,
     restrict_map, same_subspace, mat_solution_basis, affine_matrix_system,
-    basis_columns, multi_to_flat, permute_legs,
+    basis_columns, _is_prime,
 )
 from oracles import (
     kron_oracle, matmul_oracle, det_oracle, rank_oracle, apply_oracle,
@@ -319,50 +319,14 @@ def test_affine_matrix_system():
     assert solve_affine(sys_a, sys_b) is None
 
 
-# -- tensors ----------------------------------------------------------
+def test_prime_moduli_match_trial_division():
+    def trial(p):
+        return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
-def test_flat_multi_roundtrip():
-    shape = (2, 3, 4)
-    assert multi_to_flat((1, 2, 3), shape) == 1 * 12 + 2 * 4 + 3
-    with pytest.raises(IndexError):
-        multi_to_flat((2, 0, 0), shape)
-
-
-def test_tensor_from_items():
-    t = Tensor.from_items(Q, (2, 2), [((0, 1), 5), ((1, 0), "1/2")])
-    assert t[0, 1] == 5
-    assert t[1, 0] == Fraction(1, 2)
-    assert t[0, 0] == 0
-    with pytest.raises(ValueError):
-        Tensor.from_items(Q, (2, 2), [((0, 1), 1), ((0, 1), 2)])
-    with pytest.raises(IndexError):
-        Tensor.from_items(Q, (2, 2), [((0, 2), 1)])
-    with pytest.raises(ValueError):
-        Tensor.from_items(Q, (2, 2), [((0,), 1)])
-
-
-def test_tensor_flatten_positions():
-    t = Tensor.from_items(Q, (2, 3, 2), [((1, 2, 0), 7)])
-    m = t.flatten(1)
-    assert m.rows == 2 and m.cols == 6
-    assert m[1, 2 * 2 + 0] == 7
-    m2 = t.flatten(2)
-    assert m2.rows == 6 and m2.cols == 2
-    assert m2[1 * 3 + 2, 0] == 7
-    assert Tensor.from_mat(m, (2,), (3, 2)) == t
-
-
-def test_permute_legs():
-    rng = random.Random(22)
-    t = Tensor(Q, (2, 3, 4),
-               tuple(Fraction(rng.randint(-3, 3)) for _ in range(24)))
-    p = permute_legs(t, (2, 0, 1))
-    assert p.shape == (4, 2, 3)
-    for i in range(2):
-        for j in range(3):
-            for k in range(4):
-                assert p[k, i, j] == t[i, j, k]
-    # inverse permutation undoes it
-    assert permute_legs(p, (1, 2, 0)) == t
-    with pytest.raises(ValueError):
-        permute_legs(t, (0, 0, 1))
+    for p in range(-3, 5000):
+        assert _is_prime(p) == trial(p), p
+    for p in (561, 1105, 3215031751, 2 ** 32 + 1, (2 ** 31 - 1) * (2 ** 13 - 1)):
+        assert not _is_prime(p)
+    assert Field.prime(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(ValueError, match="not below 2"):
+        Field.prime(2 ** 64 + 13)
