@@ -150,13 +150,12 @@ def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> tuple:
 def _sparse_out(m: Mat, shape, n_in: int) -> list:
     order = _matrix_legs(shape, n_in)
     out = []
-    for flat, s in enumerate(m.entries):
-        if s == m.field.zero:
-            continue
-        idx = [0] * len(shape)
-        for p in reversed(order):
-            flat, idx[p] = divmod(flat, shape[p])
-        out.append((idx, s))
+    for i, row in enumerate(m.nz):
+        for j, s in row.items():
+            flat, idx = i * m.cols + j, [0] * len(shape)
+            for p in reversed(order):
+                flat, idx[p] = divmod(flat, shape[p])
+            out.append((idx, s))
     out.sort(key=lambda pair: pair[0])
     return [idx + [_scalar_out(m.field, s)] for idx, s in out]
 
@@ -192,7 +191,7 @@ def _map_in(f: Field, spec: dict, key: str, shape, layout, where: str) -> Mat:
 def _map_out(m: Mat, shape, layout):
     n_in, dense = layout
     if dense:
-        return [_scalar_out(m.field, x) for x in m.entries]
+        return [_scalar_out(m.field, x) for i in range(m.rows) for x in m.row(i)]
     return _sparse_out(m, shape, n_in)
 
 

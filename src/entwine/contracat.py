@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
+from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis, reshape
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Coalgebra, ModuleLeft, check_module_left, left_action_square,
@@ -45,23 +45,14 @@ def curry_left(act: Mat, m: int, n: int) -> Mat:
     """A (x) M -> M rewritten as M -> M (x) A* on fixed dual bases."""
     if (act.rows, act.cols) != (m, n * m):
         raise ValueError("action must be %d x %d" % (m, n * m))
-    data = [act.field.zero] * (m * n * m)
-    for i in range(m):
-        for a in range(n):
-            for j in range(m):
-                data[(i * n + a) * m + j] = act[i, a * m + j]
-    return Mat(act.field, m * n, m, tuple(data))
+    # Entry (i, (a, j)) goes to ((i, a), j): the same row-major index.
+    return reshape(act, m * n, m)
 
 
 def uncurry_left(mu: Mat, m: int, n: int) -> Mat:
     if (mu.rows, mu.cols) != (m * n, m):
         raise ValueError("curried action must be %d x %d" % (m * n, m))
-    data = [mu.field.zero] * (m * n * m)
-    for i in range(m):
-        for a in range(n):
-            for j in range(m):
-                data[i * (n * m) + a * m + j] = mu[i * n + a, j]
-    return Mat(mu.field, m, n * m, tuple(data))
+    return reshape(mu, m, n * m)
 
 
 @dataclass(frozen=True)

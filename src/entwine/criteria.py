@@ -383,7 +383,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         """Coordinates of side k solved linearly with the other side fixed
         at coordinates `fixed`, or None; cps is a range of coupling
         indices.  Each distinct solve runs once."""
-        key = (k, fixed.entries, cps)
+        key = (k, fixed, cps)
         if key not in solved:
             sol = solve_affine(vstack([compiled[i].fix(1 - k, fixed) for i in cps]),
                                vstack([rhs[i] for i in cps]))

@@ -5,17 +5,21 @@ in [0, p) for F_p.  Everything is immutable and every elimination ends in
 the reduced row echelon form, which is unique, so ranks, kernels,
 cokernel presentations and solutions are reproducible bit for bit.
 
-Mat stores its entries dense, but they are mostly zeros, so the kernels
-skip zeros, with one loop per field kind.  Over Q every zero the package
-builds is the shared `Field.zero`, so a zero test `x is not z and x` is
-mostly a pointer compare; no result relies on it, as any other zero fails
-the truth test.
+Mat stores sparse rows: per row a dict {column: value} of its nonzero
+entries, with no stored zeros, so every kernel visits nonzeros only.  A
+product is Gustavson's: row i of A B accumulates A[i, t] . row t of B over
+the nonzeros of row i of A.  kron multiplies the nonzero lists, and
+transposes, stacks, blocks, vec and unvec map indices on the rows.
+Mat(field, rows, cols, entries) takes a dense tuple; over Q every zero the
+package builds is the shared `Field.zero`, so its zero test `x is not z
+and x` is mostly a pointer compare, and no result relies on it, as any
+other zero fails the truth test.
 
-There is one elimination, _rref_rows, on sparse rows: dicts {column:
-value} of the nonzero entries.  rref, rank, kernel_basis (of a Mat or of
-SparseRows), solve_affine, inverse and cokernel all go through it, and
-every kernel basis is read off its result the same way (_kernel).  The
-form is unique, so none of them depends on the order rows are reduced in.
+There is one elimination, _rref_rows, on copies of those rows.  rref,
+rank, kernel_basis (of a Mat or of SparseRows), solve_affine, inverse and
+cokernel all go through it, and every kernel basis is read off its result
+the same way (_kernel).  The form is unique, so none of them depends on
+the order rows are reduced in.
 
 Tensor factors flatten first-factor-major: kron(f, g) is the matrix of
 f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
@@ -28,7 +32,7 @@ An identity linear in an unknown matrix X is stated once as a term list
 X' being X or its transpose, L and R fixed; a bilinear identity has one
 such lift per argument in each term, L . lift(U) . M . lift(V) . R.  An
 identity factor L or R is left implicit (None) and never built.  Calling
-a term list evaluates it with the dense kernels, skipping the implicit
+a term list evaluates it with the Mat kernels, skipping the implicit
 identities and the 1 x 1 identities of a = 1 or b = 1.
 
 affine_matrix_system, mat_solution_basis and compile_bilinear contract a
@@ -36,23 +40,22 @@ term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
 per leg, the coefficient of X'[p, q] in entry (r, s) is the sum over
 alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
-multiplied.  mat_solution_basis eliminates the contracted rows as sparse
-rows (SparseRows, through kernel_basis) and never builds a dense system.
-affine_matrix_system materializes its matrix once from the nonzeros.
-compile_bilinear takes only term lists: it projects the nonzeros onto
-the sparse rows of two bases, so a coupling is compiled straight into
-basis coordinates.  Given any other callable, affine_matrix_system and
-mat_solution_basis evaluate it on every matrix unit instead; every
-condition of the package is a term list, and only tests and the
-benchmark pass closures.
+multiplied.  affine_matrix_system and mat_solution_basis put the
+contracted nonzeros straight into the sparse rows of their matrix
+(_from_flat), which mat_solution_basis eliminates; neither builds a
+dense system.  compile_bilinear takes only term lists: it projects the
+nonzeros onto the sparse rows of two bases, so a coupling is compiled
+straight into basis coordinates.  Given any other callable,
+affine_matrix_system and mat_solution_basis evaluate it on every matrix
+unit instead; every condition of the package is a term list, and only
+tests and the benchmark pass closures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
-from operator import add, mod, mul, neg, sub
+from itertools import accumulate, chain
 
 # The shared zero and one of Q (F_p uses the small ints 0 and 1).
 _Q0 = Fraction(0)
@@ -178,14 +181,37 @@ class Field:
         return "rational" if self.kind == "rational" else "prime:%d" % self.p
 
 
-@dataclass(frozen=True)
 class Mat:
-    """Dense matrix, row-major entries tuple, immutable."""
+    """An immutable matrix, stored as sparse rows.
 
-    field: Field
-    rows: int
-    cols: int
-    entries: tuple
+    nz is a tuple of `rows` dicts {column: value}; row i holds the nonzero
+    entries of row i and nothing else (no stored zeros).  Nothing assigns
+    to a Mat or changes a row dict once it is in one, so Mats share rows
+    freely (vstack, the rows of a product by a permutation); what reduces
+    rows in place works on copies (_row_dicts).
+
+    Mat(field, rows, cols, entries) takes the dense row-major tuple and
+    keeps its nonzeros; .entries builds that tuple again.  Two Mats are
+    equal, and hash alike, when their fields, shapes and entries are.
+    """
+
+    __slots__ = ("field", "rows", "cols", "nz")
+
+    def __init__(self, field: Field, rows: int, cols: int, entries):
+        if len(entries) != rows * cols:
+            raise ValueError("%d entries for a %dx%d matrix" % (len(entries), rows, cols))
+        z = field.zero
+        self.field, self.rows, self.cols = field, rows, cols
+        # The shared zero is skipped by a pointer compare (see above).
+        self.nz = tuple({j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
+                         if x is not z and x} for i in range(rows))
+
+    @staticmethod
+    def _of(field: Field, rows: int, cols: int, nz) -> "Mat":
+        """The Mat whose sparse rows are nz, taken as they are."""
+        m = object.__new__(Mat)
+        m.field, m.rows, m.cols, m.nz = field, rows, cols, tuple(nz)
+        return m
 
     @staticmethod
     def from_rows(field: Field, rows) -> "Mat":
@@ -201,47 +227,66 @@ class Mat:
 
     @staticmethod
     def identity(field: Field, n: int) -> "Mat":
-        z, o = field.zero, field.one
-        return Mat(field, n, n, tuple(o if i == j else z for i in range(n) for j in range(n)))
+        o = field.one
+        return Mat._of(field, n, n, ({i: o} for i in range(n)))
 
     @staticmethod
     def zeros(field: Field, rows: int, cols: int) -> "Mat":
-        return Mat(field, rows, cols, (field.zero,) * (rows * cols))
+        return Mat._of(field, rows, cols, ({} for _ in range(rows)))
+
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major tuple of entries."""
+        return tuple(chain.from_iterable(map(self.row, range(self.rows))))
 
     def __getitem__(self, ij):
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(ij)
-        return self.entries[i * self.cols + j]
+        return self.nz[i].get(j, self.field.zero)
 
     def row(self, i):
-        return self.entries[i * self.cols:(i + 1) * self.cols]
+        out = [self.field.zero] * self.cols
+        for j, x in self.nz[i].items():
+            out[j] = x
+        return tuple(out)
 
-    def _like(self, entries) -> "Mat":
-        return Mat(self.field, self.rows, self.cols, tuple(entries))
+    def __eq__(self, other):
+        if not isinstance(other, Mat):
+            return NotImplemented
+        return (self.field == other.field and self.rows == other.rows
+                and self.cols == other.cols and self.nz == other.nz)
 
-    def _mod(self, ints) -> "Mat":
-        """Same shape over F_p, entries reduced mod p."""
-        return self._like(map(mod, ints, repeat(self.field.p)))
+    def __hash__(self):
+        return hash((self.field, self.rows, self.cols,
+                     tuple(tuple(sorted(r.items())) for r in self.nz)))
+
+    def _like(self, nz) -> "Mat":
+        return Mat._of(self.field, self.rows, self.cols, nz)
+
+    def _merge(self, other: "Mat", f: int) -> "Mat":
+        """self + f . other, f = 1 or -1, row by row on the nonzeros."""
+        self._same_shape(other)
+        prime, p = self.field.kind == "prime", self.field.p
+        out = []
+        for r, s in zip(self.nz, other.nz):
+            if s:
+                r = dict(r)
+                _axpy(r, f, s, -1, prime, p)
+            out.append(r)
+        return self._like(out)
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        if self.field.kind == "prime":
-            return self._mod(map(add, self.entries, other.entries))
-        return self._like(b if a is _Q0 else a if b is _Q0 else a + b
-                          for a, b in zip(self.entries, other.entries))
+        return self._merge(other, 1)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        if self.field.kind == "prime":
-            return self._mod(map(sub, self.entries, other.entries))
-        return self._like(a if b is _Q0 else -b if a is _Q0 else a - b
-                          for a, b in zip(self.entries, other.entries))
+        return self._merge(other, -1)
 
     def __neg__(self) -> "Mat":
         if self.field.kind == "prime":
-            return self._mod(map(neg, self.entries))
-        return self._like(_Q0 if a is _Q0 else -a for a in self.entries)
+            p = self.field.p
+            return self._like({j: -x % p for j, x in r.items()} for r in self.nz)
+        return self._like({j: -x for j, x in r.items()} for r in self.nz)
 
     def __mul__(self, other):
         if isinstance(other, Mat):
@@ -253,58 +298,61 @@ class Mat:
 
     def scale(self, c) -> "Mat":
         c = self.field.of(c)
+        if not c:
+            return Mat.zeros(self.field, self.rows, self.cols)
         if self.field.kind == "prime":
-            return self._mod(map(mul, self.entries, repeat(c)))
-        return self._like(_Q0 if a is _Q0 else c * a for a in self.entries)
+            p = self.field.p
+            return self._like({j: c * x % p for j, x in r.items()} for r in self.nz)
+        return self._like({j: c * x for j, x in r.items()} for r in self.nz)
 
     def _matmul(self, other: "Mat") -> "Mat":
+        """Gustavson's product: row i of the result accumulates c . row t
+        of other over the nonzeros c at (i, t), so only products of two
+        nonzeros are formed.  A row that is a single one shares the row of
+        other it picks."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
-        F = self.field
-        z = F.zero
-        n, m, k = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = [z] * (n * k)
-        if F.kind == "prime":
-            # compress() skips zero residues in C, with no Python-level test.
-            p, cols = F.p, range(k)
-            for i in range(n):
-                arow, base = a[i * m:(i + 1) * m], i * k
-                for t in compress(range(m), arow):
-                    c, brow = arow[t], b[t * k:(t + 1) * k]
-                    for j in compress(cols, brow):
-                        out[base + j] = (out[base + j] + c * brow[j]) % p
-        else:
-            for i in range(n):
-                base = i * k
-                for t, c in enumerate(a[i * m:(i + 1) * m]):
-                    if c is not z and c:
-                        for j, v in enumerate(b[t * k:(t + 1) * k]):
-                            if v is not z and v:
-                                w = out[base + j]
-                                out[base + j] = c * v if w is z else w + c * v
-        return Mat(F, n, k, tuple(out))
+        F, b = self.field, other.nz
+        prime, p, one = F.kind == "prime", F.p, F.one
+        out = []
+        for r in self.nz:
+            if len(r) == 1:
+                (t, c), = r.items()
+                if c is one or c == one:
+                    out.append(b[t])
+                    continue
+            acc = {}
+            for t, c in r.items():
+                for j, v in b[t].items():
+                    w = acc.get(j)
+                    acc[j] = c * v if w is None else w + c * v
+            if prime:
+                out.append({j: y for j, x in acc.items() if (y := x % p)})
+            else:
+                out.append({j: x for j, x in acc.items() if x})
+        return Mat._of(F, self.rows, other.cols, out)
 
     @property
     def t(self) -> "Mat":
-        e, c = self.entries, self.cols
-        return Mat(self.field, c, self.rows, tuple(chain.from_iterable(
-            e[j::c] for j in range(c))))
+        out = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.nz):
+            for j, x in r.items():
+                out[j][i] = x
+        return Mat._of(self.field, self.cols, self.rows, out)
 
     def is_zero(self) -> bool:
-        if self.field.kind == "prime":
-            return not any(self.entries)
-        return not any(a is not _Q0 and a for a in self.entries)
+        return not any(self.nz)
 
     def _same_shape(self, other: "Mat"):
         if self.field != other.field or self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape/field mismatch")
 
     def col_mat(self, j: int) -> "Mat":
-        return Mat(self.field, self.rows, 1, self.entries[j::self.cols])
+        return Mat._of(self.field, self.rows, 1,
+                       ({0: r[j]} if j in r else {} for r in self.nz))
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.show(x) for x in self.row(i))
@@ -313,41 +361,47 @@ class Mat:
 
 
 def kron(a: Mat, b: Mat) -> Mat:
-    """Tensor product of linear maps, first factor major on both sides."""
+    """Tensor product of linear maps, first factor major on both sides:
+    row (i1, i2) pairs the nonzeros of row i1 of a with those of row i2
+    of b."""
     if a.field != b.field:
         raise ValueError("field mismatch")
     F = a.field
-    z, o = F.zero, F.one
-    br, bc, rows, cols = b.rows, b.cols, a.rows * b.rows, a.cols * b.cols
-    # Nonzero entries of b, as (offset inside a block, value).
-    nz_b = [(s // bc * cols + s % bc, v)
-            for s, v in enumerate(b.entries) if v is not z and v]
-    out = [z] * (rows * cols)
-    for s, c in enumerate(a.entries):
-        if c is z or not c:
-            continue
-        base = s // a.cols * br * cols + s % a.cols * bc
-        if c is o or c == o:
-            for off, v in nz_b:
-                out[base + off] = v
-        elif F.kind == "prime":
-            p = F.p
-            for off, v in nz_b:
-                out[base + off] = c * v % p
-        else:
-            for off, v in nz_b:
-                out[base + off] = c * v
-    return Mat(F, rows, cols, tuple(out))
+    prime, p, one, bc = F.kind == "prime", F.p, F.one, b.cols
+    brows = [list(r.items()) for r in b.nz]
+    # b is often an identity, whose products need no multiplication.
+    ones = all(v is one or v == one for rb in brows for _, v in rb)
+    out = []
+    for ra in a.nz:
+        block = [{} for _ in brows]
+        for j, c in ra.items():
+            base = j * bc
+            if c is one or c == one:
+                for row, rb in zip(block, brows):
+                    for l, v in rb:
+                        row[base + l] = v
+            elif ones:
+                for row, rb in zip(block, brows):
+                    for l, _ in rb:
+                        row[base + l] = c
+            elif prime:
+                for row, rb in zip(block, brows):
+                    for l, v in rb:
+                        row[base + l] = c * v % p
+            else:
+                for row, rb in zip(block, brows):
+                    for l, v in rb:
+                        row[base + l] = c * v
+        out.extend(block)
+    return Mat._of(F, a.rows * b.rows, a.cols * b.cols, out)
 
 
 def flip(field: Field, d1: int, d2: int) -> Mat:
-    """Matrix of the swap V1 (x) V2 -> V2 (x) V1 on flattened legs."""
-    z, o = field.zero, field.one
-    out = [z] * (d1 * d2 * d1 * d2)
-    for i in range(d1):
-        for j in range(d2):
-            out[(j * d1 + i) * (d1 * d2) + (i * d2 + j)] = o
-    return Mat(field, d1 * d2, d1 * d2, tuple(out))
+    """Matrix of the swap V1 (x) V2 -> V2 (x) V1 on flattened legs: row
+    (j, i) is one at column (i, j)."""
+    o = field.one
+    return Mat._of(field, d1 * d2, d1 * d2,
+                   ({i * d2 + j: o} for j in range(d2) for i in range(d1)))
 
 
 def hstack(mats) -> Mat:
@@ -356,11 +410,10 @@ def hstack(mats) -> Mat:
     rows = mats[0].rows
     if any(m.rows != rows or m.field != F for m in mats):
         raise ValueError("hstack shape mismatch")
-    data = []
-    for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return Mat(F, rows, sum(m.cols for m in mats), tuple(data))
+    offsets = list(accumulate((m.cols for m in mats), initial=0))
+    return Mat._of(F, rows, offsets[-1], (
+        {off + j: x for off, r in zip(offsets, parts) for j, x in r.items()}
+        for parts in zip(*(m.nz for m in mats))))
 
 
 def vstack(mats) -> Mat:
@@ -369,32 +422,45 @@ def vstack(mats) -> Mat:
     cols = mats[0].cols
     if any(m.cols != cols or m.field != F for m in mats):
         raise ValueError("vstack shape mismatch")
-    data = []
-    for m in mats:
-        data.extend(m.entries)
-    return Mat(F, sum(m.rows for m in mats), cols, tuple(data))
+    return Mat._of(F, sum(m.rows for m in mats), cols,
+                   chain.from_iterable(m.nz for m in mats))
+
+
+def _from_flat(field: Field, rows: int, cols: int, acc: dict) -> Mat:
+    """The rows x cols Mat whose nonzero entries are acc {flat row-major
+    index: value}."""
+    out = [{} for _ in range(rows)]
+    for f, x in acc.items():
+        i, j = divmod(f, cols)
+        out[i][j] = x
+    return Mat._of(field, rows, cols, out)
+
+
+def reshape(m: Mat, rows: int, cols: int) -> Mat:
+    """The rows x cols matrix with the row-major entries of m."""
+    if rows * cols != m.rows * m.cols:
+        raise ValueError("reshape size mismatch")
+    k = m.cols
+    return _from_flat(m.field, rows, cols,
+                      {i * k + j: x for i, r in enumerate(m.nz) for j, x in r.items()})
 
 
 def vec(m: Mat) -> Mat:
     """Row-major vectorization as a column."""
-    return Mat(m.field, m.rows * m.cols, 1, m.entries)
+    return reshape(m, m.rows * m.cols, 1)
 
 
 def unvec(field: Field, column: Mat, rows: int, cols: int) -> Mat:
     if column.cols != 1 or column.rows != rows * cols:
         raise ValueError("unvec shape mismatch")
-    return Mat(field, rows, cols, column.entries)
+    return reshape(column, rows, cols)
 
 
 def block_inj(field: Field, dims, k: int) -> Mat:
     """Injection of the k-th summand into the direct sum with given dims."""
-    total = sum(dims)
-    off = sum(dims[:k])
-    z, o = field.zero, field.one
-    out = [z] * (total * dims[k])
-    for i in range(dims[k]):
-        out[(off + i) * dims[k] + i] = o
-    return Mat(field, total, dims[k], tuple(out))
+    off, o = sum(dims[:k]), field.one
+    return Mat._of(field, sum(dims), dims[k], ({i - off: o} if 0 <= i - off < dims[k] else {}
+                                               for i in range(sum(dims))))
 
 
 def block_proj(field: Field, dims, k: int) -> Mat:
@@ -404,14 +470,9 @@ def block_proj(field: Field, dims, k: int) -> Mat:
 def block_diag(a: Mat, b: Mat) -> Mat:
     if a.field != b.field:
         raise ValueError("field mismatch")
-    F = a.field
-    rows, cols = a.rows + b.rows, a.cols + b.cols
-    out = [F.zero] * (rows * cols)
-    for i in range(a.rows):
-        out[i * cols:i * cols + a.cols] = a.row(i)
-    for i in range(b.rows):
-        out[(a.rows + i) * cols + a.cols:(a.rows + i + 1) * cols] = b.row(i)
-    return Mat(F, rows, cols, tuple(out))
+    c = a.cols
+    return Mat._of(a.field, a.rows + b.rows, c + b.cols, chain(
+        a.nz, ({c + j: x for j, x in r.items()} for r in b.nz)))
 
 
 # -- elimination ------------------------------------------------------
@@ -433,13 +494,7 @@ def _row_dicts(m):
     their nonzero entries, made one at a time."""
     if isinstance(m, SparseRows):
         return ({j: x for j, x in r.items() if x} for r in m.rows)
-    e, k, z = m.entries, m.cols, m.field.zero
-    rows = (e[i * k:(i + 1) * k] for i in range(m.rows))
-    if m.field.kind == "prime":
-        # compress() skips zero residues in C.
-        cols = range(k)
-        return (dict(zip(compress(cols, r), compress(r, r))) for r in rows)
-    return ({j: x for j, x in enumerate(r) if x is not z and x} for r in rows)
+    return (dict(r) for r in m.nz)
 
 
 def _rref_rows(F: Field, rows) -> dict:
@@ -475,7 +530,8 @@ def _rref_rows(F: Field, rows) -> dict:
 
 def _axpy(v: dict, f, w: dict, c: int, prime: bool, p: int) -> None:
     """v += f . w on sparse rows, dropping the entries that cancel.  w's
-    pivot column c is skipped: the caller has popped it from v."""
+    pivot column c is skipped, as the caller has popped it from v; c = -1
+    skips none."""
     for j, x in w.items():
         if j == c:
             continue
@@ -495,15 +551,11 @@ def _kernel(F: Field, piv: dict, ncols: int) -> Mat:
     the i-th free (non-pivot) column, 0 at the others, and at each pivot
     minus the pivot row's entry in that free column."""
     free = {c: i for i, c in enumerate(c for c in range(ncols) if c not in piv)}
-    k, out = len(free), [F.zero] * (ncols * len(free))
-    for c, i in free.items():
-        out[c * k + i] = F.one
-    for c, row in piv.items():
-        for j, x in row.items():
-            i = free.get(j)
-            if i is not None:
-                out[c * k + i] = F.neg(x)
-    return Mat(F, ncols, k, tuple(out))
+    one = F.one
+    return Mat._of(F, ncols, len(free), (
+        {free[c]: one} if c in free else
+        {f: F.neg(x) for j, x in piv[c].items() if (f := free.get(j)) is not None}
+        for c in range(ncols)))
 
 
 def rref(m: Mat):
@@ -513,19 +565,10 @@ def rref(m: Mat):
     The rows' nonzero entries are eliminated by _rref_rows; the form is
     unique, so it does not depend on the order rows are taken in.
     """
-    F, nrows, ncols = m.field, m.rows, m.cols
-    rows = list(_row_dicts(m))
-    # Eliminate without the input alongside when the caller passed a
-    # temporary, as solve_affine does.
-    del m
-    piv = _rref_rows(F, rows)
+    piv = _rref_rows(m.field, _row_dicts(m))
     pivots = sorted(piv)
-    out = [F.zero] * (nrows * ncols)
-    for i, c in enumerate(pivots):
-        base = i * ncols
-        for j, x in piv[c].items():
-            out[base + j] = x
-    return Mat(F, nrows, ncols, tuple(out)), tuple(pivots)
+    return Mat._of(m.field, m.rows, m.cols, chain(
+        map(piv.get, pivots), ({} for _ in range(m.rows - len(pivots))))), tuple(pivots)
 
 
 def rank(m: Mat) -> int:
@@ -554,19 +597,16 @@ def solve_affine(a: Mat, b: Mat):
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
-    keep = [i for i in range(a.rows) if any(a.row(i)) or any(b.row(i))]
-    # [a | b] is passed as a temporary, so rref frees it before eliminating.
-    R, pivots = rref(Mat(a.field, len(keep), a.cols + b.cols, tuple(chain.from_iterable(
-        a.row(i) + b.row(i) for i in keep))))
-    if pivots and pivots[-1] >= a.cols:
+    F, n = a.field, a.cols
+    ab = [{**r, **{n + j: x for j, x in s.items()}} if s else r
+          for r, s in zip(a.nz, b.nz) if r or s]
+    R, pivots = rref(Mat._of(F, len(ab), n + b.cols, ab))
+    if pivots and pivots[-1] >= n:
         return None
-    F = a.field
-    part = [(F.zero,) * b.cols] * a.cols
-    for j, pcol in enumerate(pivots):
-        part[pcol] = R.row(j)[a.cols:]
-    particular = Mat(F, a.cols, b.cols, tuple(x for row in part for x in row))
-    # zip stops at the last pivot row: the zero rows are never converted.
-    return particular, _kernel(F, dict(zip(pivots, _row_dicts(R))), a.cols)
+    part = [{} for _ in range(n)]
+    for c, row in zip(pivots, R.nz):
+        part[c] = {j - n: x for j, x in row.items() if j >= n}
+    return Mat._of(F, n, b.cols, part), _kernel(F, dict(zip(pivots, R.nz)), n)
 
 
 def inverse(m: Mat) -> Mat:
@@ -636,19 +676,16 @@ def cokernel(m: Mat) -> QuotientPresentation:
     F = m.field
     R, pivots = rref(m.t)
     pivset = set(pivots)
-    nonpiv = [c for c in range(m.rows) if c not in pivset]
-    q = len(nonpiv)
-    z, o = F.zero, F.one
-    proj = [[z] * m.rows for _ in range(q)]
-    for i, tcol in enumerate(nonpiv):
-        proj[i][tcol] = o
-        for j, pcol in enumerate(pivots):
-            proj[i][pcol] = F.neg(R[j, tcol])
-    projection = Mat(F, q, m.rows, tuple(x for row in proj for x in row))
-    sect = [[z] * q for _ in range(m.rows)]
-    for i, tcol in enumerate(nonpiv):
-        sect[tcol][i] = o
-    section = Mat(F, m.rows, q, tuple(x for row in sect for x in row))
+    nonpiv = {c: i for i, c in enumerate(c for c in range(m.rows) if c not in pivset)}
+    o = F.one
+    proj = [{c: o} for c in nonpiv]
+    for pcol, row in zip(pivots, R.nz):
+        for tcol, x in row.items():
+            if tcol in nonpiv:
+                proj[nonpiv[tcol]][pcol] = F.neg(x)
+    projection = Mat._of(F, len(nonpiv), m.rows, proj)
+    section = Mat._of(F, m.rows, len(nonpiv),
+                      ({nonpiv[c]: o} if c in nonpiv else {} for c in range(m.rows)))
     return QuotientPresentation(m.rows, m, projection, section)
 
 
@@ -752,8 +789,7 @@ def _nonzeros(m: Mat, n: int, one):
     None."""
     if m is None:
         return [(i, i, one) for i in range(n)]
-    e, k = m.entries, m.cols
-    return [(i // k, i % k, e[i]) for i in compress(range(len(e)), e)]
+    return [(i, j, x) for i, r in enumerate(m.nz) for j, x in r.items()]
 
 
 def _contract(field: Field, term: Term, shapes):
@@ -835,11 +871,6 @@ def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: 
             acc.pop(i, None)
 
 
-def _dense(field: Field, rows: int, cols: int, acc: dict) -> Mat:
-    """The rows x cols matrix with the entries of acc and zeros elsewhere."""
-    return Mat(field, rows, cols, tuple(map(acc.get, range(rows * cols), repeat(field.zero))))
-
-
 def _term_lists(x):
     """x as a list of term lists, or None if x is a plain callable or a
     list holding one."""
@@ -857,21 +888,19 @@ def _contracted_system(field: Field, rows: int, cols: int, forms):
         for t in f.terms:
             _accumulate(acc, field, t, ((rows, cols),), off * nunk, nunk, (1,))
         h = f.shape[0] * f.shape[1]
-        rhs.append((field.zero,) * h if f.const is None else (-f.const).entries)
+        rhs.append(Mat.zeros(field, h, 1) if f.const is None else vec(-f.const))
         off += h
-    return acc, off, Mat(field, off, 1, tuple(chain.from_iterable(rhs)))
+    return acc, off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
 
 
 def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat:
-    """The matrix whose column idx is column(E_idx), a tuple of entries,
-    for each row-major matrix unit E_idx of k^{rows x cols}, made one at a
-    time.  The columns are transposed once; height is the row count when
-    there is no unit."""
-    nunk, z, o = rows * cols, field.zero, field.one
-    columns = (column(Mat(field, rows, cols, (z,) * i + (o,) + (z,) * (nunk - i - 1)))
-               for i in range(nunk))
-    entries = tuple([x for row in zip(*columns) for x in row])
-    return Mat(field, len(entries) // nunk if nunk else height, nunk, entries)
+    """The matrix whose column idx is column(E_idx), a column Mat, for
+    each row-major matrix unit E_idx of k^{rows x cols}; height is the row
+    count when there is no unit."""
+    o = field.one
+    units = [column(_from_flat(field, rows, cols, {i: o})) for i in range(rows * cols)]
+    return Mat._of(field, rows * cols, units[0].rows if units else height,
+                   (u.t.nz[0] for u in units)).t
 
 
 def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> SubspaceBasis:
@@ -887,13 +916,11 @@ def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> Subspa
         return SubspaceBasis(0, Mat.zeros(field, 0, 0))
     forms = _term_lists(conditions)
     if forms is not None:
-        by_row = {}
-        for i, v in _contracted_system(field, rows, cols, forms)[0].items():
-            by_row.setdefault(i // nunk, {})[i % nunk] = v
-        system = SparseRows(field, nunk, tuple(by_row.values()))
+        acc, height, _ = _contracted_system(field, rows, cols, forms)
+        system = _from_flat(field, height, nunk, acc)
     else:
-        system = _unit_system(field, rows, cols, lambda e: tuple(
-            chain.from_iterable(c(e).entries for c in conditions)), 0)
+        system = _unit_system(field, rows, cols,
+                              lambda e: vstack([vec(c(e)) for c in conditions]), 0)
     return SubspaceBasis(nunk, kernel_basis(system))
 
 
@@ -907,10 +934,9 @@ def affine_matrix_system(field: Field, rows: int, cols: int, residual):
     forms = _term_lists(residual)
     if forms is not None:
         acc, height, b = _contracted_system(field, rows, cols, forms)
-        return _dense(field, height, rows * cols, acc), b
+        return _from_flat(field, height, rows * cols, acc), b
     r0 = residual(Mat.zeros(field, rows, cols))
-    a = _unit_system(field, rows, cols, lambda e: (residual(e) - r0).entries,
-                     len(r0.entries))
+    a = _unit_system(field, rows, cols, lambda e: vec(residual(e) - r0), r0.rows * r0.cols)
     return a, -vec(r0)
 
 
@@ -922,8 +948,8 @@ class CompiledBilinear:
     x has n0 entries, y has n1 and f's value r.  b is (n0*r) x n1 with
     b[i*r + q, j] = vec(beta(P_i, Q_j))[q] for the basis columns P_i and
     Q_j, and gamma = vec(f(0, 0)).  The layout is row-major, so one set of
-    entries serves either argument fixed:
-      x fixed:  A = reshape(x^T . reshape(b, n0 x r*n1), r x n1)
+    rows serves either argument fixed:
+      x fixed:  A = (x^T (x) I_r) . b
       y fixed:  A = reshape(b . y, n0 x r)^T
     and f == 0 iff A (other coordinates) = -gamma.
     """
@@ -935,11 +961,12 @@ class CompiledBilinear:
     def fix(self, k: int, value: Mat) -> Mat:
         """A of the system in the free argument, argument k (0 = X) at the
         coordinate column value."""
-        F, n0, r, n1 = self.b.field, self.n0, self.gamma.rows, self.b.cols
+        F, n0, r = self.b.field, self.n0, self.gamma.rows
         if k == 0:
-            row = Mat(F, 1, n0, value.entries)
-            return Mat(F, r, n1, (row * Mat(F, n0, r * n1, self.b.entries)).entries)
-        return Mat(F, n0, r, (self.b * value).entries).t
+            x = [(i, row[0]) for i, row in enumerate(value.nz) if row]
+            return Mat._of(F, r, n0 * r, ({i * r + q: v for i, v in x}
+                                          for q in range(r))) * self.b
+        return unvec(F, self.b * value, n0, r).t
 
 
 def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> CompiledBilinear:
@@ -957,7 +984,7 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     acc, out = {}, {}
     for t in f.terms:
         _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
-    rows0, rows1 = (list(_row_dicts(m)) for m in bases)
+    rows0, rows1 = (m.nz for m in bases)
     d0, d1 = bases[0].cols, bases[1].cols
     for idx, w in acc.items():
         u, qv = divmod(idx, r * n1)
@@ -969,9 +996,9 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     prime = field.kind == "prime"
     out = {i: y for i, x in out.items() if (y := x % field.p if prime else x)}
     gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
-    return CompiledBilinear(d0, _dense(field, d0 * r, d1, out), gamma)
+    return CompiledBilinear(d0, _from_flat(field, d0 * r, d1, out), gamma)
 
 
 def basis_columns(field: Field, basis: Mat, rows: int, cols: int):
     """Iterate the columns of a vectorized basis as rows x cols matrices."""
-    return [unvec(field, basis.col_mat(j), rows, cols) for j in range(basis.cols)]
+    return [_from_flat(field, rows, cols, column) for column in basis.t.nz]

@@ -35,19 +35,20 @@ def eq_check(name: str, lhs: Mat, rhs: Mat) -> Check:
             "lhs_shape": [lhs.rows, lhs.cols],
             "rhs_shape": [rhs.rows, rhs.cols],
         })
-    F = lhs.field
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            a = lhs[i, j]
-            b = rhs[i, j]
-            if a != b:
-                return Check(name, False, {
-                    "kind": "entry",
-                    "row": i,
-                    "col": j,
-                    "lhs": F.show(a),
-                    "rhs": F.show(b),
-                })
+    # Rows hold no stored zeros, so unequal rows differ at a column one
+    # of them holds; the first such column of the first unequal row is
+    # the first differing entry in row-major order.
+    F, z = lhs.field, lhs.field.zero
+    for i, (r, s) in enumerate(zip(lhs.nz, rhs.nz)):
+        if r != s:
+            j = next(j for j in sorted(r.keys() | s.keys()) if r.get(j, z) != s.get(j, z))
+            return Check(name, False, {
+                "kind": "entry",
+                "row": i,
+                "col": j,
+                "lhs": F.show(r.get(j, z)),
+                "rhs": F.show(s.get(j, z)),
+            })
     return Check(name, True)
 
 
@@ -106,7 +107,7 @@ def hom_bijection_report(title: str, left, left_shape, right, right_shape,
 
 def mat_as_lists(m: Mat) -> list:
     """Matrix as row lists of canonical scalar strings, for JSON output."""
-    return [[m.field.show(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[m.field.show(x) for x in m.row(i)] for i in range(m.rows)]
 
 
 @dataclass(frozen=True)

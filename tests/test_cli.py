@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -357,3 +358,25 @@ def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypa
     made.clear()
     code, out, err = run(capsys, "check", str(p))
     assert (code, out) == (3, "") and "over the limit" in err
+
+
+def test_check_of_large_objects_stays_sparse(tmp_path, capsys):
+    # A module and a contramodule of dim 1,024 over a zero-dimensional
+    # algebra and coalgebra: their checks compose dim x dim identities,
+    # which as sparse rows take about dim entries, not dim^2 (24 MiB).
+    ent = {"entwining": "E", "dim": 1024}
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps({
+        "field": {"kind": "rational"}, "algebras": {"A": {"dim": 0}},
+        "coalgebras": {"C": {"dim": 0}},
+        "entwinings": {"E": {"algebra": "A", "coalgebra": "C"}},
+        "modules": {"M": ent}, "contramodules": {"P": ent}}))
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "check", str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The zero algebra's unit cannot act as the identity of a nonzero M.
+    assert code == 1 and "unit" in out
+    assert peak < 4 << 20, "check peaked at %.1f MiB" % (peak / 2**20)
