@@ -54,7 +54,7 @@ from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .exactlin import Field, Mat, rank
+from .exactlin import Field, Mat, _from_flat, rank
 from .algstruct import (
     Algebra, Coalgebra, Comodule, check_algebra, check_coalgebra,
     check_comodule,
@@ -114,13 +114,13 @@ def _matrix_legs(shape, n_in: int) -> tuple:
     return tuple(range(n_in, len(shape))) + tuple(range(n_in))
 
 
-def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> tuple:
-    """Dense entries of a map from its nonzeros [i_1, ..., i_k, s], in file
+def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> Mat:
+    """The matrix of a map from its nonzeros [i_1, ..., i_k, s], in file
     leg order with the first n_in legs the input.  The matrix rows run over
     the output legs and the columns over the input legs, each first-leg
     major, so an entry sits at the flat index of its legs in matrix order.
     A map too large for MAX_DENSE_ENTRIES is refused before anything is
-    allocated."""
+    allocated; scalars that parse to zero are dropped."""
     size = math.prod(shape)
     if size * size > MAX_DENSE_ENTRIES:
         raise InputError(where, "%d entries imply dense matrices over the limit "
@@ -144,7 +144,8 @@ def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> tuple:
         data[flat] = _scalar_in(f, ent[-1], spot)
     if duplicate is not None:
         raise InputError(where, "duplicate entry at index %r" % (duplicate,))
-    return tuple(data.get(flat, f.zero) for flat in range(size))
+    return _from_flat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]),
+                      {flat: x for flat, x in data.items() if x})
 
 
 def _sparse_out(m: Mat, shape, n_in: int) -> list:
@@ -181,10 +182,9 @@ _ROW = (1, True)
 
 def _map_in(f: Field, spec: dict, key: str, shape, layout, where: str) -> Mat:
     n_in, dense = layout
-    if dense:
-        values = _vector_in(f, spec.get(key), shape[0], where)
-    else:
-        values = _sparse_in(f, spec.get(key, []), shape, n_in, where)
+    if not dense:
+        return _sparse_in(f, spec.get(key, []), shape, n_in, where)
+    values = _vector_in(f, spec.get(key), shape[0], where)
     return Mat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]), values)
 
 

@@ -304,10 +304,11 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 # membership holds by construction, and fixing either side makes the
 # couplings linear in the other side's coordinates.  Its rungs: fix one
 # side on a membership basis vector and solve the other side linearly,
-# sigma basis first; alternate between partially constrained solves
-# seeded from either side, rho seeds first; over a prime field with a
-# small enough membership space, enumerate the smaller side outright,
-# which alone can certify NONE.
+# sigma basis first; fix rho on a seed (a basis vector or a sum of two)
+# and solve sigma from all couplings, or else from the first alone and
+# then rho from that sigma; over a prime field with a small enough
+# membership space, enumerate the smaller side outright, which alone
+# can certify NONE.
 
 
 def _frobenius_couplings_contra(e: Entwining):
@@ -434,28 +435,17 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
                              % (_SIDES[k], i))
     log.append("strategy 1: no membership basis vector extends")
 
-    # Strategy 2: bounded alternation through partially coupled solves,
-    # seeded by basis vectors and their pairwise sums.
-    def seeds(basis):
-        first = basis[:6]
-        return first + [a + b for a, b in combinations(first, 2)]
-
-    for k in (1, 0):
-        how = "strategy 2: alternation from a %s seed" % _SIDES[k]
-        for v in seeds(units[k]):
-            for _ in range(3):
-                hit = extend(k, v, every)
-                if hit is not None:
-                    return found(hit, how)
-                w = solve(1 - k, v, every[:1])
-                if w is None:
-                    break
-                hit = extend(1 - k, w, every)
-                if hit is not None:
-                    return found(hit, how)
-                v = solve(k, w, every[1:])
-                if v is None:
-                    break
+    # Strategy 2: rho seeds, the first six rho basis vectors and then their
+    # pairwise sums, each extended directly or else through the sigma that
+    # the first coupling alone gives it.  Sigma seeds and further rounds of
+    # alternation found no witness that these steps miss.
+    first = units[1][:6]
+    for v in first + [a + b for a, b in combinations(first, 2)]:
+        hit = extend(1, v, every)
+        if hit is None and (w := solve(0, v, every[:1])) is not None:
+            hit = extend(0, w, every)
+        if hit is not None:
+            return found(hit, "strategy 2: alternation from a rho seed")
     log.append("strategy 2: alternation exhausted without a witness")
 
     # Strategy 3: exhaustive sweep of the smaller membership space.  Only

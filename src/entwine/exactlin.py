@@ -16,10 +16,10 @@ and x` is mostly a pointer compare, and no result relies on it, as any
 other zero fails the truth test.
 
 There is one elimination, _rref_rows, on copies of those rows.  rref,
-rank, kernel_basis (of a Mat or of SparseRows), solve_affine, inverse and
-cokernel all go through it, and every kernel basis is read off its result
-the same way (_kernel).  The form is unique, so none of them depends on
-the order rows are reduced in.
+rank, kernel_basis, solve_affine, inverse and cokernel all go through
+it, and every kernel basis is read off its result the same way
+(_kernel).  The form is unique, so none of them depends on the order
+rows are reduced in.
 
 Tensor factors flatten first-factor-major: kron(f, g) is the matrix of
 f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
@@ -187,8 +187,8 @@ class Mat:
     nz is a tuple of `rows` dicts {column: value}; row i holds the nonzero
     entries of row i and nothing else (no stored zeros).  Nothing assigns
     to a Mat or changes a row dict once it is in one, so Mats share rows
-    freely (vstack, the rows of a product by a permutation); what reduces
-    rows in place works on copies (_row_dicts).
+    freely (vstack, the rows of a product by a permutation); the
+    elimination reduces copies of them.
 
     Mat(field, rows, cols, entries) takes the dense row-major tuple and
     keeps its nonzeros; .entries builds that tuple again.  Two Mats are
@@ -478,25 +478,6 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 # -- elimination ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseRows:
-    """A matrix with `cols` columns given by its rows, each a dict
-    {column: value} holding at least the row's nonzero entries.
-    kernel_basis eliminates it as it eliminates a Mat with those rows."""
-
-    field: Field
-    cols: int
-    rows: tuple
-
-
-def _row_dicts(m):
-    """The rows of m, a Mat or SparseRows, as new dicts {column: value} of
-    their nonzero entries, made one at a time."""
-    if isinstance(m, SparseRows):
-        return ({j: x for j, x in r.items() if x} for r in m.rows)
-    return (dict(r) for r in m.nz)
-
-
 def _rref_rows(F: Field, rows) -> dict:
     """The nonzero rows of the reduced row echelon form of the given rows,
     dicts {column: value} of nonzero entries, as {pivot column: row}.  The
@@ -565,7 +546,7 @@ def rref(m: Mat):
     The rows' nonzero entries are eliminated by _rref_rows; the form is
     unique, so it does not depend on the order rows are taken in.
     """
-    piv = _rref_rows(m.field, _row_dicts(m))
+    piv = _rref_rows(m.field, map(dict, m.nz))
     pivots = sorted(piv)
     return Mat._of(m.field, m.rows, m.cols, chain(
         map(piv.get, pivots), ({} for _ in range(m.rows - len(pivots))))), tuple(pivots)
@@ -575,14 +556,10 @@ def rank(m: Mat) -> int:
     return len(rref(m)[1])
 
 
-def kernel_basis(m) -> Mat:
-    """Columns form the canonical basis of ker(m) (free-column convention).
-
-    m is a Mat or SparseRows; either way its rows' nonzero entries go
-    through the one elimination, _rref_rows, so a Mat and SparseRows with
-    the same rows give the same basis, entry for entry.
-    """
-    return _kernel(m.field, _rref_rows(m.field, _row_dicts(m)), m.cols)
+def kernel_basis(m: Mat) -> Mat:
+    """Columns form the canonical basis of ker(m) (free-column convention),
+    read off the one elimination of copies of m's rows."""
+    return _kernel(m.field, _rref_rows(m.field, map(dict, m.nz)), m.cols)
 
 
 def solve_affine(a: Mat, b: Mat):

@@ -55,6 +55,21 @@ def test_minimal_algebra_defaults_to_zero_maps(tmp_path):
     assert ws.algebras["k"].mult.is_zero()
 
 
+def test_zero_scalars_are_parsed_but_not_stored(tmp_path):
+    # Over F_5, "5", "0/3" and 10 are zero: each is still a checked entry
+    # (a repeat is a duplicate), but the matrix stores only the one nonzero.
+    mult = [[0, 0, 0, "1"], [0, 1, 1, "5"], [1, 0, 1, "0/3"], [1, 1, 0, 10]]
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps({"field": {"kind": "prime", "p": 5},
+                             "algebras": {"A": {"dim": 2, "mult": mult}}}))
+    m = parse_workspace(str(p)).algebras["A"].mult
+    assert m.nz == ({0: 1}, {})
+    p.write_text(json.dumps({"field": {"kind": "prime", "p": 5},
+                             "algebras": {"A": {"dim": 2, "mult": mult + [[0, 1, 1, 1]]}}}))
+    with pytest.raises(InputError, match="duplicate entry at index"):
+        parse_workspace(str(p))
+
+
 def test_shipped_example_matches_builders():
     ws = parse_workspace(KZ2)
     h = group_algebra(2, Q)
@@ -339,17 +354,20 @@ def test_main_builds_no_garbage_and_repeats_itself(capsys):
 def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypatch,
                                                       doc, where, built):
     # Only the `built` matrices of the valid objects before the oversized
-    # map may be constructed; any further one fails the test.
+    # map may be constructed, through either builder `cli` uses (`Mat` from
+    # a dense tuple, `_from_flat` from nonzeros); any further one fails the
+    # test.
     made = []
 
     def counted(real):
         def make(*args):
             made.append(args)
-            assert len(made) <= built, "dense structure built before the size check"
+            assert len(made) <= built, "structure built before the size check"
             return real(*args)
         return make
 
-    monkeypatch.setattr(cli, "Mat", counted(cli.Mat))
+    for builder in ("Mat", "_from_flat"):
+        monkeypatch.setattr(cli, builder, counted(getattr(cli, builder)))
     p = tmp_path / "w.json"
     p.write_text(json.dumps(dict(doc, field={"kind": "rational"})))
     with pytest.raises(InputError, match="over the limit") as refused:

@@ -1,8 +1,10 @@
-"""Rungs of the Frobenius ladder that the structural corpus does not reach.
+"""Each rung of the Frobenius ladder, and each step of strategy 2.
 
 The ladder reads only the shapes of the structure maps, so seeded
-structure constants that satisfy no axiom, and small edits of a tensor
-flip entwining, drive it onto each rung.  Every FOUND witness is
+structure constants that satisfy no axiom, small edits of a tensor flip
+entwining and a moved unit of M2 drive it onto the rungs that the
+structural corpus does not reach; the corpus itself pins the pairwise-sum
+rho seed.  Every FOUND witness is
 substituted into the component equations of `components`, and the
 verdicts of both sides must agree, since none of these instances tells
 the two variances apart.
@@ -20,10 +22,12 @@ from entwine.algstruct import (
 from entwine.entwining import Entwining, regular_doi_koppinen, trivial_entwining
 from entwine.criteria import decide_frobenius_co, decide_frobenius_contra
 import components as cp
+import corpus
 
 Q = Field.rational()
 F2 = Field.prime(2)
 F3 = Field.prime(3)
+F5 = Field.prime(5)
 
 
 def random_entwining(field: Field, n: int, c: int, seed: int) -> Entwining:
@@ -96,20 +100,55 @@ def test_rho_basis_vector_extends_in_strategy_1():
                      "strategy 1: rho basis vector 0 extends")
 
 
+@pytest.mark.parametrize("name, field, e, theta", [
+    ("dk2", Q, [[1, 0, 1, 0]], [[1, 1], [0, 0], [0, 0], [1, 1]]),
+    ("dk2", F5, [[1, 0, 1, 0]], [[1, 1], [0, 0], [0, 0], [1, 1]]),
+    ("gl2", Q, [[1, 1]], [[1, 1]]),
+    ("gl2", F5, [[1, 1]], [[1, 1]]),
+])
+def test_rho_sum_seed_extends_directly(name, field, e, theta):
+    # Two rho parameters: neither rho basis vector extends, nor does the
+    # sigma the first coupling solves from it, so the witness is the third
+    # seed, the sum of the two, extended directly.
+    v = both_sides(corpus.entwinings(field)[name])
+    assert v.log == ("membership spaces: sigma 2, rho 2 parameters",
+                     "strategy 1: no membership basis vector extends",
+                     "strategy 2: alternation from a rho seed")
+    assert v.witness["e"] == Mat.from_rows(field, e)
+    assert v.witness["theta"] == Mat.from_rows(field, theta)
+
+
+def moved_unit_m2(field, unit) -> Entwining:
+    """The trivial entwining of M2 with its unit moved to `unit`."""
+    return trivial_entwining(Algebra(field, 4, matrix_algebra(2, field).mult,
+                                     Mat.from_rows(field, [[x] for x in unit])))
+
+
 @pytest.mark.parametrize("field", [Q, F3])
 def test_rho_seed_alternation_hits_after_a_partial_solve(field):
-    # M2 with the unit moved off the identity: no basis vector extends, no
-    # rho seed extends directly, and the witness is the sigma of the partial
-    # solve (through-psi coupling only) with its full rho re-solve.
-    m2 = matrix_algebra(2, field)
-    unit = Mat.from_rows(field, [[0], [2], [0], [1]])
-    v = both_sides(trivial_entwining(Algebra(field, 4, m2.mult, unit)))
+    # M2 with the unit moved off the identity: no basis vector extends, and
+    # the witness is the sigma of the partial solve (through-psi coupling
+    # only) from a rho basis vector, with its full rho re-solve.  A later
+    # sum seed extends directly to the same witness.
+    v = both_sides(moved_unit_m2(field, (0, 2, 0, 1)))
     assert v.log == ("membership spaces: sigma 4, rho 4 parameters",
                      "strategy 1: no membership basis vector extends",
                      "strategy 2: alternation from a rho seed")
     assert v.witness["e"] == Mat.from_rows(field, [[0, 0, 2, 1]])
     assert v.witness["theta"] == Mat.from_rows(
         field, [[x] for x in (1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1)])
+
+
+def test_partial_solve_runs_before_the_sum_seeds():
+    # With the unit at (1, 0, 2, 0), a sum seed extends directly to another
+    # witness; the partial solve from a rho basis vector, which comes
+    # first, gives this one.
+    v = both_sides(moved_unit_m2(Q, (1, 0, 2, 0)))
+    assert v.log[1:] == ("strategy 1: no membership basis vector extends",
+                         "strategy 2: alternation from a rho seed")
+    assert v.witness["e"] == Mat.from_rows(Q, [[1, 2, 0, 0]])
+    assert v.witness["theta"] == Mat.from_rows(
+        Q, [[x] for x in (1, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0)])
 
 
 def test_sigma_sweep_hit_on_regular_dk_kz3_over_f2():

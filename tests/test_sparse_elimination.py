@@ -1,17 +1,17 @@
 """Differential test of the sparse-row elimination behind rref and
 kernel_basis.
 
-`kernel_basis` takes a dense `Mat` or `SparseRows`, a matrix given by
-{column: value} rows; `rref` takes a `Mat`.  All go through one
-sparse-row elimination.  The reduced row echelon form of a row space is
+`kernel_basis` and `rref` take a `Mat`, whose rows are {column: value}
+dicts of nonzeros, and both go through one sparse-row elimination on
+copies of those rows.  The reduced row echelon form of a row space is
 unique, so it must give the pivots, the reduced rows and the canonical
 kernel basis of the naive dense Gauss-Jordan reference (`rref_oracle`,
 `kernel_oracle` in `oracles.py`) entry for entry, whatever the order of
 the rows.  Inputs are seeded random matrices at fills 0,
 about 3%, 50% and 100% over Q, F_2 and F_5, with rows that cancel
 (differences and multiples of other rows), duplicate rows, zero rows,
-explicit zero entries (over Q fresh `Fraction(0)` objects), no rows at
-all and no columns.
+zero entries given to `Mat` as fresh `Fraction(0)` objects over Q, no
+rows at all and no columns.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from entwine.exactlin import Field, Mat, SparseRows, kernel_basis, rref
+from entwine.exactlin import Field, Mat, kernel_basis, rref
 from oracles import kernel_oracle, rref_oracle
 
 FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
@@ -53,16 +53,6 @@ def rand_rows(F, rng, rows, cols, fill):
     return out
 
 
-def as_sparse(F, rows, cols, explicit_zeros):
-    """SparseRows of the given rows: nonzeros only, or every entry with
-    each zero stored as a fresh zero object."""
-    if explicit_zeros:
-        zero = (lambda: Fraction(0)) if F.kind == "rational" else (lambda: 0)
-        return SparseRows(F, cols, tuple({j: (x if x else zero()) for j, x in enumerate(r)}
-                                         for r in rows))
-    return SparseRows(F, cols, tuple({j: x for j, x in enumerate(r) if x} for r in rows))
-
-
 def dense(F, rows, cols):
     return Mat(F, len(rows), cols, tuple(x for r in rows for x in r))
 
@@ -83,22 +73,18 @@ def check(F, rows, cols, rng):
     assert piv == tuple(want_piv)
     assert list(r.entries) == want_r and (r.rows, r.cols) == (len(rows), cols)
     assert_typed(F, r)
-    assert kernel_basis(d) == want_basis
-    for explicit_zeros in (False, True):
-        sparse = as_sparse(F, rows, cols, explicit_zeros)
-        got = kernel_basis(sparse)
-        assert got == want_basis
-        assert (got.rows, got.cols) == (want_basis.rows, want_basis.cols)
-        assert_typed(F, got)
-        # The same rows in another order.
-        shuffled = list(sparse.rows)
-        rng.shuffle(shuffled)
-        assert kernel_basis(SparseRows(F, cols, tuple(shuffled))) == want_basis
-        # The input rows are read, not reduced in place.
-        assert sparse == as_sparse(F, rows, cols, explicit_zeros)
+    got = kernel_basis(d)
+    assert got == want_basis
+    assert (got.rows, got.cols) == (want_basis.rows, want_basis.cols)
+    assert_typed(F, got)
+    # The input rows are read, not reduced in place.
+    assert d.nz == dense(F, rows, cols).nz
+    # The same rows in another order.
     order = list(range(len(rows)))
     rng.shuffle(order)
-    assert rref(dense(F, [rows[i] for i in order], cols)) == (r, piv)
+    shuffled = dense(F, [rows[i] for i in order], cols)
+    assert kernel_basis(shuffled) == want_basis
+    assert rref(shuffled) == (r, piv)
 
 
 @pytest.mark.parametrize("fill", FILLS)
@@ -127,9 +113,9 @@ def test_low_rank_products_match_dense(fname):
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_empty_systems(fname):
     F = FIELDS[fname]
-    # No rows: every unknown is free.
-    assert kernel_basis(SparseRows(F, 4, ())) == Mat.identity(F, 4)
-    assert kernel_basis(SparseRows(F, 3, ({}, {}))) == Mat.identity(F, 3)
+    # No rows, or zero rows: every unknown is free.
+    assert kernel_basis(Mat.zeros(F, 0, 4)) == Mat.identity(F, 4)
+    assert kernel_basis(Mat.zeros(F, 2, 3)) == Mat.identity(F, 3)
     # No unknowns.
-    assert kernel_basis(SparseRows(F, 0, ({}, {}))) == Mat.zeros(F, 0, 0)
-    assert kernel_basis(SparseRows(F, 0, ())) == kernel_basis(Mat.zeros(F, 0, 0))
+    assert kernel_basis(Mat.zeros(F, 2, 0)) == Mat.zeros(F, 0, 0)
+    assert kernel_basis(Mat.zeros(F, 0, 0)) == Mat.zeros(F, 0, 0)
