@@ -130,18 +130,22 @@ def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> Mat:
     order = _matrix_legs(shape, n_in)
     data, duplicate = {}, None
     for t, ent in enumerate(entries):
-        spot = "%s entry #%d" % (where, t)
-        if not isinstance(ent, list) or len(ent) != len(shape) + 1:
-            raise InputError(spot, "expected [%d indices, scalar]" % len(shape))
-        for i, d in zip(ent, shape):
-            if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < d:
-                raise InputError(spot, "index %r outside [0, %d)" % (i, d))
+        try:
+            if not isinstance(ent, list) or len(ent) != len(shape) + 1:
+                raise InputError("", "expected [%d indices, scalar]" % len(shape))
+            for i, d in zip(ent, shape):
+                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < d:
+                    raise InputError("", "index %r outside [0, %d)" % (i, d))
+            value = _scalar_in(f, ent[-1], "")
+        except InputError as ex:
+            # The entry's position is spelled out only when it is refused.
+            raise InputError("%s entry #%d" % (where, t), str(ex)) from None
         flat = 0
         for p in order:
             flat = flat * shape[p] + ent[p]
         if flat in data and duplicate is None:
             duplicate = tuple(ent[p] for p in order)
-        data[flat] = _scalar_in(f, ent[-1], spot)
+        data[flat] = value
     if duplicate is not None:
         raise InputError(where, "duplicate entry at index %r" % (duplicate,))
     return _from_flat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]),
@@ -580,8 +584,9 @@ def _build_parser() -> _Parser:
                        help="coupled sigma/rho families, both sides")
     q.add_argument("name")
     q.add_argument("--budget", type=int, default=12, metavar="BITS",
-                   help="enumerate at most 2^BITS candidates, BITS from 0 to 64 "
-                        "(default 12)")
+                   help="enumerate at most 2^BITS candidates, counted "
+                        "projectively (zero and one point per line), BITS from "
+                        "0 to 64 (default 12)")
     for cmd, hlp in (("cotensor", "corestrict a module along a measuring"),
                      ("hattensor", "induce a module along a measuring"),
                      ("cohom", "corestrict a contramodule along a measuring"),

@@ -9,8 +9,10 @@ solves the resulting exact linear (or bilinear) system in those
 coordinates.
 
 Verdicts are exact.  FOUND witnesses re-verify by substitution before
-they are returned; NONE always carries a linear-infeasibility or an
-exhaustive-search certificate; anything weaker stays UNKNOWN.
+they are returned; NONE is returned only on an infeasible linear system
+or a completed exhaustive search, and it names which one ("linear" or
+"exhaustive") with its log, not a checkable certificate object; anything
+weaker stays UNKNOWN.
 """
 
 from __future__ import annotations
@@ -305,10 +307,9 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 # couplings linear in the other side's coordinates.  Its rungs: fix one
 # side on a membership basis vector and solve the other side linearly,
 # sigma basis first; fix rho on a seed (a basis vector or a sum of two)
-# and solve sigma from all couplings, or else from the first alone and
-# then rho from that sigma; over a prime field with a small enough
-# membership space, enumerate the smaller side outright, which alone
-# can certify NONE.
+# and solve sigma from all couplings; fix sigma, then rho, on the all-ones
+# point; over a prime field with a small enough membership space,
+# enumerate the smaller side up to scaling, which alone can certify NONE.
 
 
 def _frobenius_couplings_contra(e: Entwining):
@@ -349,6 +350,15 @@ def _frobenius_couplings_co(e: Entwining):
 _SIDES = ("sigma", "rho")
 
 
+def _projective_points(p: int, d: int):
+    """Zero, then the points of F_p^d whose first nonzero coordinate is 1,
+    in lexicographic order: one point on each line through the origin."""
+    yield (0,) * d
+    for i in reversed(range(d)):
+        for tail in product(range(p), repeat=d - 1 - i):
+            yield (0,) * i + (1,) + tail
+
+
 def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
                       budget_bits: int, tag: str) -> Verdict:
     """The Frobenius ladder on one variance, in membership coordinates.
@@ -377,25 +387,17 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     spaces = [mat_solution_basis(F, *shapes[k], mem).basis
               for k, mem in enumerate((s_mem, t_mem))]
     compiled = [compile_bilinear(F, *shapes, cp, spaces) for cp in couplings]
-    rhs = [-cb.gamma for cb in compiled]
+    rhs = vstack([-cb.gamma for cb in compiled])
     solved = {}
 
-    def solve(k, fixed, cps):
-        """Coordinates of side k solved linearly with the other side fixed
-        at coordinates `fixed`, or None; cps is a range of coupling
-        indices.  Each distinct solve runs once."""
-        key = (k, fixed, cps)
-        if key not in solved:
-            sol = solve_affine(vstack([compiled[i].fix(1 - k, fixed) for i in cps]),
-                               vstack([rhs[i] for i in cps]))
-            solved[key] = None if sol is None else sol[0]
-        return solved[key]
-
-    def extend(k, v, cps):
+    def extend(k, v):
         """(sigma, rho) coordinates with side k at v and the other side
-        solved, or None."""
-        w = solve(1 - k, v, cps)
-        return None if w is None else (v, w) if k == 0 else (w, v)
+        solved linearly from all couplings, or None.  Each distinct solve
+        runs once."""
+        if (k, v) not in solved:
+            sol = solve_affine(vstack([cb.fix(k, v) for cb in compiled]), rhs)
+            solved[k, v] = None if sol is None else (v, sol[0]) if k == 0 else (sol[0], v)
+        return solved[k, v]
 
     dims = [sp.cols for sp in spaces]
     data = {"sigma_parameters": dims[0], "rho_parameters": dims[1],
@@ -411,12 +413,10 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         return Verdict("FOUND", witness={"e": row, "theta": th},
                        log=tuple(log), data=data)
 
-    every = range(len(couplings))
-
     # With a zero-dimensional side the joint system is linear outright.
     if 0 in dims:
         k = dims.index(0)
-        hit = extend(k, Mat.zeros(F, 0, 1), every)
+        hit = extend(k, Mat.zeros(F, 0, 1))
         if hit is not None:
             return found(hit, "%s side is zero; %s solved linearly"
                          % (_SIDES[k], _SIDES[1 - k]))
@@ -429,34 +429,47 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
     # Strategy 1: pin one family to a membership basis vector.
     for k in (0, 1):
         for i, b in enumerate(units[k]):
-            hit = extend(k, b, every)
+            hit = extend(k, b)
             if hit is not None:
                 return found(hit, "strategy 1: %s basis vector %d extends"
                              % (_SIDES[k], i))
     log.append("strategy 1: no membership basis vector extends")
 
     # Strategy 2: rho seeds, the first six rho basis vectors and then their
-    # pairwise sums, each extended directly or else through the sigma that
-    # the first coupling alone gives it.  Sigma seeds and further rounds of
-    # alternation found no witness that these steps miss.
+    # pairwise sums, each extended directly.  Sigma seeds, a partial solve
+    # from the first coupling alone and further rounds of alternation found
+    # no witness that these seeds miss.
     first = units[1][:6]
     for v in first + [a + b for a, b in combinations(first, 2)]:
-        hit = extend(1, v, every)
-        if hit is None and (w := solve(0, v, every[:1])) is not None:
-            hit = extend(0, w, every)
+        hit = extend(1, v)
         if hit is not None:
             return found(hit, "strategy 2: alternation from a rho seed")
     log.append("strategy 2: alternation exhausted without a witness")
 
+    # The all-ones point of sigma, then of rho: a point off every coordinate
+    # hyperplane, so it extends when the feasible set of that side is the
+    # torus of nonzero coordinates, as on regular Doi-Koppinen entwinings.
+    # A failure adds no log line; a candidate the sweep meets again is not
+    # solved twice.
+    for k in (0, 1):
+        hit = extend(k, Mat(F, dims[k], 1, (F.one,) * dims[k]))
+        if hit is not None:
+            return found(hit, "all-ones point: %s extends" % _SIDES[k])
+
     # Strategy 3: exhaustive sweep of the smaller membership space.  Only
     # this rung can certify NONE: any witness pair projects into the
-    # swept space, so an empty sweep rules every pair out.
+    # swept space, so an empty sweep rules every pair out.  Since (s, th)
+    # is a witness exactly when (y s, th / y) is one, for y != 0, the sweep
+    # takes zero and then, in lexicographic order, the points whose first
+    # nonzero coordinate is 1: (p^d - 1)/(p - 1) + 1 candidates, with the
+    # first hit of a sweep of all p^d points, since any hit scales to one
+    # with leading coordinate 1 that comes no later.
     if F.kind == "prime":
         k = 0 if dims[0] <= dims[1] else 1
-        count = F.p ** dims[k]
+        count = (F.p ** dims[k] - 1) // (F.p - 1) + 1
         if count <= (1 << budget_bits):
-            for coeffs in product(range(F.p), repeat=dims[k]):
-                hit = extend(k, Mat(F, dims[k], 1, tuple(map(F.of, coeffs))), every)
+            for coeffs in _projective_points(F.p, dims[k]):
+                hit = extend(k, Mat(F, dims[k], 1, tuple(map(F.of, coeffs))))
                 if hit is not None:
                     return found(hit, "strategy 3: enumeration hit %r" % (coeffs,))
             log.append("strategy 3: all %d candidates fail" % count)

@@ -12,15 +12,20 @@ package stated them before they became term lists.  All are plain
 compositions of `kron` and products, so `affine_matrix_system` and
 `mat_solution_basis` assemble them by evaluation on matrix units, and
 `coupling_system` evaluates a coupling at pairs of basis vectors, both
-independently of the contraction of the term lists.
+independently of the contraction of the term lists.  `frobenius_sweep`
+is the reference of the Frobenius ladder's exhaustive sweep, built on
+them.
 """
 
 from __future__ import annotations
 
-from entwine.exactlin import Mat, basis_columns, kron, vec, vstack
+from itertools import product
+
+from entwine.exactlin import Mat, basis_columns, kron, mat_solution_basis, vec, vstack
 from entwine.contracat import under
 from entwine.entwining import Entwining
 from entwine.criteria import coevaluation
+from oracles import in_span
 
 
 def stacked(parts) -> Mat:
@@ -178,6 +183,37 @@ def coupling_system(f, shapes, bases):
         return from_columns([(block * u).entries for block in blocks], len(ps))
 
     return fix
+
+
+def frobenius_sweep(e, variance, points=None):
+    """(status, first hit, candidates tried) of the sweep of the smaller
+    membership space of one variance over `points`, by default all of
+    F_p^d in lexicographic order: each candidate fixes that side's
+    coordinates, and it hits when the coupling rows in the other side's
+    coordinates are consistent (`oracles.in_span`)."""
+    F = e.field
+    n, c = e.alg.dim, e.coalg.dim
+    if variance == "co":
+        shapes = ((1, c * n), (n * n, c))
+        mems = (v1p_residual(e), w1p_residuals(e))
+        couplings = frobenius_couplings_co(e)
+    else:
+        shapes = ((c * n, 1), (n * n, c))
+        mems = (v1_residual(e), w1_residuals(e))
+        couplings = frobenius_couplings_contra(e)
+    bases = [mat_solution_basis(F, *shape, mem).basis for shape, mem in zip(shapes, mems)]
+    fixes = [coupling_system(f, shapes, bases) for f in couplings]
+    zero = [Mat.zeros(F, *shape) for shape in shapes]
+    target = list((-vstack([vec(f(*zero)) for f in couplings])).entries)
+    dims = [b.cols for b in bases]
+    k = 0 if dims[0] <= dims[1] else 1
+    tried = 0
+    for coeffs in product(range(F.p), repeat=dims[k]) if points is None else points:
+        tried += 1
+        a = vstack([fix(k, Mat(F, dims[k], 1, tuple(map(F.of, coeffs)))) for fix in fixes])
+        if in_span(F, [list(a.t.row(j)) for j in range(a.cols)], target):
+            return "FOUND", tuple(coeffs), tried
+    return "NONE", None, tried
 
 
 def cointegral_residuals(e: Entwining):

@@ -1,13 +1,14 @@
-"""Each rung of the Frobenius ladder, and each step of strategy 2.
+"""Each rung of the Frobenius ladder.
 
 The ladder reads only the shapes of the structure maps, so seeded
 structure constants that satisfy no axiom, small edits of a tensor flip
 entwining and a moved unit of M2 drive it onto the rungs that the
 structural corpus does not reach; the corpus itself pins the pairwise-sum
-rho seed.  Every FOUND witness is
-substituted into the component equations of `components`, and the
-verdicts of both sides must agree, since none of these instances tells
-the two variances apart.
+rho seed, and the tensor flips of kZ2 with three group-likes and the
+trivial entwining of M3 reach the sweep past every earlier rung.  Every
+FOUND witness is substituted into the component equations of
+`components`, and the verdicts of both sides must agree, since none of
+these instances tells the two variances apart.
 """
 
 import random
@@ -20,9 +21,11 @@ from entwine.algstruct import (
     trunc_poly_algebra,
 )
 from entwine.entwining import Entwining, regular_doi_koppinen, trivial_entwining
+from entwine import criteria
 from entwine.criteria import decide_frobenius_co, decide_frobenius_contra
 import components as cp
 import corpus
+import reference_residuals as ref
 
 Q = Field.rational()
 F2 = Field.prime(2)
@@ -53,6 +56,22 @@ def edited_flip(alg: Algebra, coalg: Coalgebra, edits) -> Entwining:
     for i, j, v in edits:
         entries[i * psi.cols + j] = F.of(v)
     return Entwining(alg, coalg, Mat(F, psi.rows, psi.cols, tuple(entries)))
+
+
+def kz2_gl3(field: Field, edits=()) -> Entwining:
+    """The tensor flip of kZ2 with the group-like coalgebra on three
+    points, with the (row, col, value) edits."""
+    return edited_flip(group_algebra(2, field).alg, group_like_coalgebra(field, 3),
+                       edits)
+
+
+SWEEP_HITS = {
+    "kz2-gl3 F2": kz2_gl3(F2),
+    "kz2-gl3 F3": kz2_gl3(F3),
+    "kz2-gl3 F5": kz2_gl3(F5),
+    "kz2-gl3 edited F2": kz2_gl3(F2, [(1, 5, 1)]),
+    "m3 F2": trivial_entwining(matrix_algebra(3, F2)),
+}
 
 
 def both_sides(e: Entwining):
@@ -127,9 +146,9 @@ def moved_unit_m2(field, unit) -> Entwining:
 @pytest.mark.parametrize("field", [Q, F3])
 def test_rho_seed_alternation_hits_after_a_partial_solve(field):
     # M2 with the unit moved off the identity: no basis vector extends, and
-    # the witness is the sigma of the partial solve (through-psi coupling
-    # only) from a rho basis vector, with its full rho re-solve.  A later
-    # sum seed extends directly to the same witness.
+    # a sum seed extends directly to this witness.  The name predates the
+    # removal of strategy 2's partial solve (sigma from the through-psi
+    # coupling alone), which found the same witness first.
     v = both_sides(moved_unit_m2(field, (0, 2, 0, 1)))
     assert v.log == ("membership spaces: sigma 4, rho 4 parameters",
                      "strategy 1: no membership basis vector extends",
@@ -139,25 +158,36 @@ def test_rho_seed_alternation_hits_after_a_partial_solve(field):
         field, [[x] for x in (1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1)])
 
 
-def test_partial_solve_runs_before_the_sum_seeds():
-    # With the unit at (1, 0, 2, 0), a sum seed extends directly to another
-    # witness; the partial solve from a rho basis vector, which comes
-    # first, gives this one.
+def test_sum_seed_decides_moved_unit_m2_without_a_partial_solve():
+    # With the unit at (1, 0, 2, 0), the removed partial solve gave theta
+    # (1, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0) for this sigma; a sum
+    # seed extends directly to another theta.
     v = both_sides(moved_unit_m2(Q, (1, 0, 2, 0)))
     assert v.log[1:] == ("strategy 1: no membership basis vector extends",
                          "strategy 2: alternation from a rho seed")
     assert v.witness["e"] == Mat.from_rows(Q, [[1, 2, 0, 0]])
     assert v.witness["theta"] == Mat.from_rows(
-        Q, [[x] for x in (1, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0)])
+        Q, [[x] for x in (1, 0, 0, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 1)])
 
+
+# The next three instances reached the sweep before the all-ones rung.  The
+# sweep's first hit on the first and third is the all-ones point itself,
+# so the witness is unchanged; on the second the sweep hit (1, 1, 1, 0) on
+# rho, and the all-ones point of rho extends first.
 
 def test_sigma_sweep_hit_on_regular_dk_kz3_over_f2():
-    v = both_sides(regular_doi_koppinen(group_algebra(3, F2)))
+    e = regular_doi_koppinen(group_algebra(3, F2))
+    v = both_sides(e)
     assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == (3, 3)
     assert v.log == ("membership spaces: sigma 3, rho 3 parameters",
                      "strategy 1: no membership basis vector extends",
                      "strategy 2: alternation exhausted without a witness",
-                     "strategy 3: enumeration hit (1, 1, 1)")
+                     "all-ones point: sigma extends")
+    assert ref.frobenius_sweep(e, "co")[:2] == ("FOUND", (1, 1, 1))
+    assert v.witness["e"] == Mat.from_rows(F2, [[1, 0, 0, 1, 0, 0, 1, 0, 0]])
+    assert v.witness["theta"] == Mat.from_rows(F2, [
+        [1, 1, 1], [0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0], [1, 1, 1],
+        [0, 0, 0], [1, 1, 1], [0, 0, 0]])
 
 
 def test_rho_sweep_hit_when_rho_space_is_smaller():
@@ -167,12 +197,74 @@ def test_rho_sweep_hit_when_rho_space_is_smaller():
     assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == (5, 4)
     assert v.log[1:] == ("strategy 1: no membership basis vector extends",
                          "strategy 2: alternation exhausted without a witness",
-                         "strategy 3: enumeration hit (1, 1, 1, 0)")
+                         "all-ones point: rho extends")
+    assert ref.frobenius_sweep(e, "co")[:2] == ("FOUND", (1, 1, 1, 0))
 
 
 def test_sigma_sweep_hit_on_regular_dk_kz5_over_f5():
-    # |G| = 5: the sweep runs 5^5 candidates in membership coordinates and
-    # hits at the all-ones point.
+    # |G| = 5: the sweep hit at the all-ones point, which the rung before it
+    # now extends.
     v = both_sides(regular_doi_koppinen(group_algebra(5, Field.prime(5))))
     assert v.found
-    assert v.log[-1] == "strategy 3: enumeration hit (1, 1, 1, 1, 1)"
+    assert v.log[-1] == "all-ones point: sigma extends"
+
+
+@pytest.mark.parametrize("field, n", [(Q, 3), (Q, 4), (Q, 5), (Q, 6),
+                                      (F5, 6), (Field.prime(7), 5)])
+def test_all_ones_point_decides_regular_dk(field, n):
+    # The feasible sigma of regular DK kZn is the torus of nonzero
+    # coordinates.  Over Q no sweep runs, and over F_5 and F_7 at these n
+    # the p^n points of the full sweep exceeded the budget, so all of these
+    # were UNKNOWN before the all-ones rung.
+    v = both_sides(regular_doi_koppinen(group_algebra(n, field)))
+    assert (v.data["sigma_parameters"], v.data["rho_parameters"]) == (n, n)
+    assert v.log[1:] == ("strategy 1: no membership basis vector extends",
+                         "strategy 2: alternation exhausted without a witness",
+                         "all-ones point: sigma extends")
+
+
+# Sweep hits past every earlier rung: no membership basis vector, rho seed
+# or all-ones point extends.  Over F_5 the 5^6 = 15,625 points of a full
+# sweep of the tensor flip of kZ2 with three group-likes exceed the budget
+# of 4,096, and the projective sweep takes 3,907.  M3's hit, read as a
+# 3 x 3 matrix, is the first invertible one in lexicographic order.
+
+@pytest.mark.parametrize("name, dims, hit", [
+    ("kz2-gl3 F2", (6, 6), (0, 1, 0, 1, 0, 1)),
+    ("kz2-gl3 F3", (6, 6), (0, 1, 0, 1, 0, 1)),
+    ("kz2-gl3 F5", (6, 6), (0, 1, 0, 1, 0, 1)),
+    ("m3 F2", (9, 9), (0, 0, 1, 0, 1, 0, 1, 0, 0)),
+])
+def test_sigma_sweep_hit_past_every_earlier_rung(name, dims, hit):
+    v = both_sides(SWEEP_HITS[name])
+    assert v.log == ("membership spaces: sigma %d, rho %d parameters" % dims,
+                     "strategy 1: no membership basis vector extends",
+                     "strategy 2: alternation exhausted without a witness",
+                     "strategy 3: enumeration hit %r" % (hit,))
+
+
+def test_rho_sweep_hit_past_every_earlier_rung():
+    v = both_sides(SWEEP_HITS["kz2-gl3 edited F2"])
+    assert v.log == ("membership spaces: sigma 5, rho 4 parameters",
+                     "strategy 1: no membership basis vector extends",
+                     "strategy 2: alternation exhausted without a witness",
+                     "strategy 3: enumeration hit (0, 1, 1, 1)")
+    assert v.witness["e"] == Mat.from_rows(F2, [[1, 0, 0, 1, 0, 1]])
+    assert v.witness["theta"] == Mat.from_rows(F2, [
+        [1, 0, 1], [0, 1, 1], [0, 1, 1], [1, 0, 0]])
+
+
+# Affine solves per decider call in the standard basis, now and before the
+# all-ones rung, the projective sweep and the removal of strategy 2's
+# partial solve.  Counted by call, so the guard does not depend on timing.
+@pytest.mark.parametrize("decide", [decide_frobenius_co, decide_frobenius_contra])
+@pytest.mark.parametrize("name, field, now, before", [
+    ("dk3", F5, 10, 44), ("dk2", Q, 5, 7), ("ut", Q, 5, 5), ("ut", F2, 6, 6),
+], ids=["dk3 F5", "dk2 Q", "ut Q", "ut F2"])
+def test_solve_count_is_pinned(name, field, now, before, decide, monkeypatch):
+    calls = []
+    solve = criteria.solve_affine
+    monkeypatch.setattr(criteria, "solve_affine",
+                        lambda a, b: calls.append(1) or solve(a, b))
+    decide(corpus.entwinings(field)[name])
+    assert len(calls) == now <= before
