@@ -8,16 +8,13 @@ return a Report whose failed checks carry an entry witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import (
-    Field, Mat, kron, flip, mat_solution_basis, SubspaceBasis, Lift, Term, TermList,
+    Field, Mat, Record, kron, flip, mat_solution_basis, SubspaceBasis, Lift, Term, TermList,
 )
 from .report import Report, eq_check
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Record):
     field: Field
     dim: int
     mult: Mat
@@ -33,8 +30,7 @@ class Algebra:
             raise ValueError("field mismatch")
 
 
-@dataclass(frozen=True)
-class Coalgebra:
+class Coalgebra(Record):
     field: Field
     dim: int
     comult: Mat
@@ -50,8 +46,7 @@ class Coalgebra:
             raise ValueError("field mismatch")
 
 
-@dataclass(frozen=True)
-class Bialgebra:
+class Bialgebra(Record):
     """Algebra and coalgebra on one carrier, compatibly."""
 
     alg: Algebra
@@ -70,8 +65,7 @@ class Bialgebra:
         return self.alg.field
 
 
-@dataclass(frozen=True)
-class ModuleRight:
+class ModuleRight(Record):
     """Right module: action M(x)A -> M, an m x (m*n) matrix."""
 
     alg: Algebra
@@ -86,8 +80,7 @@ class ModuleRight:
             raise ValueError("field mismatch")
 
 
-@dataclass(frozen=True)
-class ModuleLeft:
+class ModuleLeft(Record):
     """Left module: action A(x)M -> M, an m x (n*m) matrix."""
 
     alg: Algebra
@@ -102,8 +95,7 @@ class ModuleLeft:
             raise ValueError("field mismatch")
 
 
-@dataclass(frozen=True)
-class Comodule:
+class Comodule(Record):
     """Right comodule: coaction M -> M(x)C, an (m*c) x m matrix."""
 
     coalg: Coalgebra

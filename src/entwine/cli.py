@@ -49,12 +49,11 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, make_dataclass
 from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
 
-from .exactlin import Field, Mat, _from_flat, rank
+from .exactlin import Field, Mat, Record, _from_flat, rank
 from .algstruct import (
     Algebra, Coalgebra, Comodule, check_algebra, check_coalgebra,
     check_comodule,
@@ -207,8 +206,7 @@ def _shape(obj, legs) -> tuple:
 # -- the format -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Record):
     """One table of a workspace file.
 
     refs: (JSON key, target table, attribute) of each reference.  maps:
@@ -265,11 +263,13 @@ _TOP_KEYS = ("field",) + tuple(kind.key for kind in _KINDS)
 # -- workspace --------------------------------------------------------
 
 
-Workspace = make_dataclass(
-    "Workspace", [("field", Field)] + [(kind.key, dict) for kind in _KINDS],
-    namespace={"__module__": __name__,
-               "tables": lambda self: tuple((kind.key, getattr(self, kind.key))
-                                            for kind in _KINDS)})
+class Workspace(Record, frozen=False):
+    """The field, then one {name: object} dict per table of _KINDS."""
+
+    __annotations__ = dict(field=Field, **{kind.key: dict for kind in _KINDS})
+
+    def tables(self) -> tuple:
+        return tuple((kind.key, getattr(self, kind.key)) for kind in _KINDS)
 
 
 def _obj(doc, where, required, optional=()):

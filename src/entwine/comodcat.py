@@ -8,9 +8,7 @@ compatibility square reads
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis
+from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Comodule, ModuleRight, check_comodule, check_module_right,
@@ -19,8 +17,7 @@ from .algstruct import (
 from .entwining import Entwining
 
 
-@dataclass(frozen=True)
-class EntwinedModule:
+class EntwinedModule(Record):
     ent: Entwining
     dim: int
     action: Mat

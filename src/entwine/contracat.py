@@ -16,9 +16,7 @@ uncurried as A (x) M -> M, its curried mate M -> M (x) A* is derived.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlin import Mat, kron, SubspaceBasis, mat_solution_basis, reshape
+from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis, reshape
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Coalgebra, ModuleLeft, check_module_left, left_action_square,
@@ -55,8 +53,7 @@ def uncurry_left(mu: Mat, m: int, n: int) -> Mat:
     return reshape(mu, m, n * m)
 
 
-@dataclass(frozen=True)
-class ContraModule:
+class ContraModule(Record):
     coalg: Coalgebra
     dim: int
     pi: Mat
@@ -95,8 +92,7 @@ def plain_contra_hom(x: ContraModule, y: ContraModule) -> SubspaceBasis:
                               [right_action_square(x.pi, y.pi, x.coalg.dim)])
 
 
-@dataclass(frozen=True)
-class EntwinedContraModule:
+class EntwinedContraModule(Record):
     ent: Entwining
     dim: int
     pi: Mat

@@ -17,11 +17,10 @@ weaker stays UNKNOWN.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from itertools import combinations, product
 
 from .exactlin import (
-    Field, Mat, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
+    Field, Mat, Record, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
     compile_bilinear, Lift, Term, TermList,
 )
@@ -42,8 +41,7 @@ def coevaluation(field: Field, n: int) -> Mat:
     return vec(Mat.identity(field, n))
 
 
-@dataclass(frozen=True)
-class SepFunctional:
+class SepFunctional(Record):
     """A functional e on C(x)A, the value at the base field of a natural
     family sigma.  The components below are natural by construction; no
     admissibility is implied, that is what the condition systems decide."""
@@ -67,8 +65,7 @@ class SepFunctional:
         return kron(Mat.identity(self.ent.field, m), self.e)
 
 
-@dataclass(frozen=True)
-class CasimirMap:
+class CasimirMap(Record):
     """A map theta: C -> A(x)A, the value at the base field of a natural
     family rho, in either variance."""
 
@@ -91,8 +88,7 @@ class CasimirMap:
         return kron(Mat.identity(self.ent.field, m), self.theta)
 
 
-@dataclass(frozen=True)
-class Cointegral:
+class Cointegral(Record):
     """A normalized cointegral phi: A*(x)C -> A.
 
     A cointegral buys Maschke-type averaging: maschke_split_co (resp.
@@ -114,10 +110,10 @@ class Cointegral:
 
     ent: Entwining
     phi: Mat
-    # True only from from_verdict: the identities hold already.
-    _verified: InitVar[bool] = False
 
-    def __post_init__(self, _verified):
+    def __init__(self, ent: Entwining, phi: Mat, _verified: bool = False):
+        # _verified is True only from from_verdict: the identities hold already.
+        super().__init__(ent, phi)
         n, c = self.ent.alg.dim, self.ent.coalg.dim
         if (self.phi.rows, self.phi.cols) != (n, n * c):
             raise ValueError("phi must be %d x %d" % (n, n * c))

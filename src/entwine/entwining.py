@@ -6,9 +6,7 @@ Every axiom is evaluated as a full matrix identity; nothing is sampled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlin import Field, Mat, kron, flip
+from .exactlin import Field, Mat, Record, kron, flip
 from .report import Report, Check, eq_check
 from .algstruct import (
     Algebra, Coalgebra, Bialgebra, Comodule,
@@ -17,8 +15,7 @@ from .algstruct import (
 )
 
 
-@dataclass(frozen=True)
-class Entwining:
+class Entwining(Record):
     alg: Algebra
     coalg: Coalgebra
     psi: Mat

@@ -53,9 +53,116 @@ tests and the benchmark pass closures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import attrgetter
+
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the package's value classes: the annotated names of a
+    subclass body are its fields, in order, after any fields it inherits
+    (a subclass with no annotations of its own has its parent's).  A class
+    attribute of a field's name is its default; a list or dict default is
+    copied for each instance.
+
+    A record is built from its fields by position or keyword, then
+    __post_init__ runs; it equals another record of the same class with
+    equal fields, hashes as the tuple of its fields, and reprs as
+    Name(field=value, ...).  It is frozen (assigning or deleting any
+    attribute raises AttributeError) unless its class, or a base, is
+    declared with `frozen=False`; a mutable record is unhashable.  All of
+    it is set once per class here: no code is generated per class.
+    """
+
+    _fields = ()
+    _defaults = {}
+
+    def __init_subclass__(cls, frozen=True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = cls.__dict__.get("__annotations__", {})
+        fields = cls._fields + tuple(f for f in own if f not in cls._fields)
+        defaults = dict(cls._defaults)
+        for f in own:
+            if f in cls.__dict__:
+                defaults[f] = cls.__dict__[f]
+        required = [f for f in fields if f not in defaults]
+        if required and fields.index(required[-1]) >= len(required):
+            raise TypeError("field %r without a default follows a field with one"
+                            % (required[-1],))
+        cls._fields, cls._defaults = fields, defaults
+        # The defaults of the fields after the required ones, for a call
+        # that gives only some leading fields by position and has no
+        # list or dict default to copy.
+        cls._nreq = len(required)
+        cls._tail = tuple(defaults[f] for f in fields[len(required):])
+        if any(type(x) in (list, dict) for x in cls._tail):
+            cls._tail = None
+        # The fields as a tuple (one field: its value), called as self._key(self).
+        cls._key = attrgetter(*fields)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for f, x in zip(fields, args):
+            _set(self, f, x)
+        self.__post_init__()
+
+    def _bind(self, args, kwargs) -> list:
+        """Every field's value: from args, then kwargs, then its default."""
+        fields, defaults, name = self._fields, self._defaults, type(self).__name__
+        n = len(args)
+        if not kwargs and self._tail is not None and self._nreq <= n < len(fields):
+            return args + self._tail[n - self._nreq:]
+        if len(args) > len(fields):
+            raise TypeError("%s() takes %d positional arguments but %d were given"
+                            % (name, len(fields), len(args)))
+        values = list(args)
+        for f in fields[len(args):]:
+            if f in kwargs:
+                values.append(kwargs.pop(f))
+            elif f in defaults:
+                x = defaults[f]
+                values.append(x.copy() if type(x) in (list, dict) else x)
+            else:
+                raise TypeError("%s() missing argument %r" % (name, f))
+        for f in kwargs:
+            raise TypeError("%s() got %s argument %r" % (
+                name, "multiple values for" if f in fields else "an unexpected", f))
+        return values
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to %r of a frozen %s"
+                             % (name, type(self).__name__))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete %r of a frozen %s"
+                             % (name, type(self).__name__))
+
 
 # The shared zero and one of Q (F_p uses the small ints 0 and 1).
 _Q0 = Fraction(0)
@@ -90,8 +197,7 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Field:
+class Field(Record):
     """Q (kind="rational") or F_p (kind="prime", modulus p)."""
 
     kind: str
@@ -595,8 +701,7 @@ def inverse(m: Mat) -> Mat:
     return sol[0]
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Record):
     """A subspace of k^ambient_dim given by independent basis columns."""
 
     ambient_dim: int
@@ -621,8 +726,7 @@ def same_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
     return rank(hstack([a.basis, b.basis])) == a.dim
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(Record):
     """Cokernel presentation: projection kills relations, section splits it."""
 
     ambient_dim: int
@@ -685,8 +789,7 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
 # -- solution spaces of matrix equations ------------------------------
 
 
-@dataclass(frozen=True)
-class Lift:
+class Lift(Record):
     """The factor (I_a (x) U (x) I_b) . right of a term, where U is the
     unknown on `side` (0 or 1), or its transpose; right None is the
     identity."""
@@ -698,8 +801,7 @@ class Lift:
     side: int = 0
 
 
-@dataclass(frozen=True)
-class Term:
+class Term(Record):
     """coeff . left . lift_1 . lift_2 ...: one lift for a linear term, one
     per argument for a bilinear term; left None is the identity."""
 
@@ -708,8 +810,7 @@ class Term:
     lifts: tuple
 
 
-@dataclass(frozen=True)
-class TermList:
+class TermList(Record):
     """An identity in normal form: the sum of its terms plus const (None
     for zero).  Calling it evaluates it; `affine_matrix_system`,
     `mat_solution_basis` and `compile_bilinear` contract it.
@@ -917,8 +1018,7 @@ def affine_matrix_system(field: Field, rows: int, cols: int, residual):
     return a, -vec(r0)
 
 
-@dataclass(frozen=True)
-class CompiledBilinear:
+class CompiledBilinear(Record):
     """f(X, Y) = beta(X, Y) + f(0, 0), beta bilinear, compiled to matrices
     in the coordinates of two bases: vec(X) = P x and vec(Y) = Q y.
 

@@ -29,10 +29,8 @@ the measuring (inclusion, coaction-of-unit).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .exactlin import (
-    Mat, kron, kernel_basis, cokernel, restrict_map, mat_solution_basis,
+    Mat, Record, kron, kernel_basis, cokernel, restrict_map, mat_solution_basis,
     SubspaceBasis, rank, inverse, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict, hom_bijection_report
@@ -51,8 +49,7 @@ from .contracat import (
 )
 
 
-@dataclass(frozen=True)
-class Measuring:
+class Measuring(Record):
     """alpha: C'(x)A' -> A and gamma: C' -> A(x)C between entwinings."""
 
     src: Entwining
@@ -125,8 +122,7 @@ def identity_measuring(e: Entwining) -> Measuring:
 # Coalgebra-Galois data
 
 
-@dataclass(frozen=True)
-class GaloisData:
+class GaloisData(Record):
     """An algebra that is simultaneously a comodule over a coalgebra."""
 
     alg: Algebra
@@ -152,8 +148,7 @@ class GaloisData:
         return Comodule(self.coalg, self.alg.dim, self.coaction)
 
 
-@dataclass(frozen=True)
-class Coinvariants:
+class Coinvariants(Record):
     """Basis of the coinvariant subalgebra with its induced structure."""
 
     space: SubspaceBasis

@@ -9,13 +9,11 @@ separators, so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .exactlin import Mat, basis_columns, in_subspace
+from .exactlin import Mat, Record, basis_columns, in_subspace
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     passed: bool
     witness: dict | None = None
@@ -52,13 +50,12 @@ def eq_check(name: str, lhs: Mat, rhs: Mat) -> Check:
     return Check(name, True)
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False):
     """Named collection of checks plus free-form result data."""
 
     title: str
-    checks: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    checks: list = []
+    data: dict = {}
 
     def add(self, check: Check) -> Check:
         self.checks.append(check)
@@ -110,8 +107,7 @@ def mat_as_lists(m: Mat) -> list:
     return [[m.field.show(x) for x in m.row(i)] for i in range(m.rows)]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """Outcome of a decision procedure.
 
     status is FOUND, NONE, or UNKNOWN.  A FOUND verdict carries named
@@ -125,7 +121,7 @@ class Verdict:
     witness: dict | None = None
     certificate: str | None = None
     log: tuple = ()
-    data: dict = field(default_factory=dict)
+    data: dict = {}
 
     def __post_init__(self):
         if self.status not in ("FOUND", "NONE", "UNKNOWN"):
