@@ -58,6 +58,8 @@ from itertools import accumulate, chain
 from operator import attrgetter
 
 _set = object.__setattr__
+# The default of a field that has none.
+_REQUIRED = object()
 
 
 class Record:
@@ -76,29 +78,23 @@ class Record:
     it is set once per class here: no code is generated per class.
     """
 
-    _fields = ()
-    _defaults = {}
+    # (fields, defaults, required, fresh): the field names; per field its
+    # default or _REQUIRED; the number of fields without a default, which
+    # lead; the positions of the list and dict defaults, copied per record.
+    _spec = ((), (), 0, ())
 
     def __init_subclass__(cls, frozen=True, **kwargs):
         super().__init_subclass__(**kwargs)
-        own = cls.__dict__.get("__annotations__", {})
-        fields = cls._fields + tuple(f for f in own if f not in cls._fields)
-        defaults = dict(cls._defaults)
-        for f in own:
-            if f in cls.__dict__:
-                defaults[f] = cls.__dict__[f]
-        required = [f for f in fields if f not in defaults]
-        if required and fields.index(required[-1]) >= len(required):
+        by_name = dict(zip(*cls._spec[:2]))
+        for f in cls.__dict__.get("__annotations__", {}):
+            by_name[f] = cls.__dict__.get(f, by_name.get(f, _REQUIRED))
+        fields, defaults = tuple(by_name), tuple(by_name.values())
+        required = tuple(f for f, x in by_name.items() if x is _REQUIRED)
+        if fields[:len(required)] != required:
             raise TypeError("field %r without a default follows a field with one"
                             % (required[-1],))
-        cls._fields, cls._defaults = fields, defaults
-        # The defaults of the fields after the required ones, for a call
-        # that gives only some leading fields by position and has no
-        # list or dict default to copy.
-        cls._nreq = len(required)
-        cls._tail = tuple(defaults[f] for f in fields[len(required):])
-        if any(type(x) in (list, dict) for x in cls._tail):
-            cls._tail = None
+        fresh = tuple(i for i, x in enumerate(defaults) if type(x) in (list, dict))
+        cls._spec = fields, defaults, len(required), fresh
         # The fields as a tuple (one field: its value), called as self._key(self).
         cls._key = attrgetter(*fields)
         if not frozen:
@@ -107,34 +103,41 @@ class Record:
             cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
-        if kwargs or len(args) != len(fields):
-            args = self._bind(args, kwargs)
-        for f, x in zip(fields, args):
-            _set(self, f, x)
+        fields, defaults, required, fresh = self._spec
+        n = len(args)
+        values = args + defaults[n:]
+        if kwargs or fresh or not required <= n <= len(fields):
+            values = self._bind(values, n, kwargs)
+        # By index: a zip costs a third more per field.
+        i = 0
+        for f in fields:
+            _set(self, f, values[i])
+            i += 1
         self.__post_init__()
 
-    def _bind(self, args, kwargs) -> list:
-        """Every field's value: from args, then kwargs, then its default."""
-        fields, defaults, name = self._fields, self._defaults, type(self).__name__
-        n = len(args)
-        if not kwargs and self._tail is not None and self._nreq <= n < len(fields):
-            return args + self._tail[n - self._nreq:]
-        if len(args) > len(fields):
+    def _bind(self, values, n, kwargs) -> list:
+        """values, the n positional arguments then the defaults, with the
+        keyword arguments put in and the list and dict defaults copied; a
+        TypeError if a field is given twice, is unknown or has no value."""
+        fields, defaults, required, fresh = self._spec
+        name = type(self).__name__
+        if n > len(fields):
             raise TypeError("%s() takes %d positional arguments but %d were given"
-                            % (name, len(fields), len(args)))
-        values = list(args)
-        for f in fields[len(args):]:
-            if f in kwargs:
-                values.append(kwargs.pop(f))
-            elif f in defaults:
-                x = defaults[f]
-                values.append(x.copy() if type(x) in (list, dict) else x)
-            else:
-                raise TypeError("%s() missing argument %r" % (name, f))
-        for f in kwargs:
-            raise TypeError("%s() got %s argument %r" % (
-                name, "multiple values for" if f in fields else "an unexpected", f))
+                            % (name, len(fields), n))
+        values = list(values)
+        for f, x in kwargs.items():
+            if f not in fields:
+                raise TypeError("%s() got an unexpected argument %r" % (name, f))
+            i = fields.index(f)
+            if i < n:
+                raise TypeError("%s() got multiple values for argument %r" % (name, f))
+            values[i] = x
+        for i in range(n, required):
+            if values[i] is _REQUIRED:
+                raise TypeError("%s() missing argument %r" % (name, fields[i]))
+        for i in fresh:
+            if values[i] is defaults[i]:
+                values[i] = defaults[i].copy()
         return values
 
     def __post_init__(self):
@@ -153,7 +156,7 @@ class Record:
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__qualname__, ", ".join(
-            "%s=%r" % (f, getattr(self, f)) for f in self._fields))
+            "%s=%r" % (f, getattr(self, f)) for f in self._spec[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to %r of a frozen %s"

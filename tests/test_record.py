@@ -70,6 +70,10 @@ def test_list_and_dict_defaults_are_not_shared():
     a.add(Check("x", True))
     assert b.checks == [] and Report("c").checks == []
     assert Verdict("FOUND").data is not Verdict("FOUND").data
+    # A list or dict that is passed in is kept, by position or keyword.
+    checks, data = [], {}
+    assert Report("a", checks, data=data).checks is checks
+    assert Report("a", data=data).data is data
 
 
 def test_frozen_records_refuse_assignment_and_deletion():
