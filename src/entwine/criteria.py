@@ -142,38 +142,24 @@ class Cointegral(Record):
 # Each _*_residual factory states identities as term lists (see
 # exactlin.TermList) that are linear (for the memberships) or affine (for
 # the normalizations) in the unknown, and vanish exactly when the family
-# is admissible.  The contramodule- and comodule-side systems are written
-# out independently on purpose: they cross-check each other in the tests
-# and no relation between the two verdicts is assumed.
+# is admissible.  Each is stated once, on the comodule side.  The
+# contramodule side's identities are their transposes in the row r = s^T
+# (the docstrings give both), and a matrix vanishes exactly where its
+# transpose does, so the contramodule deciders pose these same systems.
+# The tests check them against contramodule identities written out
+# independently (components.py, reference_residuals.py).
 
 
-def _term(coeff, left: Mat, a: int, b: int, right: Mat, transposed=False) -> Term:
-    """coeff . left . (I_a (x) U (x) I_b) . right, U the unknown or its
-    transpose."""
-    return Term(coeff, left, (Lift(a, b, right, transposed),))
-
-
-def _v1_residual(e: Entwining):
-    """Compatibility of sigma with the coaction of the free contramodule:
-    head (I_c (x) psi^T) (s (x) I_c) - head (I_c (x) s)."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_c = Mat.identity(F, c)
-    head = kron(e.coalg.comult.t, Mat.identity(F, n))
-    return [TermList((_term(1, head * kron(i_c, e.psi.t), 1, c, i_c),
-                      _term(-1, head, c, 1, i_c)))]
-
-
-def _v1_norm(e: Entwining):
-    """(I_c (x) unit^T) s - counit^T."""
-    i_c = Mat.identity(e.field, e.coalg.dim)
-    return TermList((_term(1, kron(i_c, e.alg.unit.t), 1, 1, Mat.identity(e.field, 1)),),
-                    -e.coalg.counit.t)
+def _term(coeff, left: Mat, a: int, b: int, right: Mat) -> Term:
+    """coeff . left . (I_a (x) U (x) I_b) . right, U the unknown."""
+    return Term(coeff, left, (Lift(a, b, right),))
 
 
 def _v1p_residual(e: Entwining):
-    """Compatibility of sigma with the coaction of the cofree comodule:
-    (r (x) I_c) (I_c (x) psi) tail - (I_c (x) r) tail."""
+    """Compatibility of sigma with the coaction of the cofree comodule and,
+    transposed, with that of the free contramodule, tail = comult (x) I_n:
+      (r (x) I_c) (I_c (x) psi) tail - (I_c (x) r) tail,
+      tail^T (I_c (x) psi^T) (s (x) I_c) - tail^T (I_c (x) s)."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_c = Mat.identity(F, c)
@@ -183,36 +169,19 @@ def _v1p_residual(e: Entwining):
 
 
 def _v1p_norm(e: Entwining):
-    """r (I_c (x) unit) - counit."""
+    """r (I_c (x) unit) - counit; transposed, (I_c (x) unit^T) s - counit^T."""
     i_c = Mat.identity(e.field, e.coalg.dim)
     return TermList((_term(1, Mat.identity(e.field, 1), 1, 1, kron(i_c, e.alg.unit)),),
                     -e.coalg.counit)
 
 
-def _w1_residuals(e: Entwining):
-    """Compatibility of rho with the action and with the coaction, on the
-    contramodule side:
-      psi^T (I_n (x) th^T) (mult^T (x) I_n) - (th^T (x) I_n) (I_n (x) mult^T),
-      comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) psi^T)
-        - comult^T (th^T (x) I_c)."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_n = Mat.identity(F, n)
-    mult_t, comult_t, psi_t = e.alg.mult.t, e.coalg.comult.t, e.psi.t
-    action_side = TermList((
-        _term(1, psi_t, n, 1, kron(mult_t, i_n), True),
-        _term(-1, Mat.identity(F, c * n), 1, n, kron(i_n, mult_t), True)))
-    coaction_side = TermList((
-        _term(1, comult_t, c, 1, kron(psi_t, i_n) * kron(i_n, psi_t), True),
-        _term(-1, comult_t, 1, c, Mat.identity(F, n * n * c), True)))
-    return [action_side, coaction_side]
-
-
 def _w1p_residuals(e: Entwining):
     """Compatibility of rho with the coaction and with the action, on the
-    comodule side:
+    comodule side, then transposed, on the contramodule side:
       (I_n (x) psi) (psi (x) I_n) (I_c (x) th) comult - (th (x) I_c) comult,
-      (I_n (x) mult) (th (x) I_n) - (mult (x) I_n) (I_n (x) th) psi."""
+      (I_n (x) mult) (th (x) I_n) - (mult (x) I_n) (I_n (x) th) psi,
+      comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) psi^T) - comult^T (th^T (x) I_c),
+      (th^T (x) I_n) (I_n (x) mult^T) - psi^T (I_n (x) th^T) (mult^T (x) I_n)."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n = Mat.identity(F, n)
@@ -243,8 +212,7 @@ def _substitution_check(tag: str, residuals) -> None:
             raise AssertionError("%s witness fails identity %d" % (tag, i))
 
 
-def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str,
-                   wit_key: str, wit_of,
+def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str, wit_key: str,
                    log=("normalized family: linear system infeasible",
                         "normalized family found by linear solve")) -> Verdict:
     a, b = affine_matrix_system(e.field, rows, cols, residuals)
@@ -256,41 +224,40 @@ def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str,
     u = unvec(e.field, sol[0], rows, cols)
     _substitution_check(tag, [r(u) for r in residuals])
     data["parameters"] = sol[1].cols
-    return Verdict("FOUND", witness={wit_key: wit_of(u)}, data=data, log=log[1:])
+    return Verdict("FOUND", witness={wit_key: u}, data=data, log=log[1:])
 
 
 def decide_sep_contra_t(e: Entwining) -> Verdict:
     """Existence of a normalized sigma family on the contramodule side,
-    splitting the plain-to-entwined induction."""
+    splitting the plain-to-entwined induction.  Its identities are those of
+    decide_sep_co_t transposed, with the same zero set, so it poses them."""
     n, c = e.alg.dim, e.coalg.dim
-    residuals = _v1_residual(e) + [_v1_norm(e)]
-    return _decide_linear(e, c * n, 1, residuals, "sep-contra-t",
-                          "e", lambda s: s.t)
+    residuals = _v1p_residual(e) + [_v1p_norm(e)]
+    return _decide_linear(e, 1, c * n, residuals, "sep-contra-t", "e")
 
 
 def decide_sep_contra_f(e: Entwining) -> Verdict:
     """Existence of a normalized rho family on the contramodule side,
-    splitting the forgetful direction."""
+    splitting the forgetful direction.  Its memberships are those of
+    decide_sep_co_f transposed (the action side negated), with the same
+    zero set, and its normalization is theirs, so it poses them."""
     n, c = e.alg.dim, e.coalg.dim
-    residuals = _w1_residuals(e) + [_w1_norm(e)]
-    return _decide_linear(e, n * n, c, residuals, "sep-contra-f",
-                          "theta", lambda th: th)
+    residuals = _w1p_residuals(e) + [_w1_norm(e)]
+    return _decide_linear(e, n * n, c, residuals, "sep-contra-f", "theta")
 
 
 def decide_sep_co_t(e: Entwining) -> Verdict:
     """Comodule-side counterpart of decide_sep_contra_t."""
     n, c = e.alg.dim, e.coalg.dim
     residuals = _v1p_residual(e) + [_v1p_norm(e)]
-    return _decide_linear(e, 1, c * n, residuals, "sep-co-t",
-                          "e", lambda r: r)
+    return _decide_linear(e, 1, c * n, residuals, "sep-co-t", "e")
 
 
 def decide_sep_co_f(e: Entwining) -> Verdict:
     """Comodule-side counterpart of decide_sep_contra_f."""
     n, c = e.alg.dim, e.coalg.dim
     residuals = _w1p_residuals(e) + [_w1_norm(e)]
-    return _decide_linear(e, n * n, c, residuals, "sep-co-f",
-                          "theta", lambda th: th)
+    return _decide_linear(e, n * n, c, residuals, "sep-co-f", "theta")
 
 
 # -- Frobenius deciders -----------------------------------------------
@@ -308,28 +275,12 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
 # enumerate the smaller side up to scaling, which alone can certify NONE.
 
 
-def _frobenius_couplings_contra(e: Entwining):
-    """The two couplings of (s, th), bilinear plus a constant:
+def _frobenius_couplings_co(e: Entwining):
+    """The couplings of (r, th) and, transposed, of (s, th), bilinear plus a constant:
+      (I_n (x) r) (psi (x) I_n) (I_c (x) th) comult - unit counit,
+      (r (x) I_n) (I_c (x) th) comult - unit counit,
       comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) s) - counit^T unit^T,
       comult^T (I_c (x) th^T) (s (x) I_n) - counit^T unit^T."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_n = Mat.identity(F, n)
-    comult_t, psi_t = e.coalg.comult.t, e.psi.t
-    const = -(e.coalg.counit.t * e.alg.unit.t)
-
-    def coupling(middle, a, b):
-        return TermList((Term(1, comult_t, (Lift(c, 1, middle, True, 1),
-                                            Lift(a, b, i_n))),), const)
-
-    return [coupling(kron(psi_t, i_n), n, 1),
-            coupling(Mat.identity(F, c * n * n), 1, n)]
-
-
-def _frobenius_couplings_co(e: Entwining):
-    """The two couplings of (r, th), bilinear plus a constant:
-      (I_n (x) r) (psi (x) I_n) (I_c (x) th) comult - unit counit,
-      (r (x) I_n) (I_c (x) th) comult - unit counit."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n = Mat.identity(F, n)
@@ -355,7 +306,7 @@ def _projective_points(p: int, d: int):
             yield (0,) * i + (1,) + tail
 
 
-def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
+def _decide_frobenius(e: Entwining, s_mem, t_mem, couplings,
                       budget_bits: int, tag: str) -> Verdict:
     """The Frobenius ladder on one variance, in membership coordinates.
 
@@ -379,7 +330,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         raise ValueError("budget_bits must be in [0, 64], got %r" % (budget_bits,))
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    shapes = (s_shape, (n * n, c))
+    shapes = ((1, c * n), (n * n, c))
     spaces = [mat_solution_basis(F, *shapes[k], mem).basis
               for k, mem in enumerate((s_mem, t_mem))]
     compiled = [compile_bilinear(F, *shapes, cp, spaces) for cp in couplings]
@@ -405,8 +356,7 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
         _substitution_check(tag, [r(s) for r in s_mem] + [r(th) for r in t_mem]
                             + [cp(s, th) for cp in couplings])
         log.append(how)
-        row = s.t if s.cols == 1 and s.rows != 1 else s
-        return Verdict("FOUND", witness={"e": row, "theta": th},
+        return Verdict("FOUND", witness={"e": s, "theta": th},
                        log=tuple(log), data=data)
 
     # With a zero-dimensional side the joint system is linear outright.
@@ -480,19 +430,17 @@ def _decide_frobenius(e: Entwining, s_shape, s_mem, t_mem, couplings,
 
 def decide_frobenius_contra(e: Entwining, budget_bits: int = 12) -> Verdict:
     """Joint existence of coupled sigma and rho families making the
-    contramodule-side induction/forgetful adjunction two-sided."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _decide_frobenius(e, (c * n, 1), _v1_residual(e), _w1_residuals(e),
-                             _frobenius_couplings_contra(e), budget_bits,
-                             "frobenius-contra")
+    contramodule-side induction/forgetful adjunction two-sided.  Its
+    identities are those of decide_frobenius_co transposed, with the same
+    zero set, so it poses them."""
+    return _decide_frobenius(e, _v1p_residual(e), _w1p_residuals(e),
+                             _frobenius_couplings_co(e), budget_bits, "frobenius-contra")
 
 
 def decide_frobenius_co(e: Entwining, budget_bits: int = 12) -> Verdict:
     """Comodule-side counterpart of decide_frobenius_contra."""
-    n, c = e.alg.dim, e.coalg.dim
-    return _decide_frobenius(e, (1, c * n), _v1p_residual(e), _w1p_residuals(e),
-                             _frobenius_couplings_co(e), budget_bits,
-                             "frobenius-co")
+    return _decide_frobenius(e, _v1p_residual(e), _w1p_residuals(e),
+                             _frobenius_couplings_co(e), budget_bits, "frobenius-co")
 
 
 # -- cointegrals and Maschke averaging --------------------------------
@@ -541,8 +489,7 @@ def find_cointegral(e: Entwining) -> Verdict:
     failed an identity, that would be a solver bug (AssertionError).
     """
     n, c = e.alg.dim, e.coalg.dim
-    return _decide_linear(e, n, n * c, _cointegral_residuals(e), "cointegral",
-                          "phi", lambda phi: phi,
+    return _decide_linear(e, n, n * c, _cointegral_residuals(e), "cointegral", "phi",
                           log=("cointegral system infeasible",
                                "cointegral found by linear solve"))
 

@@ -7,7 +7,10 @@ reshape.  The reference is the coupling's closure in
 `reference_residuals`, evaluated at pairs of basis vectors
 (`coupling_system`): the two must give the same (A, b) for fixed
 coordinates that are zero, random, and unit vectors, on both sides, for
-both variances, over Q, F_2 and F_5.  A term without one lift on each
+both variances, over Q, F_2 and F_5.  The contramodule decider poses the
+comodule side's couplings and memberships, whose transposes its own
+identities are, sigma the row r; so its closures, written independently,
+are compared as r -> closure(r^T)^T.  A term without one lift on each
 side is refused.
 """
 
@@ -21,10 +24,7 @@ from entwine.exactlin import (
     Field, Lift, Mat, Term, TermList, compile_bilinear, kron, mat_solution_basis,
     vec,
 )
-from entwine.criteria import (
-    _frobenius_couplings_co, _frobenius_couplings_contra, _v1_residual,
-    _v1p_residual, _w1_residuals, _w1p_residuals,
-)
+from entwine.criteria import _frobenius_couplings_co, _v1p_residual, _w1p_residuals
 import reference_residuals as ref
 from corpus import entwinings
 
@@ -36,13 +36,12 @@ def frobenius_setup(e, variance):
     and their closures, as the decider of that variance uses them."""
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
+    shapes = ((1, c * n), (n * n, c))
+    mems, couplings = (_v1p_residual(e), _w1p_residuals(e)), _frobenius_couplings_co(e)
     if variance == "co":
-        shapes, mems = ((1, c * n), (n * n, c)), (_v1p_residual(e), _w1p_residuals(e))
-        couplings, closures = _frobenius_couplings_co(e), ref.frobenius_couplings_co(e)
+        closures = ref.frobenius_couplings_co(e)
     else:
-        shapes, mems = ((c * n, 1), (n * n, c)), (_v1_residual(e), _w1_residuals(e))
-        couplings, closures = (_frobenius_couplings_contra(e),
-                               ref.frobenius_couplings_contra(e))
+        closures = [lambda r, th, f=f: f(r.t, th).t for f in ref.frobenius_couplings_contra(e)]
     bases = [mat_solution_basis(F, *shape, mem).basis for shape, mem in zip(shapes, mems)]
     return shapes, bases, couplings, closures
 

@@ -9,6 +9,13 @@ and which `coupling_system` evaluates at pairs of random basis vectors
 for a coupling.  Both must give the same (A, b), solution basis,
 fixed-argument system and gamma entry for entry, and the same value at
 random unknowns, on the corpus entwinings over Q, F_2 and F_5.
+
+The contramodule deciders pose the comodule side's identities, whose
+transposes their own are, sigma the row r.  So the contramodule closures,
+written independently, are compared with the comodule term lists as
+r -> closure(r^T)^T: the rho memberships in the comodule side's order,
+coaction then action, and the action side negated, as its transpose is
+the negative of the comodule side's.
 """
 
 from __future__ import annotations
@@ -33,13 +40,16 @@ def linear_identities(e):
     pairs, the membership conditions first and the normalization last."""
     n, c = e.alg.dim, e.coalg.dim
     pairs = lambda forms, closures: list(zip(forms, closures))  # noqa: E731
+    w1_action, w1_coaction = ref.w1_residuals(e)
     return {
-        "v1": ((c * n, 1), pairs(criteria._v1_residual(e) + [criteria._v1_norm(e)],
-                                 ref.v1_residual(e) + [ref.v1_norm(e)])),
+        "v1": ((1, c * n), pairs(criteria._v1p_residual(e) + [criteria._v1p_norm(e)],
+                                 [lambda r, f=f: f(r.t).t
+                                  for f in ref.v1_residual(e) + [ref.v1_norm(e)]])),
         "v1p": ((1, c * n), pairs(criteria._v1p_residual(e) + [criteria._v1p_norm(e)],
                                   ref.v1p_residual(e) + [ref.v1p_norm(e)])),
-        "w1": ((n * n, c), pairs(criteria._w1_residuals(e) + [criteria._w1_norm(e)],
-                                 ref.w1_residuals(e) + [ref.w1_norm(e)])),
+        "w1": ((n * n, c), pairs(criteria._w1p_residuals(e) + [criteria._w1_norm(e)],
+                                 [lambda th: w1_coaction(th).t, lambda th: -w1_action(th).t,
+                                  ref.w1_norm(e)])),
         "w1p": ((n * n, c), pairs(criteria._w1p_residuals(e) + [criteria._w1_norm(e)],
                                   ref.w1p_residuals(e) + [ref.w1_norm(e)])),
         "cointegral": ((n, n * c), pairs(criteria._cointegral_residuals(e),
@@ -79,10 +89,10 @@ def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
 
 
 FROBENIUS = {
-    "co": (lambda n, c: ((1, c * n), (n * n, c)),
-           criteria._frobenius_couplings_co, ref.frobenius_couplings_co),
-    "contra": (lambda n, c: ((c * n, 1), (n * n, c)),
-               criteria._frobenius_couplings_contra, ref.frobenius_couplings_contra),
+    "co": (criteria._frobenius_couplings_co, ref.frobenius_couplings_co),
+    "contra": (criteria._frobenius_couplings_co,
+               lambda e: [lambda r, th, f=f: f(r.t, th).t
+                          for f in ref.frobenius_couplings_contra(e)]),
 }
 
 
@@ -92,8 +102,9 @@ FROBENIUS = {
 def test_contracted_couplings_match_unit_assembly(name, fname, variance):
     F = FIELDS[fname]
     e = entwinings(F)[name]
-    shapes_of, forms_of, closures_of = FROBENIUS[variance]
-    shapes = shapes_of(e.alg.dim, e.coalg.dim)
+    forms_of, closures_of = FROBENIUS[variance]
+    n, c = e.alg.dim, e.coalg.dim
+    shapes = ((1, c * n), (n * n, c))
     rng = random.Random("%s-%s-%s" % (name, fname, variance))
     # Random square bases: every basis entry, not just 0 and 1, is
     # projected through.

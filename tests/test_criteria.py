@@ -24,7 +24,7 @@ from entwine.criteria import (
     maschke_split_co, maschke_split_contra, rho_from_kappa_co,
     rho_from_kappa_contra, semisimplicity_probe, sigma_from_tau_co,
     sigma_from_tau_contra, tau_from_sigma_co, tau_from_sigma_contra,
-    _v1_residual, _v1p_residual, _w1_residuals, _w1p_residuals,
+    _v1p_residual, _w1p_residuals,
 )
 from entwine.algstruct import Comodule
 from corpus import direct_sum_contra, direct_sum_entwined
@@ -33,6 +33,7 @@ from oracles import (
     sep_idempotent_exists_oracle,
 )
 import components as cp
+import reference_residuals as ref
 
 Q = Field.rational()
 F2 = Field.prime(2)
@@ -61,29 +62,39 @@ def test_sigma_systems_empty_for_trivial_coalgebra():
     for alg in (matrix_algebra(2, Q), group_algebra(2, F2).alg):
         e = trivial_entwining(alg)
         n, c = e.alg.dim, e.coalg.dim
-        assert system_rank(e, _v1_residual(e), c * n, 1) == 0
+        # The contramodule side's identities, written independently, at
+        # the column s; its decider poses the comodule side's, at r = s^T.
+        assert system_rank(e, ref.v1_residual(e), c * n, 1) == 0
         assert system_rank(e, _v1p_residual(e), 1, c * n) == 0
 
 
 def test_system_ranks_match_stacked_component_oracle():
     for e in (dk(2, Q), dk(3, F5)):
         n, c = e.alg.dim, e.coalg.dim
+        # The contramodule deciders pose the comodule side's memberships,
+        # sigma as the row r = s^T; the contramodule component equations
+        # take the column s: the same vec, so the same rank.
         pairs = [
-            (_v1_residual, lambda e_, u, m: cp.sigma_equations_contra(e_, u, m)[:1], (c * n, 1)),
-            (_v1p_residual, lambda e_, u, m: cp.sigma_equations_co(e_, u, m)[:1], (1, c * n)),
-            (_w1_residuals, lambda e_, u, m: cp.rho_equations_contra(e_, u, m)[:2], (n * n, c)),
-            (_w1p_residuals, lambda e_, u, m: cp.rho_equations_co(e_, u, m)[:2], (n * n, c)),
+            (_v1p_residual, (1, c * n),
+             lambda e_, u, m: cp.sigma_equations_contra(e_, u, m)[:1], (c * n, 1)),
+            (_v1p_residual, (1, c * n),
+             lambda e_, u, m: cp.sigma_equations_co(e_, u, m)[:1], (1, c * n)),
+            (_w1p_residuals, (n * n, c),
+             lambda e_, u, m: cp.rho_equations_contra(e_, u, m)[:2], (n * n, c)),
+            (_w1p_residuals, (n * n, c),
+             lambda e_, u, m: cp.rho_equations_co(e_, u, m)[:2], (n * n, c)),
         ]
-        for residuals, eqs, shape in pairs:
-            assert system_rank(e, residuals(e), *shape) == cp.stacked_system_rank(e, eqs, *shape)
+        for residuals, shape, eqs, eq_shape in pairs:
+            assert (system_rank(e, residuals(e), *shape)
+                    == cp.stacked_system_rank(e, eqs, *eq_shape))
 
 
 def test_membership_kernel_satisfies_component_equations():
     e = dk(2, Q)
     n, c = 2, 2
     rng = random.Random(11)
-    space = mat_solution_basis(Q, c * n, 1, _v1_residual(e))
-    basis = basis_columns(Q, space.basis, c * n, 1)
+    space = mat_solution_basis(Q, 1, c * n, _v1p_residual(e))
+    basis = [r.t for r in basis_columns(Q, space.basis, 1, c * n)]
     assert len(basis) == 2
     mix = basis[0] * Q.of(rng.randint(-3, 3)) + basis[1] * Q.of(rng.randint(-3, 3))
     for m in (1, 2, 3):
