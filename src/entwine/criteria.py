@@ -145,9 +145,9 @@ class Cointegral(Record):
 # is admissible.  Each is stated once, on the comodule side.  The
 # contramodule side's identities are their transposes in the row r = s^T
 # (the docstrings give both), and a matrix vanishes exactly where its
-# transpose does, so the contramodule deciders pose these same systems.
-# The tests check them against contramodule identities written out
-# independently (components.py, reference_residuals.py).
+# transpose does, so each contramodule decider is its comodule one under
+# a second name.  The tests check them against contramodule identities
+# written out independently (components.py, reference_residuals.py).
 
 
 def _term(coeff, left: Mat, a: int, b: int, right: Mat) -> Term:
@@ -227,37 +227,25 @@ def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str, wit_
     return Verdict("FOUND", witness={wit_key: u}, data=data, log=log[1:])
 
 
-def decide_sep_contra_t(e: Entwining) -> Verdict:
-    """Existence of a normalized sigma family on the contramodule side,
-    splitting the plain-to-entwined induction.  Its identities are those of
-    decide_sep_co_t transposed, with the same zero set, so it poses them."""
-    n, c = e.alg.dim, e.coalg.dim
-    residuals = _v1p_residual(e) + [_v1p_norm(e)]
-    return _decide_linear(e, 1, c * n, residuals, "sep-contra-t", "e")
-
-
-def decide_sep_contra_f(e: Entwining) -> Verdict:
-    """Existence of a normalized rho family on the contramodule side,
-    splitting the forgetful direction.  Its memberships are those of
-    decide_sep_co_f transposed (the action side negated), with the same
-    zero set, and its normalization is theirs, so it poses them."""
-    n, c = e.alg.dim, e.coalg.dim
-    residuals = _w1p_residuals(e) + [_w1_norm(e)]
-    return _decide_linear(e, n * n, c, residuals, "sep-contra-f", "theta")
-
-
 def decide_sep_co_t(e: Entwining) -> Verdict:
-    """Comodule-side counterpart of decide_sep_contra_t."""
+    """Existence of a normalized sigma family, splitting the plain-to-
+    entwined induction.  The contramodule side's identities are these
+    transposed, with the same zero set, so this is decide_sep_contra_t too."""
     n, c = e.alg.dim, e.coalg.dim
-    residuals = _v1p_residual(e) + [_v1p_norm(e)]
-    return _decide_linear(e, 1, c * n, residuals, "sep-co-t", "e")
+    return _decide_linear(e, 1, c * n, _v1p_residual(e) + [_v1p_norm(e)], "sep-t", "e")
 
 
 def decide_sep_co_f(e: Entwining) -> Verdict:
-    """Comodule-side counterpart of decide_sep_contra_f."""
+    """Existence of a normalized rho family, splitting the forgetful
+    direction.  The contramodule side's memberships are these transposed
+    (the action side negated), with the same zero set, and its
+    normalization is this one, so this is decide_sep_contra_f too."""
     n, c = e.alg.dim, e.coalg.dim
-    residuals = _w1p_residuals(e) + [_w1_norm(e)]
-    return _decide_linear(e, n * n, c, residuals, "sep-co-f", "theta")
+    return _decide_linear(e, n * n, c, _w1p_residuals(e) + [_w1_norm(e)], "sep-f", "theta")
+
+
+decide_sep_contra_t = decide_sep_co_t
+decide_sep_contra_f = decide_sep_co_f
 
 
 # -- Frobenius deciders -----------------------------------------------
@@ -288,7 +276,7 @@ def _frobenius_couplings_co(e: Entwining):
 
     def coupling(a, b, middle):
         return TermList((Term(1, i_n, (Lift(a, b, middle),
-                                       Lift(c, 1, e.coalg.comult, False, 1))),), const)
+                                       Lift(c, 1, e.coalg.comult, side=1))),), const)
 
     return [coupling(n, 1, kron(e.psi, i_n)),
             coupling(1, n, Mat.identity(F, c * n * n))]
@@ -306,9 +294,8 @@ def _projective_points(p: int, d: int):
             yield (0,) * i + (1,) + tail
 
 
-def _decide_frobenius(e: Entwining, s_mem, t_mem, couplings,
-                      budget_bits: int, tag: str) -> Verdict:
-    """The Frobenius ladder on one variance, in membership coordinates.
+def _decide_frobenius(e: Entwining, budget_bits: int) -> Verdict:
+    """The Frobenius ladder, in membership coordinates.
 
     Both membership bases P_0 and P_1 are computed first.  Each coupling
     is compiled once per call (`compile_bilinear`) in their coordinates
@@ -331,6 +318,7 @@ def _decide_frobenius(e: Entwining, s_mem, t_mem, couplings,
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     shapes = ((1, c * n), (n * n, c))
+    s_mem, t_mem, couplings = _v1p_residual(e), _w1p_residuals(e), _frobenius_couplings_co(e)
     spaces = [mat_solution_basis(F, *shapes[k], mem).basis
               for k, mem in enumerate((s_mem, t_mem))]
     compiled = [compile_bilinear(F, *shapes, cp, spaces) for cp in couplings]
@@ -353,7 +341,7 @@ def _decide_frobenius(e: Entwining, s_mem, t_mem, couplings,
 
     def found(hit, how):
         s, th = (unvec(F, spaces[k] * x, *shapes[k]) for k, x in enumerate(hit))
-        _substitution_check(tag, [r(s) for r in s_mem] + [r(th) for r in t_mem]
+        _substitution_check("frobenius", [r(s) for r in s_mem] + [r(th) for r in t_mem]
                             + [cp(s, th) for cp in couplings])
         log.append(how)
         return Verdict("FOUND", witness={"e": s, "theta": th},
@@ -428,19 +416,15 @@ def _decide_frobenius(e: Entwining, s_mem, t_mem, couplings,
     return Verdict("UNKNOWN", log=tuple(log), data=data)
 
 
-def decide_frobenius_contra(e: Entwining, budget_bits: int = 12) -> Verdict:
-    """Joint existence of coupled sigma and rho families making the
-    contramodule-side induction/forgetful adjunction two-sided.  Its
-    identities are those of decide_frobenius_co transposed, with the same
-    zero set, so it poses them."""
-    return _decide_frobenius(e, _v1p_residual(e), _w1p_residuals(e),
-                             _frobenius_couplings_co(e), budget_bits, "frobenius-contra")
-
-
 def decide_frobenius_co(e: Entwining, budget_bits: int = 12) -> Verdict:
-    """Comodule-side counterpart of decide_frobenius_contra."""
-    return _decide_frobenius(e, _v1p_residual(e), _w1p_residuals(e),
-                             _frobenius_couplings_co(e), budget_bits, "frobenius-co")
+    """Joint existence of coupled sigma and rho families making the
+    induction/forgetful adjunction two-sided.  The contramodule side's
+    identities are these transposed, with the same zero set, so this is
+    decide_frobenius_contra too."""
+    return _decide_frobenius(e, budget_bits)
+
+
+decide_frobenius_contra = decide_frobenius_co
 
 
 # -- cointegrals and Maschke averaging --------------------------------

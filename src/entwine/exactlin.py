@@ -27,17 +27,17 @@ f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
 An identity linear in an unknown matrix X is stated once as a term list
 (TermList) in the normal form
 
-    sum of c . L . (I_a (x) X' (x) I_b) . R, plus a constant K,
+    sum of c . L . (I_a (x) X (x) I_b) . R, plus a constant K,
 
-X' being X or its transpose, L and R fixed; a bilinear identity has one
-such lift per argument in each term, L . lift(U) . M . lift(V) . R.  An
-identity factor L or R is left implicit (None) and never built.  Calling
-a term list evaluates it with the Mat kernels, skipping the implicit
-identities and the 1 x 1 identities of a = 1 or b = 1.
+L and R fixed; a bilinear identity has one such lift per argument in
+each term, L . lift(U) . M . lift(V) . R.  An identity factor L or R is
+left implicit (None) and never built.  Calling a term list evaluates it
+with the Mat kernels, skipping the implicit identities and the 1 x 1
+identities of a = 1 or b = 1.
 
 affine_matrix_system, mat_solution_basis and compile_bilinear contract a
 term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
-per leg, the coefficient of X'[p, q] in entry (r, s) is the sum over
+per leg, the coefficient of X[p, q] in entry (r, s) is the sum over
 alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
 multiplied.  affine_matrix_system and mat_solution_basis put the
@@ -794,13 +794,11 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
 
 class Lift(Record):
     """The factor (I_a (x) U (x) I_b) . right of a term, where U is the
-    unknown on `side` (0 or 1), or its transpose; right None is the
-    identity."""
+    unknown on `side` (0 or 1); right None is the identity."""
 
     a: int
     b: int
     right: Mat = None
-    transposed: bool = False
     side: int = 0
 
 
@@ -844,7 +842,7 @@ class TermList(Record):
         for t in self.terms:
             v = t.left
             for lift in t.lifts:
-                u = xs[lift.side].t if lift.transposed else xs[lift.side]
+                u = xs[lift.side]
                 F = u.field
                 if lift.a != 1:
                     u = kron(Mat.identity(F, lift.a), u)
@@ -860,11 +858,6 @@ class TermList(Record):
         return out
 
 
-def _lifted_shape(lift: Lift, shapes):
-    rows, cols = shapes[lift.side]
-    return (cols, rows) if lift.transposed else (rows, cols)
-
-
 def _nonzeros(m: Mat, n: int, one):
     """(row, column, value) of each nonzero entry of m, or of I_n if m is
     None."""
@@ -877,7 +870,7 @@ def _contract(field: Field, term: Term, shapes):
     """The coefficients of a term: (entries, k), entries the nonzero
     (row, s, value) with row (r, p_1, q_1, ..., p_j, q_j) flattened and
     value the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry
-    (r, s) of the term's value, U_i the unknown of lift i as lifted, and
+    (r, s) of the term's value, U_i the unknown of lift i, and
     k the value's column count.
 
     By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient
@@ -889,11 +882,11 @@ def _contract(field: Field, term: Term, shapes):
     """
     prime, p, one = field.kind == "prime", field.p, field.one
     first = term.lifts[0]
-    xr = _lifted_shape(first, shapes)[0]
+    xr = shapes[first.side][0]
     width = first.a * xr * first.b if term.left is None else term.left.cols
     cur = _nonzeros(term.left, width, one)
     for lift in term.lifts:
-        xr, xc = _lifted_shape(lift, shapes)
+        xr, xc = shapes[lift.side]
         a, b, right = lift.a, lift.b, lift.right
         if width != a * xr * b or right is not None and right.rows != a * xc * b:
             raise ValueError("term does not fit the shape of its unknown")
@@ -930,11 +923,8 @@ def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: 
     # Index, at r = s = 0, of each row (p_1, q_1, ...) of a block of cur.
     inner = [0]
     for lift in term.lifts:
-        cols, w = shapes[lift.side][1], weights[lift.side]
-        wp, wq = (w, w * cols) if lift.transposed else (w * cols, w)
-        xr, xc = _lifted_shape(lift, shapes)
-        inner = [x + p * wp for x in inner for p in range(xr)]
-        inner = [x + q * wq for x in inner for q in range(xc)]
+        (xr, xc), w = shapes[lift.side], weights[lift.side]
+        inner = [x + i * w for x in inner for i in range(xr * xc)]
     block, rstep = len(inner), k * ncols
     c = field.of(term.coeff)
     prime, p, one = field.kind == "prime", field.p, c == field.one

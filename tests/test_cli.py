@@ -1,6 +1,7 @@
 """Workspace files and the command-line front end."""
 
 import gc
+import hashlib
 import json
 import os
 import tracemalloc
@@ -228,6 +229,56 @@ def test_frobenius_command(capsys):
     assert code == 2
     assert doc["budget"] == 0
     assert doc["verdicts"]["co"]["status"] == "UNKNOWN"
+
+
+# sha256 of the stdout of each decider command, computed when each
+# contramodule verdict was still solved on its own: reporting one verdict
+# under both variances leaves every byte as it was.
+DECIDER_STDOUT = {
+    ("separability", "kZ2", "json"):
+        "12694b5f770602eeadc9bdc6251c4784dbf3d5f8ec1a5770fc5310c8ad9535e4",
+    ("separability", "kZ2", "text"):
+        "09a61340238dd03d21a7272a574d6eb980d0fa0c82004d899cc6cd37c3639cd9",
+    ("separability", "ut3", "json"):
+        "a9a4ec61d590f57dbb3b5ad5e4a0c587f98f235b7d08357505b5e416b031a9ee",
+    ("separability", "ut3", "text"):
+        "486bdc5f0723bdc7e84b05393564817c34b57decbcd9cea1e4bf4a6f4dc59ae5",
+    ("frobenius", "kZ2", "json"):
+        "8227e8256e077cb97ad488da4cb478fdf9ccbb2ecb02e725cc362e6f1490bc5e",
+    ("frobenius", "kZ2", "text"):
+        "7d4b610336fa7efcb12e6e9898ec6d3bc26d7765da3ee80ea0e62d23a062a507",
+    ("frobenius", "ut3", "json"):
+        "f74f781d4d843ac010fd7bdfd077aae54e6088e80be1d3206cf6091cfe6ddbb8",
+    ("frobenius", "ut3", "text"):
+        "ba62841d49d722ab440dc608c1e81efca861e06ee0ad7ef853eadcd44566fe63",
+}
+
+
+def test_decider_commands_solve_each_system_once(monkeypatch, capsys):
+    from entwine import criteria
+
+    assert criteria.decide_sep_contra_t is criteria.decide_sep_co_t
+    assert criteria.decide_sep_contra_f is criteria.decide_sep_co_f
+    assert criteria.decide_frobenius_contra is criteria.decide_frobenius_co
+    calls = []
+
+    def counted(name):
+        fn = getattr(criteria, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_decide_linear", "_decide_frobenius"):
+        monkeypatch.setattr(criteria, name, counted(name))
+    solves = {"separability": ["_decide_linear"] * 2, "frobenius": ["_decide_frobenius"]}
+    for (cmd, ws, fmt), digest in DECIDER_STDOUT.items():
+        calls.clear()
+        code, out, err = run(capsys, cmd, {"kZ2": KZ2, "ut3": UT3}[ws], "E", "--format", fmt)
+        assert (code, err) == (0 if ws == "kZ2" else 1, "")
+        assert calls == solves[cmd], (cmd, ws, fmt)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, ws, fmt)
 
 
 def test_cointegral_command(capsys):

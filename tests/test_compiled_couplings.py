@@ -83,8 +83,8 @@ def test_linear_term_is_rejected(side):
     lift = kron(Mat.identity(F, e.coalg.dim), unit)
     # Both added terms have the coupling's shape, n x c: unit . r . lift
     # is linear in r, and mult . th linear in th.
-    linear = (Term(1, unit, (Lift(1, 1, lift, False, 0),)) if side == 0
-              else Term(1, mult, (Lift(1, 1, None, False, 1),)))
+    linear = (Term(1, unit, (Lift(1, 1, lift, side=0),)) if side == 0
+              else Term(1, mult, (Lift(1, 1, side=1),)))
     with_linear_term = TermList(cp.terms + (linear,), cp.const)
     with pytest.raises(ValueError, match="coupling term is not bilinear"):
         compile_bilinear(F, *shapes, with_linear_term, bases)

@@ -186,10 +186,11 @@ def test_uniform_functional_for_one_dimensional_algebra():
 def test_dk_separability_found_over_both_fields():
     for field in (Q, F2):
         e = dk(2, field)
-        for decide in (decide_sep_co_t, decide_sep_co_f,
-                       decide_sep_contra_t, decide_sep_contra_f):
+        for name, decide in (("co_t", decide_sep_co_t), ("co_f", decide_sep_co_f),
+                             ("contra_t", decide_sep_contra_t),
+                             ("contra_f", decide_sep_contra_f)):
             v = decide(e)
-            assert v.found, (field.kind, decide.__name__)
+            assert v.found, (field.kind, name)
     v = decide_sep_co_t(dk(2, Q))
     for m in (1, 2, 3):
         assert all(r.is_zero() for r in cp.sigma_equations_co(dk(2, Q), v.witness["e"], m))

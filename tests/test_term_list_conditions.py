@@ -206,12 +206,10 @@ def explicit(form: TermList, shape) -> TermList:
     for t in form.terms:
         lifts = []
         for lift in t.lifts:
-            xc = rows if lift.transposed else cols
-            right = lift.right or Mat.identity(F, lift.a * xc * lift.b)
-            lifts.append(Lift(lift.a, lift.b, right, lift.transposed, lift.side))
+            right = lift.right or Mat.identity(F, lift.a * cols * lift.b)
+            lifts.append(Lift(lift.a, lift.b, right, side=lift.side))
         first = t.lifts[0]
-        xr = cols if first.transposed else rows
-        left = t.left or Mat.identity(F, first.a * xr * first.b)
+        left = t.left or Mat.identity(F, first.a * rows * first.b)
         terms.append(Term(t.coeff, left, tuple(lifts)))
     return TermList(tuple(terms), form.const, form.shape)
 
