@@ -12,6 +12,10 @@ coordinates.  All reindexing flows through exactly two helpers:
 The contramodule structure map pi: Hom(C, M) -> M is the matrix
 M (x) C* -> M; the A-action of an entwined contramodule is stored
 uncurried as A (x) M -> M, its curried mate M -> M (x) A* is derived.
+
+At finite dimension a C-contramodule is a module over the dual algebra
+C*, and so is a C-comodule: transposing on the dual basis (`transpose`)
+takes each contramodule-side object to a comodule-side one and back.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ from __future__ import annotations
 from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis, reshape
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
-    Coalgebra, ModuleLeft, check_module_left, left_action_square,
-    module_hom_left, right_action_square,
+    Coalgebra, Comodule, ModuleLeft, ModuleRight, check_module_left,
+    left_action_square, module_hom_left, right_action_square,
 )
 from .entwining import Entwining
+from .comodcat import EntwinedModule
 
 
 def hom_pre(g: Mat, inner: int) -> Mat:
@@ -132,6 +137,28 @@ def check_entwined_contramodule(x: EntwinedContraModule) -> Report:
                      mu * x.pi,
                      under(x.pi, n) * hom_pre(e.psi, m) * under(mu, c)))
     return rep
+
+
+def transpose(x):
+    """The dual on the dual basis, an involution: an entwined
+    contramodule (pi, action) goes to the entwined module with coaction
+    pi^T and action mu^T over the same entwining, a contramodule to the
+    comodule with coaction pi^T, a left module to a right module, and
+    each back."""
+    if isinstance(x, EntwinedContraModule):
+        return EntwinedModule(x.ent, x.dim, x.mu.t, x.pi.t)
+    if isinstance(x, EntwinedModule):
+        return EntwinedContraModule(x.ent, x.dim, x.coaction.t,
+                                    uncurry_left(x.action.t, x.dim, x.ent.alg.dim))
+    if isinstance(x, ContraModule):
+        return Comodule(x.coalg, x.dim, x.pi.t)
+    if isinstance(x, Comodule):
+        return ContraModule(x.coalg, x.dim, x.coaction.t)
+    if isinstance(x, ModuleLeft):
+        return ModuleRight(x.alg, x.dim, curry_left(x.action, x.dim, x.alg.dim).t)
+    if isinstance(x, ModuleRight):
+        return ModuleLeft(x.alg, x.dim, uncurry_left(x.action.t, x.dim, x.alg.dim))
+    raise ValueError("expected a (co, contra or entwined) module to transpose")
 
 
 def forget_contra(x: EntwinedContraModule) -> ContraModule:

@@ -31,8 +31,8 @@ from .algstruct import (
 from .entwining import Entwining
 from .comodcat import EntwinedModule, induce_mc, induce_tc, morphism_conditions
 from .contracat import (
-    ContraModule, EntwinedContraModule, contra_morphism_conditions, curry_left,
-    free_contramodule, induce_a_t, induce_contra_t, uncurry_left,
+    ContraModule, EntwinedContraModule, contra_morphism_conditions,
+    free_contramodule, induce_a_t, induce_contra_t, transpose,
 )
 
 
@@ -496,33 +496,29 @@ def maschke_split_contra(e: Entwining, phi: Cointegral, x: EntwinedContraModule,
 
     Entwined morphisms are fixed by the averaging, so sections and
     retractions that exist at the contramodule level transfer to the
-    entwined category.
+    entwined category.  It is the comodule side's averaging transposed:
+    xi^T: transpose(y) -> transpose(x) is averaged, and the result
+    transposed back.
     """
-    if x.ent != e or y.ent != e or phi.ent != e:
-        raise ValueError("objects and cointegral must share the entwining")
-    conditions = contra_morphism_conditions(x, y)
-    _require_morphism(conditions, x, y, xi, "contramodules", entwined=False)
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_n = Mat.identity(F, n)
-    my = y.dim
-    out = (y.pi
-           * kron(kron(Mat.identity(F, my), phi.coev.t), Mat.identity(F, c))
-           * kron(Mat.identity(F, my * n), phi.phi.t)
-           * kron(y.mu, i_n)
-           * kron(xi, i_n)
-           * x.mu)
-    _require_morphism(conditions, x, y, out, "contramodules", entwined=True)
-    return out
+    if (xi.rows, xi.cols) != (y.dim, x.dim):
+        raise ValueError("morphism must be %d x %d" % (y.dim, x.dim))
+    return _average(e, phi, transpose(y), transpose(x), xi.t, "contramodules").t
 
 
 def maschke_split_co(e: Entwining, phi: Cointegral, x: EntwinedModule,
                      y: EntwinedModule, xi: Mat) -> Mat:
     """Average a comodule-level morphism x -> y into an entwined one."""
+    return _average(e, phi, x, y, xi, "comodules")
+
+
+def _average(e: Entwining, phi: Cointegral, x: EntwinedModule, y: EntwinedModule,
+             xi: Mat, kind: str) -> Mat:
+    """The Maschke averaging of xi: x -> y, a morphism of the underlying
+    objects, which kind names in the guards' messages."""
     if x.ent != e or y.ent != e or phi.ent != e:
         raise ValueError("objects and cointegral must share the entwining")
     conditions = morphism_conditions(x, y)
-    _require_morphism(conditions, x, y, xi, "comodules", entwined=False)
+    _require_morphism(conditions, x, y, xi, kind, entwined=False)
     F = e.field
     n, c = e.alg.dim, e.coalg.dim
     i_n = Mat.identity(F, n)
@@ -533,7 +529,7 @@ def maschke_split_co(e: Entwining, phi: Cointegral, x: EntwinedModule,
            * kron(Mat.identity(F, mx * n), phi.phi)
            * kron(Mat.identity(F, mx), kron(phi.coev, Mat.identity(F, c)))
            * x.coaction)
-    _require_morphism(conditions, x, y, out, "comodules", entwined=True)
+    _require_morphism(conditions, x, y, out, kind, entwined=True)
     return out
 
 
@@ -608,14 +604,7 @@ def rho_from_kappa_co(e: Entwining, kappa_ind: Mat, m: int) -> Mat:
 
 
 def _dsum_contra(x: EntwinedContraModule, y: EntwinedContraModule) -> EntwinedContraModule:
-    n = x.ent.alg.dim
-    # The uncurried left action is a-major in its columns; the summand
-    # blocks line up only in curried form.
-    mu = block_diag(curry_left(x.action, x.dim, n),
-                    curry_left(y.action, y.dim, n))
-    return EntwinedContraModule(x.ent, x.dim + y.dim,
-                                block_diag(x.pi, y.pi),
-                                uncurry_left(mu, x.dim + y.dim, n))
+    return transpose(_dsum_entwined(transpose(x), transpose(y)))
 
 
 def _dsum_entwined(x: EntwinedModule, y: EntwinedModule) -> EntwinedModule:

@@ -12,14 +12,18 @@ quotient (hat_tensor, cohom), together with the unit and counit of each
 adjunction.  The Galois deciders evaluate those (co)units at the
 representing objects and report bijectivity.
 
-Each functor is presented once per call: a private builder returns the
-object with its kernel inclusion or with the cokernel presenting it, and
-the (co)units and adjunction checks read from that presentation.  Maps
-that share an identity leg are multiplied before they are lifted, by
-kron(I, X) kron(I, Y) = kron(I, X Y) on the module side and by
-hom_pre(g, m) hom_pre(h, m) = hom_pre(h g, m) and
-under(hom_pre(g, m), k) = hom_pre(g (x) I_k, m) on the contramodule side,
-where I_k (x) g is hom_pre(g, k).t.
+Each functor is stated once, on the entwined modules: a private builder
+returns the object with its kernel inclusion or with the cokernel
+presenting it, and the (co)units and adjunction checks read from that
+presentation.  Maps that share an identity leg are multiplied before
+they are lifted, by kron(I, X) kron(I, Y) = kron(I, X Y).  The
+contramodule side is the transpose (`contracat.transpose`, the dual on
+the dual basis): contra_induce, cohom, hom_tilde, s_upper, s_lower,
+unit_psi, counit_phi and the contramodule adjunction are
+comodule_side_induce, cotensor, hat_tensor, t_upper, t_lower,
+counit_upsilon, unit_omega and the comodule adjunction at the transposed
+objects, transposed.  A cokernel is read off the kernel of the
+transpose, so these are the bases the contramodule side would choose.
 
 The Galois half builds the measuring canonically attached to a
 coalgebra-Galois extension: coinvariants, the canonical map on the
@@ -43,9 +47,8 @@ from .comodcat import (
     EntwinedModule, induce_tc, induce_mc, hom_space, morphism_conditions,
 )
 from .contracat import (
-    ContraModule, EntwinedContraModule, contra_hom_space, free_contramodule,
-    induce_contra_t, induce_a_t, hom_pre, under, curry_left, uncurry_left,
-    contra_morphism_conditions,
+    ContraModule, EntwinedContraModule, free_contramodule, induce_contra_t,
+    induce_a_t, transpose,
 )
 
 
@@ -241,13 +244,12 @@ def galois_measuring(g: GaloisData) -> Measuring:
 
 
 # Failure messages of _require_morphism, one per morphism condition in
-# the order comodcat and contracat state them: action, then coaction or pi.
+# the order comodcat states them: action, then coaction.
 _CO_FAILURES = ("is not right-linear", "is not colinear")
-_CONTRA_FAILURES = ("is not left-linear", "does not commute with pi")
 
 
-def _require_morphism(conditions, f: Mat, what: str, failures) -> None:
-    for cond, failure in zip(conditions, failures):
+def _require_morphism(conditions, f: Mat, what: str) -> None:
+    for cond, failure in zip(conditions, _CO_FAILURES):
         if not cond(f).is_zero():
             raise ValueError("%s %s" % (what, failure))
 
@@ -311,7 +313,7 @@ def _t_upper(m: Measuring, x: EntwinedModule):
          * kron(Mat.identity(F, x.dim), kron(m.gamma, i_cp) * m.src.coalg.comult))
     dom = comodule_side_induce(m, x.as_module())
     cod = comodule_side_induce(m, _mc_module(m, x))
-    _require_morphism(morphism_conditions(dom, cod), t, "t_upper", _CO_FAILURES)
+    _require_morphism(morphism_conditions(dom, cod), t, "t_upper")
     return t, dom
 
 
@@ -392,7 +394,7 @@ def unit_omega(m: Measuring, x: EntwinedModule) -> Mat:
     y, cok = _hat_tensor(m, x)
     k, iota = _cotensor(m, y)
     omega = restrict_map(_raw_omega(m, x, cok), Mat.identity(m.field, x.dim), iota)
-    _require_morphism(morphism_conditions(x, k), omega, "unit_omega", _CO_FAILURES)
+    _require_morphism(morphism_conditions(x, k), omega, "unit_omega")
     return omega
 
 
@@ -401,8 +403,7 @@ def counit_upsilon(m: Measuring, x: EntwinedModule) -> Mat:
     k, iota = _cotensor(m, x)
     y, cok = _hat_tensor(m, k)
     upsilon = _descend(_upsilon(m, x, iota), cok, "counit composite")
-    _require_morphism(morphism_conditions(y, x), upsilon,
-                      "counit_upsilon", _CO_FAILURES)
+    _require_morphism(morphism_conditions(y, x), upsilon, "counit_upsilon")
     return upsilon
 
 
@@ -428,134 +429,46 @@ def is_co_galois(m: Measuring) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# Induced entwined contramodules and the contramodule-side adjunction
+# Induced entwined contramodules: the comodule side, transposed
 
 
 def contra_induce(m: Measuring, x) -> EntwinedContraModule:
     """Hom(C', M) over the source from a left module over the target
     algebra, or Hom(A, N) over the target from a contramodule over the
     source coalgebra."""
-    n, c = m.dst.alg.dim, m.dst.coalg.dim
-    np_, cp = m.src.alg.dim, m.src.coalg.dim
-    if isinstance(x, ModuleLeft):
-        if x.alg != m.dst.alg:
-            raise ValueError("module is not over the target algebra")
-        mx = x.dim
-        pi = hom_pre(m.src.coalg.comult, mx)
-        # One precomposition: (alpha (x) C')(C' (x) psi')(comult' (x) A').
-        g = (under(m.alpha, cp) * hom_pre(m.src.psi, cp).t
-             * under(m.src.coalg.comult, np_))
-        mu = hom_pre(g, mx) * under(curry_left(x.action, mx, n), cp)
-        return EntwinedContraModule(m.src, mx * cp, pi,
-                                    uncurry_left(mu, mx * cp, np_))
-    if isinstance(x, ContraModule):
-        if x.coalg != m.src.coalg:
-            raise ValueError("contramodule is not over the source coalgebra")
-        mx = x.dim
-        mu = hom_pre(m.dst.alg.mult, mx)
-        # One precomposition: (mult (x) C)(A (x) psi)(gamma (x) A).
-        g = (under(m.dst.alg.mult, c) * hom_pre(m.dst.psi, n).t
-             * under(m.gamma, n))
-        pi = under(x.pi, n) * hom_pre(g, mx)
-        return EntwinedContraModule(m.dst, mx * n, pi,
-                                    uncurry_left(mu, mx * n, n))
-    raise ValueError("expected a ModuleLeft or a ContraModule")
+    if not isinstance(x, (ModuleLeft, ContraModule)):
+        raise ValueError("expected a ModuleLeft or a ContraModule")
+    return transpose(comodule_side_induce(m, transpose(x)))
 
 
 def s_upper(m: Measuring, x: EntwinedContraModule) -> Mat:
     """Defining map of the cokernel: Hom(C (x) C', M) -> Hom(C', M)."""
-    if x.ent != m.dst:
-        raise ValueError("object is not over the target entwining")
-    c = m.dst.coalg.dim
-    cp = m.src.coalg.dim
-    mx = x.dim
-    return (under(x.pi, cp)
-            - hom_pre(under(m.gamma, cp) * m.src.coalg.comult, mx)
-            * under(curry_left(x.action, mx, m.dst.alg.dim), c * cp))
-
-
-def _cohom(m: Measuring, x: EntwinedContraModule):
-    """The cohom of x with the cokernel of s_upper presenting it."""
-    s = s_upper(m, x)
-    y = contra_induce(m, x.as_module())
-    cok = cokernel(s)
-    F = m.field
-    np_, cp = m.src.alg.dim, m.src.coalg.dim
-    i_np = Mat.identity(F, np_)
-    i_cp = Mat.identity(F, cp)
-    if not (cok.projection * y.pi * kron(s, i_cp)).is_zero():
-        raise ValueError("pi does not descend to the quotient")
-    if not (cok.projection * y.action * kron(i_np, s)).is_zero():
-        raise ValueError("action does not descend to the quotient")
-    pi = cok.projection * y.pi * kron(cok.section, i_cp)
-    action = cok.projection * y.action * kron(i_np, cok.section)
-    return EntwinedContraModule(m.src, cok.dim, pi, action), cok
+    return t_upper(m, transpose(x)).t
 
 
 def cohom(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
     """Cokernel of s_upper with the descended structure maps."""
-    return _cohom(m, x)[0]
+    return transpose(cotensor(m, transpose(x)))
 
 
 def s_lower(m: Measuring, x: EntwinedContraModule) -> Mat:
     """Defining map of the kernel: Hom(A, N) -> Hom(A' (x) A, N)."""
-    if x.ent != m.src:
-        raise ValueError("object is not over the source entwining")
-    n = m.dst.alg.dim
-    np_ = m.src.alg.dim
-    mx = x.dim
-    return (under(curry_left(x.action, mx, np_), n)
-            - under(x.pi, np_ * n)
-            * hom_pre(m.dst.alg.mult * under(m.alpha, n), mx))
-
-
-def _hom_tilde(m: Measuring, x: EntwinedContraModule):
-    """The hom tilde of x with its kernel inclusion."""
-    s = s_lower(m, x)
-    y = contra_induce(m, x.as_contra())
-    k = kernel_basis(s)
-    F = m.field
-    n, c = m.dst.alg.dim, m.dst.coalg.dim
-    action = restrict_map(y.action, kron(Mat.identity(F, n), k), k)
-    pi = restrict_map(y.pi, kron(k, Mat.identity(F, c)), k)
-    return EntwinedContraModule(m.dst, k.cols, pi, action), k
+    return t_lower(m, transpose(x)).t
 
 
 def hom_tilde(m: Measuring, x: EntwinedContraModule) -> EntwinedContraModule:
     """Kernel of s_lower with the restricted structure maps."""
-    return _hom_tilde(m, x)[0]
-
-
-def _raw_psi(m: Measuring, x: EntwinedContraModule, cok) -> Mat:
-    """Insert the counit, then project: x -> cohom(x) (x) A*."""
-    n = m.dst.alg.dim
-    return (under(cok.projection * hom_pre(m.src.coalg.counit, x.dim), n)
-            * curry_left(x.action, x.dim, n))
-
-
-def _phi(m: Measuring, y: EntwinedContraModule, iota: Mat) -> Mat:
-    """Evaluate at the unit, then apply pi: hom_tilde(y) (x) C'* -> y."""
-    return y.pi * under(hom_pre(m.dst.alg.unit, y.dim) * iota, m.src.coalg.dim)
+    return transpose(hat_tensor(m, transpose(x)))
 
 
 def unit_psi(m: Measuring, x: EntwinedContraModule) -> Mat:
     """x -> hom_tilde(cohom(x)): insert the counit, then project."""
-    z, cok = _cohom(m, x)
-    w, k = _hom_tilde(m, z)
-    psi = restrict_map(_raw_psi(m, x, cok), Mat.identity(m.field, x.dim), k)
-    _require_morphism(contra_morphism_conditions(x, w), psi,
-                      "unit_psi", _CONTRA_FAILURES)
-    return psi
+    return counit_upsilon(m, transpose(x)).t
 
 
 def counit_phi(m: Measuring, y: EntwinedContraModule) -> Mat:
     """cohom(hom_tilde(y)) -> y: evaluate at the unit, then apply pi."""
-    w, iota = _hom_tilde(m, y)
-    z, cok = _cohom(m, w)
-    phi = _descend(_phi(m, y, iota), cok, "counit composite")
-    _require_morphism(contra_morphism_conditions(z, y), phi,
-                      "counit_phi", _CONTRA_FAILURES)
-    return phi
+    return unit_omega(m, transpose(y)).t
 
 
 def is_contra_galois(m: Measuring) -> Verdict:
@@ -576,16 +489,17 @@ def adjunction_check_measuring(m: Measuring, x, y) -> Report:
     For entwined modules x over the target and y over the source: maps
     hat_tensor(y) -> x correspond to maps y -> cotensor(x).  For
     entwined contramodules: maps cohom(x) -> y correspond to maps
-    x -> hom_tilde(y).
+    x -> hom_tilde(y), the transposes of the maps of the comodule side's
+    bijection at the transposed pair.
     """
     if isinstance(x, EntwinedModule) and isinstance(y, EntwinedModule):
-        return _adjunction_co(m, x, y)
+        return _adjunction(m, x, y, "adjunction-measuring-co")
     if isinstance(x, EntwinedContraModule) and isinstance(y, EntwinedContraModule):
-        return _adjunction_contra(m, x, y)
+        return _adjunction(m, transpose(x), transpose(y), "adjunction-measuring-contra")
     raise ValueError("expected a pair of entwined modules or contramodules")
 
 
-def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report:
+def _adjunction(m: Measuring, x: EntwinedModule, y: EntwinedModule, title: str) -> Report:
     F = m.field
     i_n = Mat.identity(F, m.dst.alg.dim)
     i_cp = Mat.identity(F, m.src.coalg.dim)
@@ -603,28 +517,6 @@ def _adjunction_co(m: Measuring, x: EntwinedModule, y: EntwinedModule) -> Report
     def up(xi: Mat) -> Mat:
         return _descend(upsilon * kron(xi, i_n), cok_y, "transposed map")
 
-    return hom_bijection_report("adjunction-measuring-co",
+    return hom_bijection_report(title,
                                 left, (x.dim, hat_y.dim), right, (cot_x.dim, y.dim),
-                                down, up, ("down-lands", "up-lands"))
-
-
-def _adjunction_contra(m: Measuring, x: EntwinedContraModule,
-                       y: EntwinedContraModule) -> Report:
-    n, cp = m.dst.alg.dim, m.src.coalg.dim
-    i_x = Mat.identity(m.field, x.dim)
-    coh_x, cok_x = _cohom(m, x)
-    ht_y, k_y = _hom_tilde(m, y)
-    left = contra_hom_space(coh_x, y)
-    right = contra_hom_space(x, ht_y)
-    raw_psi = _raw_psi(m, x, cok_x)
-    phi = _phi(m, y, k_y)
-
-    def down(zeta: Mat) -> Mat:
-        return restrict_map(under(zeta, n) * raw_psi, i_x, k_y)
-
-    def up(xi: Mat) -> Mat:
-        return _descend(phi * under(xi, cp), cok_x, "transposed map")
-
-    return hom_bijection_report("adjunction-measuring-contra",
-                                left, (y.dim, coh_x.dim), right, (ht_y.dim, x.dim),
                                 down, up, ("down-lands", "up-lands"))

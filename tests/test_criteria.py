@@ -481,11 +481,19 @@ def test_maschke_rejects_non_morphisms():
     x = induce_contra_t(e, free_contramodule(e.coalg, 1))
     rng = random.Random(3)
     bad = random_mat(Q, rng, x.dim, x.dim)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a morphism of contramodules$"):
         maschke_split_contra(e, ci, x, x, bad)
     u = induce_tc(e, regular_comodule(e.coalg))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a morphism of comodules$"):
         maschke_split_co(e, ci, u, u, random_mat(Q, rng, u.dim, u.dim))
+    # A map x -> y is y.dim x x.dim on either side; the contramodule side
+    # averages the transpose, but names the shape of the map it was given.
+    y = direct_sum_contra(x, x)
+    with pytest.raises(ValueError, match="^morphism must be %d x %d$" % (y.dim, x.dim)):
+        maschke_split_contra(e, ci, x, y, Mat.zeros(Q, x.dim, y.dim))
+    v = direct_sum_entwined(u, u)
+    with pytest.raises(ValueError, match="^morphism must be %d x %d$" % (v.dim, u.dim)):
+        maschke_split_co(e, ci, u, v, Mat.zeros(Q, u.dim, v.dim))
 
 
 def test_probe_passes_with_cointegral():

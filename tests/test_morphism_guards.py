@@ -1,11 +1,13 @@
 """The morphism guards keep their messages with term-list conditions.
 
-`measuring._require_morphism` and `criteria._require_morphism` evaluate
-the morphism conditions of `comodcat` and `contracat`, which are term
-lists.  On maps that fail only the action square, only the coalgebra
-square, or both, each guard must raise the same exception type with the
-same text as with the closures of `reference_residuals`, checking the
-conditions in their order: the action first, then the coaction or pi.
+`measuring._require_morphism` evaluates the morphism conditions of
+`comodcat`, the only ones `measuring` states (its contramodule side is the
+comodule side transposed), and `criteria._require_morphism` those of
+`comodcat` and of `contracat`; all are term lists.  On maps that fail
+only the action square, only the coalgebra square, or both, each guard
+must raise the same exception type with the same text as with the
+closures of `reference_residuals`, checking the conditions in their
+order: the action first, then the coaction or pi.
 """
 
 from __future__ import annotations
@@ -60,11 +62,9 @@ def cases(F):
     at = induce_a_t(e, dual_left_module(e.alg))
     return [
         ("comodules", tc, mc, morphism_conditions, ref.morphism_conditions,
-         measuring._CO_FAILURES,
          failing_maps(F, tc, mc, module_hom_right(tc.as_module(), mc.as_module()),
                       comodule_hom(tc.as_comodule(), mc.as_comodule()), hom_space(tc, mc))),
         ("contramodules", ct, at, contra_morphism_conditions, ref.contra_morphism_conditions,
-         measuring._CONTRA_FAILURES,
          failing_maps(F, ct, at, module_hom_left(ct.as_module(), at.as_module()),
                       plain_contra_hom(ct.as_contra(), at.as_contra()),
                       contra_hom_space(ct, at))),
@@ -82,21 +82,20 @@ def raised(call):
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_measuring_guard_messages(fname):
     F = FIELDS[fname]
-    for _, x, y, conditions, closures, failures, maps in cases(F):
-        want = {"action": failures[0], "structure": failures[1], "both": failures[0]}
-        for which, f in maps.items():
-            got = raised(lambda: measuring._require_morphism(conditions(x, y), f, "map",
-                                                             failures))
-            assert got == (ValueError, "map %s" % want[which])
-            assert got == raised(lambda: measuring._require_morphism(
-                closures(x, y), f, "map", failures))
+    _, x, y, conditions, closures, maps = cases(F)[0]
+    failures = measuring._CO_FAILURES
+    want = {"action": failures[0], "structure": failures[1], "both": failures[0]}
+    for which, f in maps.items():
+        got = raised(lambda: measuring._require_morphism(conditions(x, y), f, "map"))
+        assert got == (ValueError, "map %s" % want[which])
+        assert got == raised(lambda: measuring._require_morphism(closures(x, y), f, "map"))
 
 
 @pytest.mark.parametrize("entwined", [False, True])
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_criteria_guard_messages(fname, entwined):
     F = FIELDS[fname]
-    for kind, x, y, conditions, closures, _, maps in cases(F):
+    for kind, x, y, conditions, closures, maps in cases(F):
         for which, f in maps.items():
             got = raised(lambda: criteria._require_morphism(conditions(x, y), x, y, f, kind,
                                                             entwined))
