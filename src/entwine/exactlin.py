@@ -3,7 +3,10 @@
 Scalars are plain Python values: Fraction for the rationals, int residues
 in [0, p) for F_p.  Everything is immutable and every elimination ends in
 the reduced row echelon form, which is unique, so ranks, kernels,
-cokernel presentations and solutions are reproducible bit for bit.
+cokernel presentations and solutions are reproducible bit for bit.  Over
+Q the product and the elimination compute on int numerators and
+denominators inside, and emit only normalized Fractions, never a bare
+int: a Fraction operation pays two gcds, a type check and a new object.
 
 Mat stores sparse rows: per row a dict {column: value} of its nonzero
 entries, with no stored zeros, so every kernel visits nonzeros only.  A
@@ -15,7 +18,8 @@ package builds is the shared `Field.zero`, so its zero test `x is not z
 and x` is mostly a pointer compare, and no result relies on it, as any
 other zero fails the truth test.
 
-There is one elimination, _rref_rows, on copies of those rows.  rref,
+There is one elimination, _rref_rows, on the rows (over Q on integer
+multiples of them, fraction-free).  rref,
 rank, kernel_basis, solve_affine, inverse and cokernel all go through
 it, and every kernel basis is read off its result the same way
 (_kernel).  The form is unique, so none of them depends on the order
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
+from math import gcd, lcm
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -311,7 +316,9 @@ class Mat:
             raise ValueError("%d entries for a %dx%d matrix" % (len(entries), rows, cols))
         z = field.zero
         self.field, self.rows, self.cols = field, rows, cols
-        # The shared zero is skipped by a pointer compare (see above).
+        # The shared zero is skipped by a pointer compare (see above); the
+        # Q kernels drop a sum whose int numerator is 0, so they build no
+        # zero Fraction at all.
         self.nz = tuple({j: x for j, x in enumerate(entries[i * cols:(i + 1) * cols])
                          if x is not z and x} for i in range(rows))
 
@@ -418,7 +425,12 @@ class Mat:
         """Gustavson's product: row i of the result accumulates c . row t
         of other over the nonzeros c at (i, t), so only products of two
         nonzeros are formed.  A row that is a single one shares the row of
-        other it picks."""
+        other it picks.
+
+        Over Q a row accumulates (numerator, denominator) int pairs per
+        column, adding numerators alone where the denominators agree; a
+        nonzero sum becomes a Fraction, one per distinct pair in the
+        product, since Fractions are immutable and can be shared."""
         if self.field != other.field:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
@@ -427,6 +439,7 @@ class Mat:
         F, b = self.field, other.nz
         prime, p, one = F.kind == "prime", F.p, F.one
         out = []
+        made = {}
         for r in self.nz:
             if len(r) == 1:
                 (t, c), = r.items()
@@ -434,14 +447,32 @@ class Mat:
                     out.append(b[t])
                     continue
             acc = {}
-            for t, c in r.items():
-                for j, v in b[t].items():
-                    w = acc.get(j)
-                    acc[j] = c * v if w is None else w + c * v
             if prime:
+                for t, c in r.items():
+                    for j, v in b[t].items():
+                        w = acc.get(j)
+                        acc[j] = c * v if w is None else w + c * v
                 out.append({j: y for j, x in acc.items() if (y := x % p)})
-            else:
-                out.append({j: x for j, x in acc.items() if x})
+                continue
+            for t, c in r.items():
+                cn, cd = c.numerator, c.denominator
+                for j, v in b[t].items():
+                    n, d = cn * v.numerator, cd * v.denominator
+                    w = acc.get(j)
+                    if w is None:
+                        acc[j] = n, d
+                    elif w[1] == d:
+                        acc[j] = w[0] + n, d
+                    else:
+                        acc[j] = w[0] * d + n * w[1], w[1] * d
+            row = {}
+            for j, nd in acc.items():
+                if nd[0]:
+                    x = made.get(nd)
+                    if x is None:
+                        x = made[nd] = Fraction(*nd)
+                    row[j] = x
+            out.append(row)
         return Mat._of(F, self.rows, other.cols, out)
 
     @property
@@ -598,9 +629,41 @@ def _rref_rows(F: Field, rows) -> dict:
     a new pivot, which is then cleared from the kept rows.  Those
     properties define the reduced row echelon form, so the result is the
     unique one of the row space, whatever the order of the rows.
+
+    Over Q the same steps run on integers, fraction-free (Bareiss): a row
+    is scaled by the lcm of its denominators, w is cleared from v by
+    (pc/g) v - (f/g) w, pc the pivot of w, f the entry of v, g their gcd,
+    and every kept row is the primitive integer multiple of its reduced
+    row with a positive pivot, so heights stay those of the result.  At
+    the end each row is divided by its pivot: one Fraction per entry.
     """
     prime, p, one = F.kind == "prime", F.p, F.one
     piv = {}
+    if not prime:
+        for v in rows:
+            m = lcm(*[x.denominator for x in v.values()])
+            v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
+            for c in [j for j in v if j in piv]:
+                _clear(v, v.pop(c), piv[c], c)
+            if not v:
+                continue
+            c = min(v)
+            g = gcd(*v.values())
+            if v[c] < 0:
+                g = -g
+            if g != 1:
+                v = {j: x // g for j, x in v.items()}
+            for k, kept in piv.items():
+                if c in kept:
+                    _clear(kept, kept.pop(c), v, c)
+                    g = gcd(*kept.values())
+                    if g != 1:
+                        piv[k] = {j: x // g for j, x in kept.items()}
+            piv[c] = v
+        for c, v in piv.items():
+            pc = v[c]
+            piv[c] = {j: _Q1 if j == c else Fraction(x, pc) for j, x in v.items()}
+        return piv
     for v in rows:
         for c in [j for j in v if j in piv]:
             _axpy(v, -v.pop(c), piv[c], c, prime, p)
@@ -610,12 +673,25 @@ def _rref_rows(F: Field, rows) -> dict:
         if v[c] != one:
             inv = F.inv(v[c])
             for j, x in v.items():
-                v[j] = x * inv % p if prime else x * inv
+                v[j] = x * inv % p
         for kept in piv.values():
             if c in kept:
                 _axpy(kept, -kept.pop(c), v, c, prime, p)
         piv[c] = v
     return piv
+
+
+def _clear(v: dict, f: int, w: dict, c: int) -> None:
+    """v := (pc/g) v - (f/g) w on integer rows, pc = w[c] > 0 and g =
+    gcd(f, pc); f is v's entry at c, already popped, so the result is 0
+    there."""
+    pc = w[c]
+    g = gcd(f, pc)
+    if pc != g:
+        a = pc // g
+        for j in v:
+            v[j] *= a
+    _axpy(v, -(f // g), w, c, False, 0)
 
 
 def _axpy(v: dict, f, w: dict, c: int, prime: bool, p: int) -> None:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,50 @@ def test_decider_commands_solve_each_system_once(monkeypatch, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (cmd, ws, fmt)
 
 
+# sha256 of the stdout of the other Q commands on kZ2, computed when the Q
+# kernels still multiplied and eliminated Fractions entry by entry: the
+# integer-numerator kernels leave every byte as it was.
+Q_COMMAND_STDOUT = {
+    (("check",), "json"):
+        "2a71a45baa48712587773f472351425385e1beef1339d09a28d85abe8d459a1c",
+    (("check",), "text"):
+        "aac31348b8b585709e51703327770cf58eae954219cc899f07bac54c08e5e66d",
+    (("measuring", "I"), "json"):
+        "eaac142c63a0a77c65df5ba95f2fb3511de1406cf34b66b782a75ef820e67482",
+    (("measuring", "I"), "text"):
+        "8950aff231fcc57681857b0a0bfae7c708856bdf3534071a39286437c7f584af",
+    (("galois", "G"), "json"):
+        "b3358e35d158507d4d0ff3f4339a5fa05a3b847a726b9da880d1f376fc0e24f0",
+    (("galois", "G"), "text"):
+        "7d15dca01c9f489848d7055d0aa6a1d45ae9155654f7b4051583404d5645518d",
+    (("cotensor", "I", "M"), "json"):
+        "fcaed446968e78018762031a836890bb40fb6dbc423144b98ae166dc29152e55",
+    (("cotensor", "I", "M"), "text"):
+        "687c2e23ba2462f8b74220dbffa0583c32cc03cf5c0c681131a705998a2407ba",
+    (("hattensor", "I", "M"), "json"):
+        "946d3d3e941ddbdcb03eef645280fd34b9a2f76c6dd7430ca7e21ccc19e2a2af",
+    (("hattensor", "I", "M"), "text"):
+        "7abf27305016984c41aa127d7f6e3fd93d5b9c0515512b9c55eabb6933e28ef5",
+    (("cointegral", "E"), "json"):
+        "aa16e28e93de6147fb4e4577291f1aa1cd4441f39011504a8a329d7b4d2922c7",
+    (("cointegral", "E"), "text"):
+        "99d4fb6c2b25c543e3daa37ca975c40a0ad3314a39ddb830243a9045afd396c0",
+    (("maschke-probe", "E"), "json"):
+        "7ced50dc950cb23866c349b0da926ab72810ff034e844cc7b7ab17676b051a96",
+    (("maschke-probe", "E"), "text"):
+        "7943660ad2d5e032c158e1202f50239e227840b9c079eee08a06f093304d2f84",
+}
+
+
+@pytest.mark.parametrize("argv, fmt", list(Q_COMMAND_STDOUT))
+def test_q_command_stdout_is_pinned(argv, fmt, capsys, monkeypatch):
+    monkeypatch.delenv("SEED", raising=False)
+    cmd, *names = argv
+    code, out, err = run(capsys, cmd, KZ2, *names, "--format", fmt)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == Q_COMMAND_STDOUT[argv, fmt]
+
+
 def test_cointegral_command(capsys):
     code, doc = run_json(capsys, "cointegral", KZ2, "E")
     assert code == 0
@@ -351,6 +396,87 @@ def test_text_format(capsys):
     lines = out.splitlines()
     assert 'command: "separability"' in lines
     assert 'verdicts.co_f.status: "FOUND"' in lines
+
+
+# tests/data/kZ2_tall.json is kZ2 in the basis d_i b_i of each space, the
+# scales d below of height 2^64 and more.  An entry of a structure map is
+# multiplied by the scales of its input legs and divided by those of its
+# output legs; pi's coalgebra leg is the dual C*, whose scale is 1/d.
+TALL = str(Path(__file__).parent / "data" / "kZ2_tall.json")
+TALL_SCALES = {
+    "A": (2**64 + 1, Fraction(-(2**61 - 1), 6)),
+    "C": (Fraction(5, 7), 2**65 - 1),
+    "M": (Fraction(1, 3), 2**64 + 3),
+    "N": (2**64 + 13, 3, Fraction(-7, 2**66 + 1), 1),
+    "V": (-2, Fraction(2**67 + 5, 11)),
+}
+# (table, object, map): (space, +1 input leg or -1 output or dual leg), per
+# file leg.
+TALL_LEGS = {
+    ("algebras", "A", "mult"): (("A", 1), ("A", 1), ("A", -1)),
+    ("algebras", "A", "unit"): (("A", -1),),
+    ("coalgebras", "C", "comult"): (("C", 1), ("C", -1), ("C", -1)),
+    ("coalgebras", "C", "counit"): (("C", 1),),
+    ("entwinings", "E", "psi"): (("C", 1), ("A", 1), ("A", -1), ("C", -1)),
+    ("modules", "M", "action"): (("M", 1), ("A", 1), ("M", -1)),
+    ("modules", "M", "coaction"): (("M", 1), ("M", -1), ("C", -1)),
+    ("contramodules", "N", "pi"): (("N", 1), ("C", -1), ("N", -1)),
+    ("contramodules", "N", "action"): (("A", 1), ("N", 1), ("N", -1)),
+    ("comodules", "V", "coaction"): (("V", 1), ("V", -1), ("C", -1)),
+    ("measurings", "I", "alpha"): (("C", 1), ("A", 1), ("A", -1)),
+    ("measurings", "I", "gamma"): (("C", 1), ("A", -1), ("C", -1)),
+    ("galois", "G", "coaction"): (("A", 1), ("A", -1), ("C", -1)),
+}
+
+
+def tall_kz2() -> dict:
+    """The file form of kZ2 moved to the scaled bases."""
+    with open(KZ2, encoding="utf-8") as fh:
+        doc = json.load(fh)
+
+    def scaled(legs, idx, x):
+        for (space, e), i in zip(legs, idx):
+            x *= Fraction(TALL_SCALES[space][i]) ** e
+        return str(x)
+
+    for (table, name, key), legs in TALL_LEGS.items():
+        obj = doc[table][name]
+        if len(legs) == 1:
+            obj[key] = [scaled(legs, [i], Fraction(x)) for i, x in enumerate(obj[key])]
+        else:
+            obj[key] = [e[:-1] + [scaled(legs, e[:-1], Fraction(e[-1]))] for e in obj[key]]
+    return doc
+
+
+def test_tall_kz2_file_is_kz2_in_a_scaled_basis(tmp_path):
+    p = tmp_path / "tall.json"
+    p.write_text(json.dumps(tall_kz2()))
+    assert workspace_as_dict(parse_workspace(str(p))) == workspace_as_dict(parse_workspace(TALL))
+    heights = [abs(Fraction(e[-1])) for e in tall_kz2()["algebras"]["A"]["mult"]]
+    assert max(max(q.numerator, q.denominator) for q in heights) >= 2**64
+
+
+def test_tall_kz2_decides_as_kz2(capsys):
+    def outcome(path):
+        code, doc = run_json(capsys, "check", path)
+        out = [code, [(r["kind"], r["subject"], r["report"]["passed"],
+                       [(c["name"], c["passed"]) for c in r["report"]["checks"]])
+                      for r in doc["reports"]]]
+        for cmd in ("separability", "frobenius"):
+            code, doc = run_json(capsys, cmd, path, "E")
+            out.append((cmd, code, {k: v["status"] for k, v in doc["verdicts"].items()}))
+        code, doc = run_json(capsys, "cointegral", path, "E")
+        out.append(("cointegral", code, doc["verdict"]["status"]))
+        code, doc = run_json(capsys, "maschke-probe", path, "E")
+        out.append(("maschke-probe", code, doc["cointegral_status"],
+                    doc["report"]["passed"], doc["report"]["data"]["applicable"]))
+        code, doc = run_json(capsys, "galois", path, "G")
+        out.append(("galois", code, doc["galois"]))
+        return out
+
+    want = outcome(KZ2)
+    assert want[0] == 0 and all(r[2] for r in want[1])
+    assert outcome(TALL) == want
 
 
 def test_reports_are_deterministic(capsys):

@@ -10,6 +10,13 @@ fills 0, about 3%, 50% and 100%, over Q, F_2 and F_5.  Over Q each input
 is also rebuilt with fresh `Fraction(0)` objects in place of the shared
 zero, and products that cancel to zero are fed back in, so a kernel that
 treated only the shared zero object as zero would give a different answer.
+
+"Qtall" is Q again with scalars of height up to 2^70 and coprime
+denominators (TALL): the Q products and the elimination run on integer
+numerators and denominators, and these inputs reach their sums of equal
+and of unequal denominators, sums that cancel, pivots other than +-1 and
+rows whose integer content is above 1.  Every Q entry out of a kernel is
+a Fraction, never a bare int, and no kernel stores a zero.
 """
 
 from __future__ import annotations
@@ -26,8 +33,10 @@ from entwine.exactlin import (
 from oracles import kernel_oracle, rref_oracle
 
 Q = Field.rational()
-FIELDS = {"Q": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
+FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
 FILLS = (0.0, 0.03, 0.5, 1.0)
+TALL = (2**70 + 1, Fraction(-(2**61 - 1), 6), Fraction(5, 7), Fraction(1, 3),
+        Fraction(-2, 3), -2, 3)
 
 
 # -- inputs -----------------------------------------------------------
@@ -36,6 +45,8 @@ def rand_mat(F, rng, rows, cols, fill):
     def entry():
         if rng.random() >= fill:
             return F.zero
+        if rng.tall:
+            return F.of(rng.choice(TALL))
         x = F.of(rng.choice([-3, -2, -1, 1, 2, 3]) if F.kind == "rational"
                  else rng.randrange(1, F.p))
         if F.kind == "rational" and rng.random() < 0.3:
@@ -99,10 +110,14 @@ def assert_entries(m, want, rows, cols):
             assert type(x) is Fraction
         else:
             assert type(x) is int and 0 <= x < F.p
+    assert all(x for r in m.nz for x in r.values())
 
 
 def seeded(field_name, fill):
-    return random.Random("%s-%s" % (field_name, fill))
+    """The inputs' generator; over "Qtall" it draws the TALL scalars."""
+    rng = random.Random("%s-%s" % (field_name, fill))
+    rng.tall = field_name == "Qtall"
+    return rng
 
 
 params = pytest.mark.parametrize(

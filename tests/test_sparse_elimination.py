@@ -12,6 +12,14 @@ about 3%, 50% and 100% over Q, F_2 and F_5, with rows that cancel
 (differences and multiples of other rows), duplicate rows, zero rows,
 zero entries given to `Mat` as fresh `Fraction(0)` objects over Q, no
 rows at all and no columns.
+
+Over Q the elimination runs fraction-free on integer rows, so "Qtall"
+draws scalars of height up to 2^70 with coprime denominators, and
+`test_integer_elimination_branches` gives rows with a negative leading
+entry, rows with an integer content above 1 and pivots other than +-1.
+Every Q entry out of `*`, `kron`, `rref`, `kernel_basis`, `solve_affine`,
+`cokernel` and `inverse` must be a Fraction: a bare int would be written
+to JSON as the string "3" instead of 3.
 """
 
 from __future__ import annotations
@@ -21,18 +29,32 @@ from fractions import Fraction
 
 import pytest
 
-from entwine.exactlin import Field, Mat, kernel_basis, rref
-from oracles import kernel_oracle, rref_oracle
+from entwine.exactlin import (
+    Field, Mat, cokernel, inverse, kernel_basis, kron, rref, solve_affine,
+)
+from oracles import kernel_oracle, matmul_oracle, rref_oracle
 
-FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
+Q = Field.rational()
+FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
+TALL = (2**70 + 1, Fraction(-(2**61 - 1), 6), Fraction(5, 7), Fraction(1, 3),
+        Fraction(-2, 3), -2, 3)
 FILLS = (0.0, 0.03, 0.5, 1.0)
 SHAPES = [(1, 1), (3, 5), (5, 3), (6, 6), (9, 12), (14, 10), (0, 4), (4, 0), (0, 0)]
+
+
+def seeded(fname, seed):
+    """The inputs' generator; over "Qtall" it draws the TALL scalars."""
+    rng = random.Random(seed)
+    rng.tall = fname == "Qtall"
+    return rng
 
 
 def rand_row(F, rng, cols, fill):
     def entry():
         if rng.random() >= fill:
             return F.zero
+        if rng.tall:
+            return F.of(rng.choice(TALL))
         x = F.of(rng.choice([-3, -2, -1, 1, 2, 3]) if F.kind == "rational"
                  else rng.randrange(1, F.p))
         return x / 2 if F.kind == "rational" and rng.random() < 0.3 else x
@@ -57,12 +79,16 @@ def dense(F, rows, cols):
     return Mat(F, len(rows), cols, tuple(x for r in rows for x in r))
 
 
-def assert_typed(F, m):
-    for x in m.entries:
-        if F.kind == "rational":
-            assert type(x) is Fraction
-        else:
-            assert type(x) is int and 0 <= x < F.p
+def assert_typed(F, *mats):
+    """Every entry is a Fraction over Q, a reduced int over F_p, and no
+    stored entry is zero."""
+    for m in mats:
+        for x in m.entries:
+            if F.kind == "rational":
+                assert type(x) is Fraction
+            else:
+                assert type(x) is int and 0 <= x < F.p
+        assert all(x for r in m.nz for x in r.values())
 
 
 def check(F, rows, cols, rng):
@@ -77,6 +103,14 @@ def check(F, rows, cols, rng):
     assert got == want_basis
     assert (got.rows, got.cols) == (want_basis.rows, want_basis.cols)
     assert_typed(F, got)
+    # The products, the solutions and the cokernel of the same matrix.
+    assert_typed(F, d * got, kron(d, got), kron(got, d))
+    if cols:
+        part, kern = solve_affine(d, d * Mat.identity(F, cols))
+        assert d * part == d
+        assert_typed(F, part, kern)
+    q = cokernel(d)
+    assert_typed(F, q.projection, q.section)
     # The input rows are read, not reduced in place.
     assert d.nz == dense(F, rows, cols).nz
     # The same rows in another order.
@@ -91,7 +125,7 @@ def check(F, rows, cols, rng):
 @pytest.mark.parametrize("fname", sorted(FIELDS))
 def test_sparse_kernel_matches_dense(fname, fill):
     F = FIELDS[fname]
-    rng = random.Random("%s-%s" % (fname, fill))
+    rng = seeded(fname, "%s-%s" % (fname, fill))
     for rows, cols in SHAPES:
         for _ in range(3):
             check(F, rand_rows(F, rng, rows, cols, fill), cols, rng)
@@ -102,7 +136,7 @@ def test_low_rank_products_match_dense(fname):
     """Rows of a product of thin random factors: rank at most 2 or 3, so
     most rows cancel to zero during elimination."""
     F = FIELDS[fname]
-    rng = random.Random("low-rank-%s" % fname)
+    rng = seeded(fname, "low-rank-%s" % fname)
     for rows, cols, k in [(8, 9, 2), (12, 7, 3), (5, 11, 1)]:
         left = dense(F, [rand_row(F, rng, k, 0.7) for _ in range(rows)], k)
         right = dense(F, [rand_row(F, rng, cols, 0.7) for _ in range(k)], cols)
@@ -119,3 +153,32 @@ def test_empty_systems(fname):
     # No unknowns.
     assert kernel_basis(Mat.zeros(F, 2, 0)) == Mat.zeros(F, 0, 0)
     assert kernel_basis(Mat.zeros(F, 0, 0)) == Mat.zeros(F, 0, 0)
+
+
+def test_integer_elimination_branches():
+    """Rows that take each step of the integer elimination over Q: a
+    negative leading entry (the row is negated), an integer content above
+    1 (divided out), coprime denominators and heights past 2^64 (scaled
+    by their lcm), pivots other than +-1 (Bareiss steps (pc/g) v - (f/g) w
+    with pc/g > 1) and a row that is the sum of two others (cancels)."""
+    big, mid = 2**70 + 1, Fraction(-(2**61 - 1), 6)
+    rows = [[Q.of(x) for x in r] for r in [
+        [-6, 4, 0, 2, 10, 0],
+        [0, 3, 9, -6, 12, 0],
+        [Fraction(1, 3), Fraction(5, 7), big, mid, 0, 1],
+        [0, 2, 3, 0, Fraction(5, 7), 0],
+        [Fraction(-17, 3), Fraction(33, 7), big, mid + 2, 10, 1],
+        [0, 0, 4, 6, 0, Fraction(-8, 3)]]]
+    rng = random.Random("integer-branches")
+    check(Q, rows, 6, rng)
+    check(Q, [r[:5] for r in rows[:5]], 5, rng)
+    # A square matrix of those scalars and its inverse: the products cancel
+    # to the identity through sums of unequal denominators.
+    m = Mat.from_rows(Q, [[big, mid, Fraction(5, 7), -2],
+                          [Fraction(1, 3), -6, 0, 4],
+                          [0, Fraction(-2, 3), 2**64, 3],
+                          [-9, 0, Fraction(1, 3), mid]])
+    inv = inverse(m)
+    assert_typed(Q, inv, m * inv, inv * m)
+    assert m * inv == Mat.identity(Q, 4) == inv * m
+    assert list((m * inv).entries) == list(matmul_oracle(m, inv).entries)
