@@ -49,7 +49,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
 
@@ -102,7 +101,7 @@ def _scalar_in(f: Field, x, where: str):
 def _scalar_out(f: Field, x):
     if f.kind == "prime":
         return x
-    if isinstance(x, Fraction) and x.denominator == 1:
+    if x.denominator == 1:
         return int(x)
     return str(x)
 

@@ -1,5 +1,7 @@
 """Entwined modules: carriers with a right A-action and right C-coaction
-compatible through psi, their hom spaces, and the induction adjunction.
+compatible through psi, their hom spaces, the two induction functors and
+their adjunctions.  The contramodule side's induction functors and
+adjunctions (contracat) are these at transposed objects.
 
 An entwined module stores action M(x)A -> M and coaction M -> M(x)C; the
 compatibility square reads
@@ -12,7 +14,7 @@ from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Comodule, ModuleRight, check_comodule, check_module_right,
-    coaction_square, comodule_hom, right_action_square,
+    coaction_square, comodule_hom, module_hom_right, right_action_square,
 )
 from .entwining import Entwining
 
@@ -128,3 +130,28 @@ def adjunction_check_tc_fc(e: Entwining, n: Comodule, x: EntwinedModule) -> Repo
         "adjunction-induce-forget", left, (x.dim, ind.dim),
         right, (x.dim, n.dim), down, up,
         ("down-lands-in-comodule-hom", "up-lands-in-entwined-hom"))
+
+
+def adjunction_check_fm_mc(e: Entwining, x: EntwinedModule, m: ModuleRight) -> Report:
+    """Forgetting the coaction is left adjoint to M (x) C.
+
+    Hom_ent(X, M (x) C) and Hom_A(X, M) are matched by
+    zeta |-> (M (x) counit) o zeta  and  xi |-> (xi (x) C) o coaction_X.
+    """
+    F = e.field
+    ind = induce_mc(e, m)
+    left = hom_space(x, ind)
+    right = module_hom_right(x.as_module(), m)
+    i_m = Mat.identity(F, m.dim)
+    i_c = Mat.identity(F, e.coalg.dim)
+
+    def down(zeta: Mat) -> Mat:
+        return kron(i_m, e.coalg.counit) * zeta
+
+    def up(xi: Mat) -> Mat:
+        return kron(xi, i_c) * x.coaction
+
+    return hom_bijection_report(
+        "adjunction-forget-coinduce", left, (ind.dim, x.dim),
+        right, (m.dim, x.dim), down, up,
+        ("down-lands-in-module-hom", "up-lands-in-entwined-hom"))

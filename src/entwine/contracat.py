@@ -16,18 +16,24 @@ uncurried as A (x) M -> M, its curried mate M -> M (x) A* is derived.
 At finite dimension a C-contramodule is a module over the dual algebra
 C*, and so is a C-comodule: transposing on the dual basis (`transpose`)
 takes each contramodule-side object to a comodule-side one and back.
+The induction functors and their adjunction checks are therefore the
+comodule ones (comodcat) at transposed objects, transposed; this module
+states only the objects, their axioms and their hom spaces.
 """
 
 from __future__ import annotations
 
 from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis, reshape
-from .report import Report, eq_check, hom_bijection_report
+from .report import Report, eq_check
 from .algstruct import (
     Coalgebra, Comodule, ModuleLeft, ModuleRight, check_module_left,
-    left_action_square, module_hom_left, right_action_square,
+    left_action_square, right_action_square,
 )
 from .entwining import Entwining
-from .comodcat import EntwinedModule
+from .comodcat import (
+    EntwinedModule, adjunction_check_fm_mc, adjunction_check_tc_fc,
+    induce_mc, induce_tc,
+)
 
 
 def hom_pre(g: Mat, inner: int) -> Mat:
@@ -87,14 +93,6 @@ def check_contramodule(x: ContraModule) -> Report:
 def free_contramodule(c: Coalgebra, m0: int) -> ContraModule:
     """Hom(C, k^m0) with pi given by precomposition with comult."""
     return ContraModule(c, m0 * c.dim, hom_pre(c.comult, m0))
-
-
-def plain_contra_hom(x: ContraModule, y: ContraModule) -> SubspaceBasis:
-    """Maps f with f x.pi = y.pi under(f, c), under(f, c) = f (x) I_c."""
-    if x.coalg != y.coalg:
-        raise ValueError("contramodules over different coalgebras")
-    return mat_solution_basis(x.coalg.field, y.dim, x.dim,
-                              [right_action_square(x.pi, y.pi, x.coalg.dim)])
 
 
 class EntwinedContraModule(Record):
@@ -161,37 +159,16 @@ def transpose(x):
     raise ValueError("expected a (co, contra or entwined) module to transpose")
 
 
-def forget_contra(x: EntwinedContraModule) -> ContraModule:
-    return x.as_contra()
-
-
-def forget_module_left(x: EntwinedContraModule) -> ModuleLeft:
-    return x.as_module()
-
-
 def induce_contra_t(e: Entwining, n: ContraModule) -> EntwinedContraModule:
-    """(A, N) = N (x) A* with action by inner precomposition with mult
-    and pi routed through psi."""
-    if n.coalg != e.coalg:
-        raise ValueError("contramodule is not over the entwining's coalgebra")
-    m0 = n.dim
-    na = e.alg.dim
-    dim = m0 * na
-    mu = hom_pre(e.alg.mult, m0)
-    pi = under(n.pi, na) * hom_pre(e.psi, m0)
-    return EntwinedContraModule(e, dim, pi, uncurry_left(mu, dim, na))
+    """(A, N) = N (x) A* with action by inner precomposition with mult and
+    pi routed through psi: the transpose of induce_tc at N^T."""
+    return transpose(induce_tc(e, transpose(n)))
 
 
 def induce_a_t(e: Entwining, n: ModuleLeft) -> EntwinedContraModule:
-    """(C, N) = N (x) C* with the free pi and the psi-twisted action."""
-    if n.alg != e.alg:
-        raise ValueError("module is not over the entwining's algebra")
-    m0 = n.dim
-    c = e.coalg.dim
-    dim = m0 * c
-    pi = hom_pre(e.coalg.comult, m0)
-    mu = hom_pre(e.psi, m0) * under(curry_left(n.action, m0, e.alg.dim), c)
-    return EntwinedContraModule(e, dim, pi, uncurry_left(mu, dim, e.alg.dim))
+    """(C, N) = N (x) C* with the free pi and the psi-twisted action: the
+    transpose of induce_mc at N^T."""
+    return transpose(induce_mc(e, transpose(n)))
 
 
 def contra_morphism_conditions(x: EntwinedContraModule, y: EntwinedContraModule):
@@ -216,47 +193,16 @@ def contra_hom_space(x: EntwinedContraModule, y: EntwinedContraModule) -> Subspa
 def adjunction_check_f_t(e: Entwining, x: EntwinedContraModule,
                          n: ContraModule) -> Report:
     """Free entwined contramodule (A, N) is right adjoint to forgetting
-    the action: Hom_ent(X, (A, N)) matches Hom_contra(X, N) through
-    xi |-> (unit, N) o xi  and  zeta |-> (A, zeta) o mu_X."""
-    F = e.field
-    ind = induce_contra_t(e, n)
-    left = contra_hom_space(x, ind)
-    right = plain_contra_hom(forget_contra(x), n)
-    i_m0 = Mat.identity(F, n.dim)
-    na = e.alg.dim
-    mu_x = x.mu
-
-    def down(xi: Mat) -> Mat:
-        return kron(i_m0, e.alg.unit.t) * xi
-
-    def up(zeta: Mat) -> Mat:
-        return under(zeta, na) * mu_x
-
-    return hom_bijection_report(
-        "adjunction-forget-freecontra", left, (ind.dim, x.dim),
-        right, (n.dim, x.dim), down, up,
-        ("down-lands-in-contra-hom", "up-lands-in-entwined-hom"))
+    the action: Hom_ent(X, (A, N)) matches Hom_contra(X, N).  Transposed,
+    that is Hom_ent(N^T (x) A, X^T) against Hom_comod(N^T, X^T), which
+    adjunction_check_tc_fc checks."""
+    return adjunction_check_tc_fc(e, transpose(n), transpose(x))
 
 
 def adjunction_check_at_af(e: Entwining, m: ModuleLeft,
                            n: EntwinedContraModule) -> Report:
     """(C, -) on left modules is left adjoint to forgetting pi:
-    Hom_ent((C, M), N) matches Hom_A(M, N) through
-    zeta |-> zeta o (counit, M)  and  xi |-> pi_N o (C, xi)."""
-    F = e.field
-    c = e.coalg.dim
-    ind = induce_a_t(e, m)
-    left = contra_hom_space(ind, n)
-    right = module_hom_left(m, forget_module_left(n))
-    i_m = Mat.identity(F, m.dim)
-
-    def down(zeta: Mat) -> Mat:
-        return zeta * kron(i_m, e.coalg.counit.t)
-
-    def up(xi: Mat) -> Mat:
-        return n.pi * under(xi, c)
-
-    return hom_bijection_report(
-        "adjunction-freecontra-forgetmod", left, (n.dim, ind.dim),
-        right, (n.dim, m.dim), down, up,
-        ("down-lands-in-module-hom", "up-lands-in-entwined-hom"))
+    Hom_ent((C, M), N) matches Hom_A(M, N).  Transposed, that is
+    Hom_ent(N^T, M^T (x) C) against Hom_A(N^T, M^T), which
+    adjunction_check_fm_mc checks."""
+    return adjunction_check_fm_mc(e, transpose(n), transpose(m))

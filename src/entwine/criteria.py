@@ -56,10 +56,6 @@ class SepFunctional(Record):
         if self.e.field != self.ent.field:
             raise ValueError("field mismatch")
 
-    def sigma_contra(self, m: int) -> Mat:
-        """Component M -> Hom(C(x)A, M) at an m-dimensional space."""
-        return kron(Mat.identity(self.ent.field, m), self.e.t)
-
     def sigma_co(self, m: int) -> Mat:
         """Component M(x)C(x)A -> M at an m-dimensional space."""
         return kron(Mat.identity(self.ent.field, m), self.e)
@@ -78,10 +74,6 @@ class CasimirMap(Record):
             raise ValueError("theta must be %d x %d" % (n * n, c))
         if self.theta.field != self.ent.field:
             raise ValueError("field mismatch")
-
-    def rho_contra(self, m: int) -> Mat:
-        """Component Hom(A(x)A, M) -> Hom(C, M) at an m-dimensional space."""
-        return kron(Mat.identity(self.ent.field, m), self.theta.t)
 
     def rho_co(self, m: int) -> Mat:
         """Component M(x)C -> M(x)A(x)A at an m-dimensional space."""
@@ -537,37 +529,31 @@ def _average(e: Entwining, phi: Cointegral, x: EntwinedModule, y: EntwinedModule
 #
 # Each pair below is mutually inverse: reading a family off its
 # components at the free (respectively induced) object on an
-# m-dimensional space returns the family one started from.
+# m-dimensional space returns the family one started from.  The
+# contramodule maps are the comodule ones at the transposed argument,
+# transposed.
 
 
 def tau_from_sigma_contra(fn: SepFunctional, x: ContraModule) -> Mat:
     """Splitting component M -> Hom(A, M) at a contramodule."""
-    n = fn.ent.alg.dim
-    return kron(x.pi, Mat.identity(fn.ent.field, n)) * fn.sigma_contra(x.dim)
+    return tau_from_sigma_co(fn, transpose(x)).t
 
 
 def sigma_from_tau_contra(e: Entwining, tau_free: Mat, m: int) -> Mat:
     """Family component at k^m read off the splitting component at the
     free contramodule on k^m."""
-    return tau_free * kron(Mat.identity(e.field, m), e.coalg.counit.t)
+    return sigma_from_tau_co(e, tau_free.t, m).t
 
 
 def kappa_from_rho_contra(cm: CasimirMap, x: EntwinedContraModule) -> Mat:
     """Collapse component Hom(A, M) -> M at an entwined contramodule."""
-    n = cm.ent.alg.dim
-    i_n = Mat.identity(cm.ent.field, n)
-    return x.pi * cm.rho_contra(x.dim) * kron(x.mu, i_n)
+    return kappa_from_rho_co(cm, transpose(x)).t
 
 
 def rho_from_kappa_contra(e: Entwining, kappa_ind: Mat, m: int) -> Mat:
     """Family component at k^m read off the collapse component at the
     induced object on the free contramodule over k^m."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    left = kron(Mat.identity(F, m * c), e.alg.unit.t)
-    right = kron(Mat.identity(F, m),
-                 kron(e.coalg.counit.t, Mat.identity(F, n * n)))
-    return left * kappa_ind * right
+    return rho_from_kappa_co(e, kappa_ind.t, m).t
 
 
 def tau_from_sigma_co(fn: SepFunctional, y: Comodule) -> Mat:

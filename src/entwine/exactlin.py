@@ -621,7 +621,8 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 def _rref_rows(F: Field, rows) -> dict:
     """The nonzero rows of the reduced row echelon form of the given rows,
     dicts {column: value} of nonzero entries, as {pivot column: row}.  The
-    rows are reduced in place.
+    given rows are left unchanged: over F_p copies of them are reduced in
+    place, over Q new integer rows.
 
     Rows are taken one at a time.  Every kept row is 1 at its pivot, 0 left
     of it and 0 at every other pivot, so a new row is reduced by one pass
@@ -664,7 +665,7 @@ def _rref_rows(F: Field, rows) -> dict:
             pc = v[c]
             piv[c] = {j: _Q1 if j == c else Fraction(x, pc) for j, x in v.items()}
         return piv
-    for v in rows:
+    for v in map(dict, rows):
         for c in [j for j in v if j in piv]:
             _axpy(v, -v.pop(c), piv[c], c, prime, p)
         if not v:
@@ -731,7 +732,7 @@ def rref(m: Mat):
     The rows' nonzero entries are eliminated by _rref_rows; the form is
     unique, so it does not depend on the order rows are taken in.
     """
-    piv = _rref_rows(m.field, map(dict, m.nz))
+    piv = _rref_rows(m.field, m.nz)
     pivots = sorted(piv)
     return Mat._of(m.field, m.rows, m.cols, chain(
         map(piv.get, pivots), ({} for _ in range(m.rows - len(pivots))))), tuple(pivots)
@@ -743,8 +744,8 @@ def rank(m: Mat) -> int:
 
 def kernel_basis(m: Mat) -> Mat:
     """Columns form the canonical basis of ker(m) (free-column convention),
-    read off the one elimination of copies of m's rows."""
-    return _kernel(m.field, _rref_rows(m.field, map(dict, m.nz)), m.cols)
+    read off the one elimination of m's rows."""
+    return _kernel(m.field, _rref_rows(m.field, m.nz), m.cols)
 
 
 def solve_affine(a: Mat, b: Mat):

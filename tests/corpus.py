@@ -6,11 +6,11 @@ objects used across the adjunction, measuring and criteria tests.
 
 from __future__ import annotations
 
-from entwine.exactlin import Field, Mat, kron, block_diag
+from entwine.exactlin import Field, Mat, SubspaceBasis, kron, block_diag, mat_solution_basis
 from entwine.algstruct import (
     Algebra, Coalgebra, Comodule, ModuleRight, ModuleLeft, group_algebra,
-    group_like_coalgebra, matrix_algebra, trunc_poly_algebra,
-    upper_triangular_algebra,
+    group_like_coalgebra, matrix_algebra, right_action_square,
+    trunc_poly_algebra, upper_triangular_algebra,
 )
 from entwine.entwining import (
     regular_doi_koppinen, trivial_entwining, trivial_entwining_coalg,
@@ -133,6 +133,13 @@ def idempotent_pair_contramodule(c: Coalgebra, p0: Mat) -> ContraModule:
             pi[r][i * 2 + 0] = p0[r, i]
             pi[r][i * 2 + 1] = p1[r, i]
     return ContraModule(c, m, Mat.from_rows(F, pi))
+
+
+def plain_contra_hom(x: ContraModule, y: ContraModule) -> SubspaceBasis:
+    """Maps f: x -> y of contramodules, f x.pi = y.pi (f (x) I_c).  The
+    package reaches this space only transposed, as comodule_hom."""
+    return mat_solution_basis(x.coalg.field, y.dim, x.dim,
+                              [right_action_square(x.pi, y.pi, x.coalg.dim)])
 
 
 def random_projection(rng, field: Field, m: int) -> Mat:

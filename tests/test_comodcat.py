@@ -1,6 +1,8 @@
-"""Entwined modules: checker, induction in both flavors, adjunction."""
+"""Entwined modules: checker, induction in both flavors, both adjunctions."""
 
 import random
+
+import pytest
 
 from entwine.exactlin import Field, Mat, kron, in_subspace
 from entwine.algstruct import (
@@ -10,10 +12,11 @@ from entwine.algstruct import (
 from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import (
     EntwinedModule, check_entwined_module, forget_fc, induce_tc, induce_mc,
-    hom_space, adjunction_check_tc_fc,
+    hom_space, adjunction_check_tc_fc, adjunction_check_fm_mc,
 )
 from corpus import (
-    graded_comodule, involution_module, random_involution, direct_sum_entwined,
+    entwinings, graded_comodule, involution_module, random_involution,
+    direct_sum_entwined,
 )
 from oracles import exhaustive_solution_count
 
@@ -149,6 +152,26 @@ def test_adjunction_randomized_corpus():
         assert rep.passed, rep.as_dict()
         ran += 1
     assert ran == 12
+
+
+CORPUS = {"%s-%s" % (F.label(), name): e
+          for F in (Q, Field.prime(2), Field.prime(3), F5)
+          for name, e in sorted(entwinings(F).items())}
+
+
+@pytest.mark.parametrize("key", CORPUS)
+def test_adjunction_fm_mc_corpus(key):
+    """Forgetting the coaction is left adjoint to M (x) C, on induced,
+    zero-dimensional and direct-sum objects of each corpus entwining."""
+    e = CORPUS[key]
+    xs = [induce_tc(e, regular_comodule(e.coalg)), induce_tc(e, zero_comodule(e.coalg)),
+          induce_mc(e, regular_right_module(e.alg))]
+    xs.append(direct_sum_entwined(xs[0], xs[2]))
+    ms = [regular_right_module(e.alg), zero_module_right(e.alg), xs[0].as_module()]
+    for x in xs:
+        for m in ms:
+            rep = adjunction_check_fm_mc(e, x, m)
+            assert rep.passed, rep.as_dict()
 
 
 def test_hom_space_exhaustive_over_f5():

@@ -4,19 +4,18 @@ import random
 
 from entwine.exactlin import Field, Mat, kron, in_subspace
 from entwine.algstruct import (
-    field_coalgebra, group_algebra, regular_left_module, ModuleLeft,
+    comodule_hom, field_coalgebra, group_algebra, regular_left_module, ModuleLeft,
 )
 from entwine.entwining import regular_doi_koppinen
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, check_contramodule,
-    check_entwined_contramodule, free_contramodule, plain_contra_hom,
-    induce_contra_t, induce_a_t, contra_hom_space,
-    forget_contra, forget_module_left, adjunction_check_f_t,
-    adjunction_check_at_af, hom_pre, under, curry_left, uncurry_left,
+    check_entwined_contramodule, free_contramodule,
+    induce_contra_t, induce_a_t, contra_hom_space, adjunction_check_f_t,
+    adjunction_check_at_af, hom_pre, under, curry_left, uncurry_left, transpose,
 )
 from corpus import (
     idempotent_pair_contramodule, involution_module_left, random_projection,
-    random_involution, direct_sum_contra,
+    random_involution, direct_sum_contra, plain_contra_hom,
 )
 from oracles import random_mat, exhaustive_solution_count
 
@@ -92,11 +91,12 @@ def test_plain_contra_hom_dimension():
     c = group_algebra(2, Q).coalg
     x = idempotent_pair_contramodule(c, Mat.from_rows(Q, [[1, 0], [0, 0]]))
     # Maps must preserve both members of the idempotent pair, which for
-    # a diagonal projection means staying block diagonal.
-    assert plain_contra_hom(x, x).dim == 2
+    # a diagonal projection means staying block diagonal.  The package
+    # states this space only on the comodule side, transposed.
     y = idempotent_pair_contramodule(c, Mat.identity(Q, 2))
-    assert plain_contra_hom(x, y).dim == 2
-    assert plain_contra_hom(free_contramodule(c, 1), x).dim == 2
+    for a, b in ((x, x), (x, y), (free_contramodule(c, 1), x)):
+        assert plain_contra_hom(a, b).dim == 2
+        assert comodule_hom(transpose(b), transpose(a)).dim == 2
 
 
 def test_induced_entwined_contramodules_pass():
@@ -150,7 +150,7 @@ def test_mu_is_morphism_into_free():
             induce_contra_t(e, free_contramodule(e.coalg, 1)),
         ]
         for x in xs:
-            ind = induce_contra_t(e, forget_contra(x))
+            ind = induce_contra_t(e, x.as_contra())
             assert in_subspace(contra_hom_space(x, ind), x.mu)
 
 
@@ -164,7 +164,7 @@ def test_pi_is_morphism_from_cofree():
             induce_contra_t(e, free_contramodule(e.coalg, 1)),
         ]
         for x in xs:
-            ind = induce_a_t(e, forget_module_left(x))
+            ind = induce_a_t(e, x.as_module())
             assert in_subspace(contra_hom_space(ind, x), x.pi)
 
 

@@ -107,11 +107,10 @@ def test_membership_kernel_satisfies_component_equations():
 def test_rho_solution_for_trivial_algebra_is_counit():
     for field in (Q, F2):
         e = trivial_entwining_coalg(group_like_coalgebra(field, 2))
-        for decide in (decide_sep_contra_f, decide_sep_co_f):
-            v = decide(e)
-            assert v.found
-            assert v.witness["theta"] == e.coalg.counit
-            assert v.data["parameters"] == 0
+        v = decide_sep_co_f(e)
+        assert v.found
+        assert v.witness["theta"] == e.coalg.counit
+        assert v.data["parameters"] == 0
 
 
 # -- separability -----------------------------------------------------
@@ -124,11 +123,10 @@ def test_separability_of_trivial_entwining_matches_classical():
     for alg in cases:
         e = trivial_entwining(alg)
         want = sep_idempotent_exists_oracle(alg)
-        for decide in (decide_sep_co_f, decide_sep_contra_f):
-            v = decide(e)
-            assert v.found == want
-            if not want:
-                assert v.status == "NONE" and v.certificate == "linear"
+        v = decide_sep_co_f(e)
+        assert v.found == want
+        if not want:
+            assert v.status == "NONE" and v.certificate == "linear"
 
 
 def test_t_side_separability_of_trivial_entwining_always_found():
@@ -138,7 +136,6 @@ def test_t_side_separability_of_trivial_entwining_always_found():
                 upper_triangular_algebra(F2)):
         e = trivial_entwining(alg)
         assert decide_sep_co_t(e).found
-        assert decide_sep_contra_t(e).found
 
 
 def test_m2_separability_witness_space():
@@ -186,9 +183,7 @@ def test_uniform_functional_for_one_dimensional_algebra():
 def test_dk_separability_found_over_both_fields():
     for field in (Q, F2):
         e = dk(2, field)
-        for name, decide in (("co_t", decide_sep_co_t), ("co_f", decide_sep_co_f),
-                             ("contra_t", decide_sep_contra_t),
-                             ("contra_f", decide_sep_contra_f)):
+        for name, decide in (("co_t", decide_sep_co_t), ("co_f", decide_sep_co_f)):
             v = decide(e)
             assert v.found, (field.kind, name)
     v = decide_sep_co_t(dk(2, Q))
@@ -256,7 +251,6 @@ def test_frobenius_group_algebra_over_any_field():
         r, th = v.witness["e"], v.witness["theta"]
         for m in (1, 2):
             assert all(x.is_zero() for x in cp.frobenius_equations_co(e, r, th, m))
-        assert decide_frobenius_contra(e).found
 
 
 def test_frobenius_without_separability():
@@ -265,16 +259,14 @@ def test_frobenius_without_separability():
     for field in (Q, F2):
         e = trivial_entwining(trunc_poly_algebra(2, field))
         assert decide_frobenius_co(e).found
-        assert decide_frobenius_contra(e).found
         assert decide_sep_co_f(e).status == "NONE"
 
 
 def test_frobenius_upper_triangular_f2_none_exhaustive():
     e = trivial_entwining(upper_triangular_algebra(F2))
-    for decide in (decide_frobenius_co, decide_frobenius_contra):
-        v = decide(e)
-        assert v.status == "NONE"
-        assert v.certificate == "exhaustive"
+    v = decide_frobenius_co(e)
+    assert v.status == "NONE"
+    assert v.certificate == "exhaustive"
     # independent scan: no (functional, casimir) pair satisfies the
     # coupled component equations
     members = [th for th in all_mats(F2, 9, 1)
@@ -309,20 +301,18 @@ def test_frobenius_budget_outside_zero_to_64_is_refused():
     """The budget is 2^budget_bits candidates: below 0 it means nothing,
     above 64 no sweep ends, and 2^20000 would not even print."""
     e = trivial_entwining(upper_triangular_algebra(F2))
-    for decide in (decide_frobenius_co, decide_frobenius_contra):
-        for bits in (-1, 65, 20000):
-            with pytest.raises(ValueError, match="budget_bits"):
-                decide(e, budget_bits=bits)
-        v = decide(e, budget_bits=64)
-        assert v.status == "NONE" and v.data["budget_candidates"] == 2 ** 64
+    for bits in (-1, 65, 20000):
+        with pytest.raises(ValueError, match="budget_bits"):
+            decide_frobenius_co(e, budget_bits=bits)
+    v = decide_frobenius_co(e, budget_bits=64)
+    assert v.status == "NONE" and v.data["budget_candidates"] == 2 ** 64
 
 
 def test_frobenius_dk_and_one_dim_cases():
     for field in (Q, F2):
         assert decide_frobenius_co(dk(2, field)).found
-        assert decide_frobenius_contra(dk(2, field)).found
     e = trivial_entwining(field_algebra(Q))
-    v = decide_frobenius_contra(e)
+    v = decide_frobenius_co(e)
     assert v.found
     assert v.witness["e"] == Mat(Q, 1, 1, (Q.one,))
     assert v.witness["theta"] == Mat(Q, 1, 1, (Q.one,))

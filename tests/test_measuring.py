@@ -21,7 +21,7 @@ from entwine.comodcat import (
 )
 from entwine.contracat import (
     EntwinedContraModule, check_entwined_contramodule, free_contramodule,
-    induce_contra_t, induce_a_t, contra_hom_space, forget_contra,
+    induce_contra_t, induce_a_t, contra_hom_space,
     hom_pre, under, curry_left, uncurry_left,
 )
 from entwine.measuring import (
@@ -479,7 +479,7 @@ def test_s_maps_are_contramodule_morphisms():
         s_low = s_lower(m, y_src)
         low_dom = contra_induce(m, y_src.as_contra())
         low_cod = contra_induce(
-            m, forget_contra(induce_contra_t(m.src, y_src.as_contra())))
+            m, induce_contra_t(m.src, y_src.as_contra()).as_contra())
         assert in_subspace(contra_hom_space(low_dom, low_cod), s_low)
 
 

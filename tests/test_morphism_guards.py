@@ -26,8 +26,9 @@ from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import hom_space, induce_mc, induce_tc, morphism_conditions
 from entwine.contracat import (
     contra_hom_space, contra_morphism_conditions, free_contramodule,
-    induce_a_t, induce_contra_t, plain_contra_hom,
+    induce_a_t, induce_contra_t,
 )
+from corpus import plain_contra_hom
 import reference_residuals as ref
 
 FIELDS = {"Q": Field.rational(), "F5": Field.prime(5)}

@@ -105,8 +105,8 @@ def test_entwined_morphism_conditions(name, fname):
 @pytest.mark.parametrize("name", NAMES)
 def test_plain_hom_conditions(name, fname):
     """The squares behind module_hom_right, module_hom_left, comodule_hom
-    and plain_contra_hom, on the free objects and the forgetful images of
-    the induced ones."""
+    and the plain contramodule hom, on the free objects and the forgetful
+    images of the induced ones."""
     F = FIELDS[fname]
     e = entwinings(F)[name]
     n, c = e.alg.dim, e.coalg.dim
@@ -257,7 +257,7 @@ def test_package_passes_no_closures(monkeypatch, capsys):
     from entwine import cli, exactlin
     from entwine.algstruct import comodule_hom, module_hom_left, module_hom_right
     from entwine.comodcat import hom_space
-    from entwine.contracat import contra_hom_space, plain_contra_hom
+    from entwine.contracat import contra_hom_space
 
     def refuse(*args):
         raise AssertionError("a closure was evaluated on matrix units")
@@ -278,7 +278,6 @@ def test_package_passes_no_closures(monkeypatch, capsys):
     module_hom_right(co["mc"].as_module(), co["tc"].as_module())
     module_hom_left(contra["at"].as_module(), contra["ct"].as_module())
     comodule_hom(co["mc"].as_comodule(), co["tc"].as_comodule())
-    plain_contra_hom(contra["at"].as_contra(), contra["ct"].as_contra())
     m = measuring.identity_measuring(e)
     assert measuring.adjunction_check_measuring(m, co["mc"], co["tc"]).passed
     assert measuring.adjunction_check_measuring(m, contra["at"], contra["ct"]).passed

@@ -3,9 +3,10 @@ comodule side.
 
 `contracat.transpose` sends an entwined contramodule to an entwined
 module, a contramodule to a comodule and a left module to a right
-module, and back.  The contramodule half of `measuring` and the
-contramodule Maschke averaging of `criteria` are the comodule half at
-transposed objects, transposed.  The digests below pin their outputs: each
+module, and back.  The contramodule induction functors of `contracat`,
+the contramodule half of `measuring` and the contramodule Maschke
+averaging of `criteria` are the comodule half at transposed objects,
+transposed.  The digests below pin their outputs: each
 is the sha256 of the outputs serialized one line each, and was computed on
 the code in which the contramodule side still stated its own formulas
 (through hom_pre, under and curry_left), before it was made the
@@ -26,15 +27,14 @@ from entwine.exactlin import Field, Mat, SubspaceBasis, basis_columns, hstack, s
 from entwine.report import mat_as_lists
 from entwine.algstruct import (
     Comodule, ModuleLeft, ModuleRight, dual_left_module, group_algebra,
-    regular_comodule, regular_right_module,
+    regular_comodule, regular_left_module, regular_right_module,
 )
 from entwine.comodcat import (
     EntwinedModule, check_entwined_module, hom_space, induce_mc, induce_tc,
 )
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, check_entwined_contramodule,
-    contra_hom_space, free_contramodule, induce_a_t, induce_contra_t,
-    plain_contra_hom, transpose,
+    contra_hom_space, free_contramodule, induce_a_t, induce_contra_t, transpose,
 )
 import corpus
 
@@ -156,9 +156,29 @@ def maschke_outputs():
             at, ct = contra_objects(e)
             y = corpus.direct_sum_contra(ct, ct)
             for x, z in ((ct, ct), (ct, at), (at, ct), (y, ct), (ct, y)):
-                space = plain_contra_hom(x.as_contra(), z.as_contra())
+                space = corpus.plain_contra_hom(x.as_contra(), z.as_contra())
                 for f in basis_columns(F, space.basis, z.dim, x.dim)[:4]:
                     yield criteria.maschke_split_contra(e, ci, x, z, f)
+
+
+def induce_contra_t_outputs():
+    """The induction on free contramodules of rank 0, 1 and 2 and on the
+    transposed regular comodule, over every corpus entwining."""
+    for e in ENTWININGS.values():
+        c = e.coalg
+        for n in (free_contramodule(c, 0), free_contramodule(c, 1),
+                  free_contramodule(c, 2), transpose(regular_comodule(c))):
+            yield induce_contra_t(e, n)
+
+
+def induce_a_t_outputs():
+    """The induction on the zero, the regular and the dual left module,
+    over every corpus entwining."""
+    for e in ENTWININGS.values():
+        a = e.alg
+        for m in (ModuleLeft(a, 0, Mat.zeros(e.field, 0, 0)),
+                  regular_left_module(a), dual_left_module(a)):
+            yield induce_a_t(e, m)
 
 
 OUTPUTS = {
@@ -167,6 +187,8 @@ OUTPUTS = {
     "unit_psi": lambda: functor_outputs("unit_psi"),
     "counit_phi": lambda: functor_outputs("counit_phi"),
     "maschke_split_contra": maschke_outputs,
+    "induce_contra_t": induce_contra_t_outputs,
+    "induce_a_t": induce_a_t_outputs,
 }
 
 DIGESTS = {
@@ -176,6 +198,8 @@ DIGESTS = {
     "counit_phi": "0cd7ae7db339fc6f60d7070dc89af5ec35d6e0605ba370e1b610fce554a5b062",
     "maschke_split_contra":
         "14e80c692afefb094ce79f7dec5dc6baf8ee5f07c28f346e87d91491430a7d15",
+    "induce_contra_t": "b6e0edf711ba808c07461168dd08d0f80c7bc9c4d88e0d9813f3701043183959",
+    "induce_a_t": "bd8213845cea46f4cba2df600fab52fe6835e752853cf54454cd27af40bbf58e",
 }
 
 

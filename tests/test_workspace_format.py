@@ -11,7 +11,7 @@ import pytest
 
 import entwine.cli as cli
 from entwine.cli import InputError, Workspace, parse_workspace, serialize_workspace
-from entwine.exactlin import Field, Mat
+from entwine.exactlin import Field, Mat, kron
 from entwine.algstruct import Algebra, Coalgebra, Comodule, group_like_coalgebra
 from entwine.entwining import Entwining
 from entwine.comodcat import EntwinedModule
@@ -444,3 +444,14 @@ def test_undecodable_files_are_refused(tmp_path, capsys):
         assert refused.value.where == str(p)
         assert cli.main(["check", str(p)]) == 3
     capsys.readouterr()
+
+
+def test_int_entries_of_a_q_matrix_are_written_as_numbers():
+    """A Q matrix built from bare ints keeps them, and kron copies them;
+    the writer gives each integer entry as a JSON number, as it does for
+    an integral Fraction."""
+    Q = Field.rational()
+    m = kron(Mat(Q, 2, 2, (3, 0, Fraction(1, 2), -1)), Mat.identity(Q, 1))
+    assert isinstance(m[0, 0], int)
+    assert cli._map_out(m, (2, 2), (1, True)) == [3, 0, "1/2", -1]
+    assert cli._map_out(m, (2, 2), (1, False)) == [[0, 0, 3], [0, 1, "1/2"], [1, 1, -1]]
