@@ -58,10 +58,6 @@ def check_entwined_module(x: EntwinedModule) -> Report:
     return rep
 
 
-def forget_fc(x: EntwinedModule) -> Comodule:
-    return x.as_comodule()
-
-
 def induce_tc(e: Entwining, n: Comodule) -> EntwinedModule:
     """N (x) A with the free action and the psi-twisted coaction."""
     if n.coalg != e.coalg:
@@ -116,7 +112,7 @@ def adjunction_check_tc_fc(e: Entwining, n: Comodule, x: EntwinedModule) -> Repo
     F = e.field
     ind = induce_tc(e, n)
     left = hom_space(ind, x)
-    right = comodule_hom(n, forget_fc(x))
+    right = comodule_hom(n, x.as_comodule())
     i_m0 = Mat.identity(F, n.dim)
     i_n = Mat.identity(F, e.alg.dim)
 

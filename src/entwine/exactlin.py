@@ -4,9 +4,10 @@ Scalars are plain Python values: Fraction for the rationals, int residues
 in [0, p) for F_p.  Everything is immutable and every elimination ends in
 the reduced row echelon form, which is unique, so ranks, kernels,
 cokernel presentations and solutions are reproducible bit for bit.  Over
-Q the product and the elimination compute on int numerators and
-denominators inside, and emit only normalized Fractions, never a bare
-int: a Fraction operation pays two gcds, a type check and a new object.
+Q the product, the elimination and the term-list contraction compute on
+int numerators and denominators inside, and emit only normalized
+Fractions, never a bare int: a Fraction operation pays two gcds, a type
+check and a new object.
 
 Mat stores sparse rows: per row a dict {column: value} of its nonzero
 entries, with no stored zeros, so every kernel visits nonzeros only.  A
@@ -35,16 +36,21 @@ An identity linear in an unknown matrix X is stated once as a term list
 
 L and R fixed; a bilinear identity has one such lift per argument in
 each term, L . lift(U) . M . lift(V) . R.  An identity factor L or R is
-left implicit (None) and never built.  Calling a term list evaluates it
-with the Mat kernels, skipping the implicit identities and the 1 x 1
-identities of a = 1 or b = 1.
+left implicit (None) and never built.  Calling a term list evaluates it:
+each lift I_a (x) X (x) I_b is built in one pass over the nonzeros of X
+(_lift), with no identity matrix and no kron, the factors are multiplied
+by the Mat product, and each term's coefficient is folded into one sum
+or difference (Mat._merge).
 
 affine_matrix_system, mat_solution_basis and compile_bilinear contract a
 term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
 per leg, the coefficient of X[p, q] in entry (r, s) is the sum over
 alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
-multiplied.  affine_matrix_system and mat_solution_basis put the
+multiplied.  Over Q the nonzeros are (numerator, denominator) int pairs
+through every lift, summed as the product sums them, and each distinct
+pair of the result becomes one shared Fraction (_shared).
+affine_matrix_system and mat_solution_basis put the
 contracted nonzeros straight into the sparse rows of their matrix
 (_from_flat), which mat_solution_basis eliminates; neither builds a
 dense system.  compile_bilinear takes only term lists: it projects the
@@ -380,15 +386,27 @@ class Mat:
     def _like(self, nz) -> "Mat":
         return Mat._of(self.field, self.rows, self.cols, nz)
 
-    def _merge(self, other: "Mat", f: int) -> "Mat":
-        """self + f . other, f = 1 or -1, row by row on the nonzeros."""
+    def _merge(self, other: "Mat", f) -> "Mat":
+        """self + f . other, row by row on the nonzeros of other: each entry
+        added or subtracted directly for f = 1 or -1, other scaled first
+        for any other f."""
         self._same_shape(other)
-        prime, p = self.field.kind == "prime", self.field.p
+        if f != 1 and f != -1:
+            other, f = other.scale(f), 1
+        p, add = self.field.p, f == 1
         out = []
         for r, s in zip(self.nz, other.nz):
             if s:
                 r = dict(r)
-                _axpy(r, f, s, -1, prime, p)
+                for j, x in s.items():
+                    y = r.get(j)
+                    y = (x if add else -x) if y is None else (y + x if add else y - x)
+                    if p:
+                        y %= p
+                    if y:
+                        r[j] = y
+                    else:
+                        del r[j]
             out.append(r)
         return self._like(out)
 
@@ -437,13 +455,13 @@ class Mat:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         F, b = self.field, other.nz
-        prime, p, one = F.kind == "prime", F.p, F.one
+        prime, p = F.kind == "prime", F.p
         out = []
         made = {}
         for r in self.nz:
             if len(r) == 1:
                 (t, c), = r.items()
-                if c is one or c == one:
+                if c == 1:
                     out.append(b[t])
                     continue
             acc = {}
@@ -507,16 +525,16 @@ def kron(a: Mat, b: Mat) -> Mat:
     if a.field != b.field:
         raise ValueError("field mismatch")
     F = a.field
-    prime, p, one, bc = F.kind == "prime", F.p, F.one, b.cols
+    prime, p, bc = F.kind == "prime", F.p, b.cols
     brows = [list(r.items()) for r in b.nz]
     # b is often an identity, whose products need no multiplication.
-    ones = all(v is one or v == one for rb in brows for _, v in rb)
+    ones = all(v == 1 for rb in brows for _, v in rb)
     out = []
     for ra in a.nz:
         block = [{} for _ in brows]
         for j, c in ra.items():
             base = j * bc
-            if c is one or c == one:
+            if c == 1:
                 for row, rb in zip(block, brows):
                     for l, v in rb:
                         row[base + l] = v
@@ -919,28 +937,37 @@ class TermList(Record):
         for t in self.terms:
             v = t.left
             for lift in t.lifts:
-                u = xs[lift.side]
-                F = u.field
-                if lift.a != 1:
-                    u = kron(Mat.identity(F, lift.a), u)
-                if lift.b != 1:
-                    u = kron(u, Mat.identity(F, lift.b))
+                u = _lift(xs[lift.side], lift.a, lift.b)
                 # The lift times right first: no product as wide as the lift.
                 if lift.right is not None:
                     u = u * lift.right
                 v = u if v is None else v * u
-            if t.coeff != 1:
-                v = v.scale(t.coeff)
-            out = v if out is None else out + v
+            c = t.coeff
+            out = (v if c == 1 else v.scale(c)) if out is None else out._merge(v, c)
         return out
 
 
-def _nonzeros(m: Mat, n: int, one):
+def _lift(u: Mat, a: int, b: int) -> Mat:
+    """I_a (x) u (x) I_b in one pass: row (alpha, i, beta) is row i of u
+    with each column j moved to (alpha, j, beta)."""
+    if a == b == 1:
+        return u
+    w = u.cols * b
+    return Mat._of(u.field, a * u.rows * b, a * w, (
+        {j * b + s: x for j, x in r.items()}
+        for alpha in range(a) for r in u.nz for s in range(alpha * w, alpha * w + b)))
+
+
+def _nonzeros(m: Mat, n: int, prime: bool):
     """(row, column, value) of each nonzero entry of m, or of I_n if m is
-    None."""
+    None; over Q the value is its (numerator, denominator) int pair."""
     if m is None:
+        one = 1 if prime else (1, 1)
         return [(i, i, one) for i in range(n)]
-    return [(i, j, x) for i, r in enumerate(m.nz) for j, x in r.items()]
+    if prime:
+        return [(i, j, x) for i, r in enumerate(m.nz) for j, x in r.items()]
+    return [(i, j, (x.numerator, x.denominator))
+            for i, r in enumerate(m.nz) for j, x in r.items()]
 
 
 def _contract(field: Field, term: Term, shapes):
@@ -948,7 +975,8 @@ def _contract(field: Field, term: Term, shapes):
     (row, s, value) with row (r, p_1, q_1, ..., p_j, q_j) flattened and
     value the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry
     (r, s) of the term's value, U_i the unknown of lift i, and
-    k the value's column count.
+    k the value's column count.  Over Q each value is an (numerator,
+    denominator) int pair, summed as _matmul sums them.
 
     By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient
     of X[p, q] in (L (I_a (x) X (x) I_b) R)[r, s] is the sum over alpha,
@@ -957,11 +985,11 @@ def _contract(field: Field, term: Term, shapes):
     matching pairs; read with rows (r, p, q), the result is the left
     factor of the next lift.  Identity factors (None) are never built.
     """
-    prime, p, one = field.kind == "prime", field.p, field.one
+    prime, p = field.kind == "prime", field.p
     first = term.lifts[0]
     xr = shapes[first.side][0]
     width = first.a * xr * first.b if term.left is None else term.left.cols
-    cur = _nonzeros(term.left, width, one)
+    cur = _nonzeros(term.left, width, prime)
     for lift in term.lifts:
         xr, xc = shapes[lift.side]
         a, b, right = lift.a, lift.b, lift.right
@@ -973,18 +1001,26 @@ def _contract(field: Field, term: Term, shapes):
             alpha, pp = divmod(ap, xr)
             by_leg.setdefault(alpha * b + beta, []).append(((r * xr + pp) * xc, v))
         out = {}
-        for i, s, w in _nonzeros(right, a * xc * b, one):
+        for i, s, w in _nonzeros(right, a * xc * b, prime):
             aq, beta = divmod(i, b)
             alpha, q = divmod(aq, xc)
             for row, v in by_leg.get(alpha * b + beta, ()):
                 key = (row + q, s)
                 x = out.get(key)
-                vw = v if w is one else v * w
-                out[key] = vw if x is None else x + vw
+                if prime:
+                    out[key] = v * w if x is None else x + v * w
+                    continue
+                n, d = v[0] * w[0], v[1] * w[1]
+                if x is None:
+                    out[key] = n, d
+                elif x[1] == d:
+                    out[key] = x[0] + n, d
+                else:
+                    out[key] = x[0] * d + n * x[1], x[1] * d
         if prime:
             cur = [(row, s, y) for (row, s), x in out.items() if (y := x % p)]
         else:
-            cur = [(row, s, x) for (row, s), x in out.items() if x]
+            cur = [(row, s, x) for (row, s), x in out.items() if x[0]]
         width = a * xc * b if right is None else right.cols
     return cur, width
 
@@ -995,7 +1031,9 @@ def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: 
     matrix with ncols columns by index: the coefficient in entry (r, s) of
     the value, of unknown entries with flat indices i_1, i_2, ..., goes to
     index start + (r*k + s)*ncols + sum of weights[side_j]*i_j, k the
-    value's columns.  Entries that cancel are dropped."""
+    value's columns.  Entries that cancel are dropped over F_p; over Q
+    the entries are int pairs, as _contract gives them, and a sum that
+    cancels keeps its pair with numerator 0, dropped by _shared."""
     cur, k = _contract(field, term, shapes)
     # Index, at r = s = 0, of each row (p_1, q_1, ...) of a block of cur.
     inner = [0]
@@ -1004,19 +1042,41 @@ def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: 
         inner = [x + i * w for x in inner for i in range(xr * xc)]
     block, rstep = len(inner), k * ncols
     c = field.of(term.coeff)
-    prime, p, one = field.kind == "prime", field.p, c == field.one
+    prime, p, one = field.kind == "prime", field.p, c == 1
+    if not prime:
+        cn, cd = c.numerator, c.denominator
     for row, s, v in cur:
         r, u = divmod(row, block)
         i = start + r * rstep + inner[u] + s * ncols
-        v = v if one else c * v
         w = acc.get(i)
-        w = v if w is None else w + v
         if prime:
-            w %= p
-        if w:
-            acc[i] = w
+            v = v if one else c * v % p
+            w = v if w is None else (w + v) % p
+            if w:
+                acc[i] = w
+            else:
+                acc.pop(i, None)
+            continue
+        n, d = v[0] * cn, v[1] * cd
+        if w is None:
+            acc[i] = n, d
+        elif w[1] == d:
+            acc[i] = w[0] + n, d
         else:
-            acc.pop(i, None)
+            acc[i] = w[0] * d + n * w[1], w[1] * d
+
+
+def _shared(acc: dict) -> dict:
+    """{key: Fraction} of the (numerator, denominator) int pairs of acc
+    whose numerator is nonzero, one Fraction per distinct pair."""
+    out, made = {}, {}
+    for k, nd in acc.items():
+        if nd[0]:
+            x = made.get(nd)
+            if x is None:
+                x = made[nd] = Fraction(*nd)
+            out[k] = x
+    return out
 
 
 def _term_lists(x):
@@ -1038,6 +1098,8 @@ def _contracted_system(field: Field, rows: int, cols: int, forms):
         h = f.shape[0] * f.shape[1]
         rhs.append(Mat.zeros(field, h, 1) if f.const is None else vec(-f.const))
         off += h
+    if field.kind == "rational":
+        acc = _shared(acc)
     return acc, off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
 
 
@@ -1131,17 +1193,32 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     acc, out = {}, {}
     for t in f.terms:
         _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
-    rows0, rows1 = (m.nz for m in bases)
+    prime = field.kind == "prime"
+    rows0, rows1 = ([{j: x if prime else (x.numerator, x.denominator)
+                      for j, x in row.items()} for row in m.nz] for m in bases)
     d0, d1 = bases[0].cols, bases[1].cols
     for idx, w in acc.items():
         u, qv = divmod(idx, r * n1)
         q, v = divmod(qv, n1)
         for i, x in rows0[u].items():
-            wx, base = w * x, (i * r + q) * d1
+            base = (i * r + q) * d1
+            if prime:
+                wx = w * x
+                for j, y in rows1[v].items():
+                    out[base + j] = out.get(base + j, 0) + wx * y
+                continue
+            wn, wd = w[0] * x[0], w[1] * x[1]
             for j, y in rows1[v].items():
-                out[base + j] = out.get(base + j, 0) + wx * y
-    prime = field.kind == "prime"
-    out = {i: y for i, x in out.items() if (y := x % field.p if prime else x)}
+                n, d = wn * y[0], wd * y[1]
+                z = out.get(base + j)
+                if z is None:
+                    out[base + j] = n, d
+                elif z[1] == d:
+                    out[base + j] = z[0] + n, d
+                else:
+                    out[base + j] = z[0] * d + n * z[1], z[1] * d
+    out = ({i: y for i, x in out.items() if (y := x % field.p)} if prime
+           else _shared(out))
     gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
     return CompiledBilinear(d0, _from_flat(field, d0 * r, d1, out), gamma)
 

@@ -6,6 +6,8 @@ objects used across the adjunction, measuring and criteria tests.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from entwine.exactlin import Field, Mat, SubspaceBasis, kron, block_diag, mat_solution_basis
 from entwine.algstruct import (
     Algebra, Coalgebra, Comodule, ModuleRight, ModuleLeft, group_algebra,
@@ -34,6 +36,38 @@ def entwinings(field: Field) -> dict:
         "tp2": trivial_entwining(trunc_poly_algebra(2, field)),
         "gl2": trivial_entwining_coalg(group_like_coalgebra(field, 2)),
     }
+
+
+# Scalars of height up to 2^70 with coprime denominators: over Q they reach
+# the integer kernels' sums of equal and of unequal denominators.
+TALL = (2**70 + 1, Fraction(-(2**61 - 1), 6), Fraction(5, 7), Fraction(1, 3),
+        Fraction(-2, 3), -2, 3)
+
+
+def _tall_basis(field: Field, n: int, shift: int):
+    """An invertible upper bidiagonal n x n change of basis, its diagonal
+    and superdiagonal entries drawn in turn from TALL."""
+    def entry(i, j):
+        return TALL[(i + j + shift) % len(TALL)] if j in (i, i + 1) else 0
+    return Mat.from_rows(field, [[entry(i, j) for j in range(n)] for i in range(n)])
+
+
+def tall_entwinings() -> dict:
+    """The entwinings of `entwinings` over Q moved to the bases given by
+    the columns of P_A and P_C, upper bidiagonal with TALL entries: every
+    structure map is conjugated by them, so each entwining is isomorphic
+    to the original, and a structure constant is a sum of products of
+    scalars with unequal denominators."""
+    from entwine.exactlin import inverse
+    out = {}
+    for name, e in entwinings(Field.rational()).items():
+        F, n, c = e.field, e.alg.dim, e.coalg.dim
+        pa, pc = _tall_basis(F, n, 0), _tall_basis(F, c, 1)
+        ia, ic = inverse(pa), inverse(pc)
+        alg = Algebra(F, n, ia * e.alg.mult * kron(pa, pa), ia * e.alg.unit)
+        coalg = Coalgebra(F, c, kron(ic, ic) * e.coalg.comult * pc, e.coalg.counit * pc)
+        out[name] = type(e)(alg, coalg, kron(ia, ic) * e.psi * kron(pc, pa))
+    return out
 
 
 def graded_comodule(c: Coalgebra, grades) -> Comodule:

@@ -38,6 +38,36 @@ def matmul_oracle(a: Mat, b: Mat) -> Mat:
     return Mat(F, a.rows, b.cols, tuple(data))
 
 
+def identity_oracle(field: Field, n: int) -> Mat:
+    return Mat(field, n, n, tuple(field.one if i == j else field.zero
+                                  for i in range(n) for j in range(n)))
+
+
+def term_list_oracle(form, *xs) -> Mat:
+    """The value of an exactlin.TermList at the unknowns xs, by its
+    definition: each term is coeff . left . lift_1 . lift_2 ..., a lift
+    (I_a (x) U (x) I_b) . right built with dense identities and two
+    Kronecker products, None factors written out as identities, and the
+    terms summed with const entry by entry."""
+    F = xs[0].field
+    rows, cols = form.shape
+    acc = list(form.const.entries) if form.const is not None else [F.zero] * (rows * cols)
+    for t in form.terms:
+        first = t.lifts[0]
+        v = t.left
+        if v is None:
+            v = identity_oracle(F, first.a * xs[first.side].rows * first.b)
+        for lift in t.lifts:
+            u = kron_oracle(kron_oracle(identity_oracle(F, lift.a), xs[lift.side]),
+                            identity_oracle(F, lift.b))
+            if lift.right is not None:
+                u = matmul_oracle(u, lift.right)
+            v = matmul_oracle(v, u)
+        c = F.of(t.coeff)
+        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, v.entries)]
+    return Mat(F, rows, cols, tuple(acc))
+
+
 def det_oracle(m: Mat):
     """Permutation-expansion determinant; fine for the sizes we test."""
     F = m.field

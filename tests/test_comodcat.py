@@ -11,7 +11,7 @@ from entwine.algstruct import (
 )
 from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import (
-    EntwinedModule, check_entwined_module, forget_fc, induce_tc, induce_mc,
+    EntwinedModule, check_entwined_module, induce_tc, induce_mc,
     hom_space, adjunction_check_tc_fc, adjunction_check_fm_mc,
 )
 from corpus import (
@@ -97,7 +97,7 @@ def test_action_is_morphism_from_induced():
             induce_mc(e, involution_module(e.alg, Mat.from_rows(field, [[0, 1], [1, 0]]))),
         ]
         for x in xs:
-            ind = induce_tc(e, forget_fc(x))
+            ind = induce_tc(e, x.as_comodule())
             assert in_subspace(hom_space(ind, x), x.action)
 
 
@@ -126,7 +126,7 @@ def test_hom_dims_against_grade_count():
     dom_grades = [0, 1]
     cod_grades = [0, 1, 0, 1]
     expect = sum(1 for gr in cod_grades for gs in dom_grades if gr == gs)
-    got = comodule_hom(n, forget_fc(x))
+    got = comodule_hom(n, x.as_comodule())
     assert got.dim == expect == 4
     assert hom_space(induce_tc(e, n), x).dim == got.dim
 

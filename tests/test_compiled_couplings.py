@@ -10,8 +10,9 @@ coordinates that are zero, random, and unit vectors, on both sides, for
 both variances, over Q, F_2 and F_5.  The contramodule decider poses the
 comodule side's couplings and memberships, whose transposes its own
 identities are, sigma the row r; so its closures, written independently,
-are compared as r -> closure(r^T)^T.  A term without one lift on each
-side is refused.
+are compared as r -> closure(r^T)^T.  "Qtall" is Q again on the corpus
+moved to bases scaled by the TALL scalars, with fixed coordinates drawn
+from them.  A term without one lift on each side is refused.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from entwine.exactlin import (
 )
 from entwine.criteria import _frobenius_couplings_co, _v1p_residual, _w1p_residuals
 import reference_residuals as ref
-from corpus import entwinings
+from corpus import TALL, entwinings, tall_entwinings
 
-FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
+FIELDS = {"Q": Field.rational(), "Qtall": Field.rational(), "F2": Field.prime(2),
+          "F5": Field.prime(5)}
 
 
 def frobenius_setup(e, variance):
@@ -46,13 +48,16 @@ def frobenius_setup(e, variance):
     return shapes, bases, couplings, closures
 
 
-def fixed_coordinates(F, rng, d):
-    """Zero, two random columns and the unit columns of k^d."""
+def fixed_coordinates(F, rng, d, tall=False):
+    """Zero, two random columns, of TALL scalars if tall, and the unit
+    columns of k^d."""
     def column(xs):
         return Mat(F, d, 1, tuple(map(F.of, xs)))
 
-    return ([column([0] * d)] + [column(rng.randint(-3, 3) for _ in range(d))
-                                 for _ in range(2)]
+    def scalar():
+        return rng.choice(TALL) if tall else rng.randint(-3, 3)
+
+    return ([column([0] * d)] + [column(scalar() for _ in range(d)) for _ in range(2)]
             + [Mat.identity(F, d).col_mat(i) for i in range(d)])
 
 
@@ -61,7 +66,8 @@ def fixed_coordinates(F, rng, d):
 @pytest.mark.parametrize("name", ["dk2", "dk3", "m2", "ut", "gl2"])
 def test_compiled_system_matches_closure_assembly(name, fname, variance):
     F = FIELDS[fname]
-    e = entwinings(F)[name]
+    tall = fname == "Qtall"
+    e = (tall_entwinings() if tall else entwinings(F))[name]
     shapes, bases, couplings, closures = frobenius_setup(e, variance)
     rng = random.Random("%s-%s-%s" % (name, fname, variance))
     for cp, closure in zip(couplings, closures):
@@ -70,7 +76,7 @@ def test_compiled_system_matches_closure_assembly(name, fname, variance):
         zero = [Mat.zeros(F, *shape) for shape in shapes]
         assert cb.gamma == vec(closure(*zero))
         for k in (0, 1):
-            for u in fixed_coordinates(F, rng, bases[k].cols):
+            for u in fixed_coordinates(F, rng, bases[k].cols, tall):
                 assert cb.fix(k, u) == fix(k, u)
 
 

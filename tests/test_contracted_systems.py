@@ -8,7 +8,10 @@ which the first two functions assemble by evaluation on matrix units,
 and which `coupling_system` evaluates at pairs of random basis vectors
 for a coupling.  Both must give the same (A, b), solution basis,
 fixed-argument system and gamma entry for entry, and the same value at
-random unknowns, on the corpus entwinings over Q, F_2 and F_5.
+random unknowns, on the corpus entwinings over Q, F_2 and F_5.  "Qtall" is
+Q again on the corpus moved to bases scaled by the TALL scalars, with
+unknowns and bases drawn from them: the contraction sums integer
+numerators over equal and over unequal denominators there.
 
 The contramodule deciders pose the comodule side's identities, whose
 transposes their own are, sigma the row r.  So the contramodule closures,
@@ -29,10 +32,20 @@ from entwine.exactlin import (
     Field, Mat, affine_matrix_system, compile_bilinear, mat_solution_basis, vec,
 )
 import reference_residuals as ref
-from corpus import entwinings
+from corpus import TALL, entwinings, tall_entwinings
 
-FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
+FIELDS = {"Q": Field.rational(), "Qtall": Field.rational(), "F2": Field.prime(2),
+          "F5": Field.prime(5)}
 NAMES = sorted(entwinings(FIELDS["Q"]))
+SMALL = (0, 0, 1, -1, 2, -3)
+
+
+def corpus(fname):
+    """The corpus entwinings over the field named fname, over "Qtall" in
+    the tall bases, and the scalars of its random values."""
+    if fname == "Qtall":
+        return tall_entwinings(), (0, 0) + TALL
+    return entwinings(FIELDS[fname]), SMALL
 
 
 def linear_identities(e):
@@ -57,8 +70,8 @@ def linear_identities(e):
     }
 
 
-def random_value(F, rng, shape):
-    return Mat(F, *shape, tuple(F.of(rng.choice((0, 0, 1, -1, 2, -3)))
+def random_value(F, rng, shape, scalars=SMALL):
+    return Mat(F, *shape, tuple(F.of(rng.choice(scalars))
                                 for _ in range(shape[0] * shape[1])))
 
 
@@ -67,7 +80,8 @@ def random_value(F, rng, shape):
 @pytest.mark.parametrize("name", NAMES)
 def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
     F = FIELDS[fname]
-    e = entwinings(F)[name]
+    instances, scalars = corpus(fname)
+    e = instances[name]
     shape, pairs = linear_identities(e)[family]
     forms = [f for f, _ in pairs]
     closures = [r for _, r in pairs]
@@ -83,7 +97,7 @@ def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
                 == mat_solution_basis(F, *shape, closures[:-1]))
     rng = random.Random("%s-%s-%s" % (name, fname, family))
     for _ in range(2):
-        x = random_value(F, rng, shape)
+        x = random_value(F, rng, shape, scalars)
         for form, closure in pairs:
             assert form(x) == closure(x)
 
@@ -101,23 +115,25 @@ FROBENIUS = {
 @pytest.mark.parametrize("name", NAMES)
 def test_contracted_couplings_match_unit_assembly(name, fname, variance):
     F = FIELDS[fname]
-    e = entwinings(F)[name]
+    instances, scalars = corpus(fname)
+    e = instances[name]
     forms_of, closures_of = FROBENIUS[variance]
     n, c = e.alg.dim, e.coalg.dim
     shapes = ((1, c * n), (n * n, c))
     rng = random.Random("%s-%s-%s" % (name, fname, variance))
     # Random square bases: every basis entry, not just 0 and 1, is
     # projected through.
-    bases = [random_value(F, rng, (rows * cols, rows * cols)) for rows, cols in shapes]
+    bases = [random_value(F, rng, (rows * cols, rows * cols), scalars)
+             for rows, cols in shapes]
     for form, closure in zip(forms_of(e), closures_of(e)):
         cb = compile_bilinear(F, *shapes, form, bases)
         fix = ref.coupling_system(closure, shapes, bases)
         assert cb.gamma == vec(closure(*(Mat.zeros(F, *shape) for shape in shapes)))
         for k, (rows, cols) in enumerate(shapes):
             d = rows * cols
-            for u in ([Mat.zeros(F, d, 1), random_value(F, rng, (d, 1))]
+            for u in ([Mat.zeros(F, d, 1), random_value(F, rng, (d, 1), scalars)]
                       + [Mat.identity(F, d).col_mat(i) for i in range(d)]):
                 assert cb.fix(k, u) == fix(k, u)
         for _ in range(2):
-            x, y = (random_value(F, rng, shape) for shape in shapes)
+            x, y = (random_value(F, rng, shape, scalars) for shape in shapes)
             assert form(x, y) == closure(x, y)

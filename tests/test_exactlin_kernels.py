@@ -30,13 +30,12 @@ from entwine.exactlin import (
     Field, Mat, cokernel, hstack, inverse, kernel_basis, kron, rank, rref,
     solve_affine, vstack,
 )
+from corpus import TALL
 from oracles import kernel_oracle, rref_oracle
 
 Q = Field.rational()
 FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
 FILLS = (0.0, 0.03, 0.5, 1.0)
-TALL = (2**70 + 1, Fraction(-(2**61 - 1), 6), Fraction(5, 7), Fraction(1, 3),
-        Fraction(-2, 3), -2, 3)
 
 
 # -- inputs -----------------------------------------------------------

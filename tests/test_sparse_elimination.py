@@ -32,12 +32,11 @@ import pytest
 from entwine.exactlin import (
     Field, Mat, cokernel, inverse, kernel_basis, kron, rref, solve_affine,
 )
+from corpus import TALL
 from oracles import kernel_oracle, matmul_oracle, rref_oracle
 
 Q = Field.rational()
 FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
-TALL = (2**70 + 1, Fraction(-(2**61 - 1), 6), Fraction(5, 7), Fraction(1, 3),
-        Fraction(-2, 3), -2, 3)
 FILLS = (0.0, 0.03, 0.5, 1.0)
 SHAPES = [(1, 1), (3, 5), (5, 3), (6, 6), (9, 12), (14, 10), (0, 4), (4, 0), (0, 0)]
 
