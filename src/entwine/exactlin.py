@@ -975,7 +975,7 @@ def _contract(field: Field, term: Term, shapes):
     (row, s, value) with row (r, p_1, q_1, ..., p_j, q_j) flattened and
     value the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry
     (r, s) of the term's value, U_i the unknown of lift i, and
-    k the value's column count.  Over Q each value is an (numerator,
+    k the value's column count.  Over Q each value is a (numerator,
     denominator) int pair, summed as _matmul sums them.
 
     By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient

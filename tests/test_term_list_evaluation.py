@@ -155,7 +155,7 @@ def test_contraction_matches_the_reference(fname):
         bases = [random_mat(F, rng, scalars, rows * cols, 3, 0.7) for rows, cols in SHAPES]
         cb = compile_bilinear(F, *SHAPES, form, bases)
         fix = ref.coupling_system(closure, SHAPES, bases)
-        assert cb.gamma == vec(closure(*(Mat.zeros(F, *shape) for shape in SHAPES)))
+        assert cb.gamma == vec(closure(*(Mat.zeros(F, *sh) for sh in SHAPES)))
         for k in (0, 1):
             for u in [random_mat(F, rng, scalars, 3, 1, 0.7)] + [
                     Mat.identity(F, 3).col_mat(i) for i in range(3)]:
