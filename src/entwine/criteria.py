@@ -3,10 +3,12 @@
 Natural families over the base category of finite dimensional spaces are
 represented by their value at the base field: a functional e on C(x)A
 stands for the whole family sigma, and a map theta: C -> A(x)A for the
-family rho, on either the contramodule or the comodule side.  Each
-decider instantiates the defining identities at the base field and
-solves the resulting exact linear (or bilinear) system in those
-coordinates.
+family rho, on either the contramodule or the comodule side.  On the
+comodule side the component of sigma at a comodule Y is
+(I_Y (x) e)(coaction_Y (x) I_n), and that of rho at an entwined module Y
+is (action_Y (x) I_n)(I_Y (x) theta) coaction_Y.  Each decider
+instantiates the defining identities at the base field and solves the
+resulting exact linear (or bilinear) system in those coordinates.
 
 Verdicts are exact.  FOUND witnesses re-verify by substitution before
 they are returned; NONE is returned only on an infeasible linear system
@@ -26,12 +28,12 @@ from .exactlin import (
 )
 from .report import Report, eq_check, Verdict
 from .algstruct import (
-    Comodule, dual_left_module, regular_comodule, regular_right_module,
+    dual_left_module, regular_comodule, regular_right_module,
 )
 from .entwining import Entwining
 from .comodcat import EntwinedModule, induce_mc, induce_tc, morphism_conditions
 from .contracat import (
-    ContraModule, EntwinedContraModule, contra_morphism_conditions,
+    EntwinedContraModule, contra_morphism_conditions,
     free_contramodule, induce_a_t, induce_contra_t, transpose,
 )
 
@@ -39,45 +41,6 @@ from .contracat import (
 def coevaluation(field: Field, n: int) -> Mat:
     """The column of k -> A(x)A* pairing each basis vector with its dual."""
     return vec(Mat.identity(field, n))
-
-
-class SepFunctional(Record):
-    """A functional e on C(x)A, the value at the base field of a natural
-    family sigma.  The components below are natural by construction; no
-    admissibility is implied, that is what the condition systems decide."""
-
-    ent: Entwining
-    e: Mat
-
-    def __post_init__(self):
-        n, c = self.ent.alg.dim, self.ent.coalg.dim
-        if (self.e.rows, self.e.cols) != (1, c * n):
-            raise ValueError("functional must be 1 x %d" % (c * n,))
-        if self.e.field != self.ent.field:
-            raise ValueError("field mismatch")
-
-    def sigma_co(self, m: int) -> Mat:
-        """Component M(x)C(x)A -> M at an m-dimensional space."""
-        return kron(Mat.identity(self.ent.field, m), self.e)
-
-
-class CasimirMap(Record):
-    """A map theta: C -> A(x)A, the value at the base field of a natural
-    family rho, in either variance."""
-
-    ent: Entwining
-    theta: Mat
-
-    def __post_init__(self):
-        n, c = self.ent.alg.dim, self.ent.coalg.dim
-        if (self.theta.rows, self.theta.cols) != (n * n, c):
-            raise ValueError("theta must be %d x %d" % (n * n, c))
-        if self.theta.field != self.ent.field:
-            raise ValueError("field mismatch")
-
-    def rho_co(self, m: int) -> Mat:
-        """Component M(x)C -> M(x)A(x)A at an m-dimensional space."""
-        return kron(Mat.identity(self.ent.field, m), self.theta)
 
 
 class Cointegral(Record):
@@ -523,67 +486,6 @@ def _average(e: Entwining, phi: Cointegral, x: EntwinedModule, y: EntwinedModule
            * x.coaction)
     _require_morphism(conditions, x, y, out, kind, entwined=True)
     return out
-
-
-# -- reconstruction maps between family values and components ---------
-#
-# Each pair below is mutually inverse: reading a family off its
-# components at the free (respectively induced) object on an
-# m-dimensional space returns the family one started from.  The
-# contramodule maps are the comodule ones at the transposed argument,
-# transposed.
-
-
-def tau_from_sigma_contra(fn: SepFunctional, x: ContraModule) -> Mat:
-    """Splitting component M -> Hom(A, M) at a contramodule."""
-    return tau_from_sigma_co(fn, transpose(x)).t
-
-
-def sigma_from_tau_contra(e: Entwining, tau_free: Mat, m: int) -> Mat:
-    """Family component at k^m read off the splitting component at the
-    free contramodule on k^m."""
-    return sigma_from_tau_co(e, tau_free.t, m).t
-
-
-def kappa_from_rho_contra(cm: CasimirMap, x: EntwinedContraModule) -> Mat:
-    """Collapse component Hom(A, M) -> M at an entwined contramodule."""
-    return kappa_from_rho_co(cm, transpose(x)).t
-
-
-def rho_from_kappa_contra(e: Entwining, kappa_ind: Mat, m: int) -> Mat:
-    """Family component at k^m read off the collapse component at the
-    induced object on the free contramodule over k^m."""
-    return rho_from_kappa_co(e, kappa_ind.t, m).t
-
-
-def tau_from_sigma_co(fn: SepFunctional, y: Comodule) -> Mat:
-    """Splitting component N(x)A -> N at a comodule."""
-    n = fn.ent.alg.dim
-    return fn.sigma_co(y.dim) * kron(y.coaction, Mat.identity(fn.ent.field, n))
-
-
-def sigma_from_tau_co(e: Entwining, tau_free: Mat, m: int) -> Mat:
-    """Family component at k^m read off the splitting component at the
-    cofree comodule on k^m."""
-    return kron(Mat.identity(e.field, m), e.coalg.counit) * tau_free
-
-
-def kappa_from_rho_co(cm: CasimirMap, y: EntwinedModule) -> Mat:
-    """Collapse component N -> N(x)A at an entwined module."""
-    n = cm.ent.alg.dim
-    return (kron(y.action, Mat.identity(cm.ent.field, n))
-            * cm.rho_co(y.dim) * y.coaction)
-
-
-def rho_from_kappa_co(e: Entwining, kappa_ind: Mat, m: int) -> Mat:
-    """Family component at k^m read off the collapse component at the
-    induced object on the cofree comodule over k^m."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    left = kron(Mat.identity(F, m),
-                kron(e.coalg.counit, Mat.identity(F, n * n)))
-    right = kron(Mat.identity(F, m * c), e.alg.unit)
-    return left * kappa_ind * right
 
 
 # -- splitting probe --------------------------------------------------

@@ -7,10 +7,9 @@ Every axiom is evaluated as a full matrix identity; nothing is sampled.
 from __future__ import annotations
 
 from .exactlin import Field, Mat, Record, kron, flip
-from .report import Report, Check, eq_check
+from .report import Report, eq_check
 from .algstruct import (
-    Algebra, Coalgebra, Bialgebra, Comodule,
-    check_algebra, check_coalgebra, check_comodule,
+    Algebra, Coalgebra, Bialgebra, Comodule, check_comodule,
     field_algebra, field_coalgebra,
 )
 

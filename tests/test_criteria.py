@@ -15,16 +15,14 @@ from entwine.entwining import (
     regular_doi_koppinen, trivial_entwining, trivial_entwining_coalg,
 )
 from entwine.comodcat import hom_space, induce_tc
-from entwine.contracat import contra_hom_space, free_contramodule, induce_contra_t
+from entwine.contracat import (
+    contra_hom_space, free_contramodule, induce_contra_t, transpose,
+)
 from entwine.criteria import (
-    CasimirMap, Cointegral, SepFunctional, coevaluation,
-    decide_frobenius_co, decide_frobenius_contra,
+    Cointegral, coevaluation, decide_frobenius_co, decide_frobenius_contra,
     decide_sep_co_f, decide_sep_co_t, decide_sep_contra_f, decide_sep_contra_t,
-    find_cointegral, kappa_from_rho_co, kappa_from_rho_contra,
-    maschke_split_co, maschke_split_contra, rho_from_kappa_co,
-    rho_from_kappa_contra, semisimplicity_probe, sigma_from_tau_co,
-    sigma_from_tau_contra, tau_from_sigma_co, tau_from_sigma_contra,
-    _v1p_residual, _w1p_residuals,
+    find_cointegral, maschke_split_co, maschke_split_contra,
+    semisimplicity_probe, _v1p_residual, _w1p_residuals,
 )
 from entwine.algstruct import Comodule
 from corpus import direct_sum_contra, direct_sum_entwined
@@ -508,34 +506,45 @@ def test_probe_without_cointegral_reports_not_applicable():
 
 
 def test_sigma_round_trips():
+    # A sigma value r: C(x)A -> k has the component
+    # (I_Y (x) r)(coaction_Y (x) I_n): Y(x)A -> Y at a comodule Y; the
+    # counit reads I_m (x) r back off it at the cofree comodule on k^m.
+    # The contramodule side is the same at the transposed free one.
     rng = random.Random(23)
     for field in (Q, F5):
         e = dk(2, field)
         n, c = e.alg.dim, e.coalg.dim
         for m in (1, 2, 3):
-            s = random_mat(field, rng, c * n, 1)
-            tau = tau_from_sigma_contra(SepFunctional(e, s.t),
-                                        free_contramodule(e.coalg, m))
-            assert sigma_from_tau_contra(e, tau, m) == kron(Mat.identity(field, m), s)
-            r = random_mat(field, rng, 1, c * n)
-            tau = tau_from_sigma_co(SepFunctional(e, r), cofree_comodule(e.coalg, m))
-            assert sigma_from_tau_co(e, tau, m) == kron(Mat.identity(field, m), r)
+            for y in (transpose(free_contramodule(e.coalg, m)),
+                      cofree_comodule(e.coalg, m)):
+                r = random_mat(field, rng, 1, c * n)
+                tau = (kron(Mat.identity(field, y.dim), r)
+                       * kron(y.coaction, Mat.identity(field, n)))
+                back = kron(Mat.identity(field, m), e.coalg.counit) * tau
+                assert back == kron(Mat.identity(field, m), r)
 
 
 def test_rho_round_trips():
+    # A rho value theta: C -> A(x)A has the component
+    # (action_Y (x) I_n)(I_Y (x) theta) coaction_Y: Y -> Y(x)A at an
+    # entwined module Y; counit and unit read I_m (x) theta back off it at
+    # the object induced from the cofree comodule on k^m.  The
+    # contramodule side is the same at the transposed induced one.
     rng = random.Random(29)
     for field in (Q, F5):
         e = dk(2, field)
         n, c = e.alg.dim, e.coalg.dim
         for m in (1, 2):
             th = random_mat(field, rng, n * n, c)
-            cm = CasimirMap(e, th)
-            ind = induce_contra_t(e, free_contramodule(e.coalg, m))
-            back = rho_from_kappa_contra(e, kappa_from_rho_contra(cm, ind), m)
-            assert back == kron(Mat.identity(field, m), th.t)
-            ind2 = induce_tc(e, cofree_comodule(e.coalg, m))
-            back2 = rho_from_kappa_co(e, kappa_from_rho_co(cm, ind2), m)
-            assert back2 == kron(Mat.identity(field, m), th)
+            left = kron(Mat.identity(field, m),
+                        kron(e.coalg.counit, Mat.identity(field, n * n)))
+            right = kron(Mat.identity(field, m * c), e.alg.unit)
+            for y in (transpose(induce_contra_t(e, free_contramodule(e.coalg, m))),
+                      induce_tc(e, cofree_comodule(e.coalg, m))):
+                kappa = (kron(y.action, Mat.identity(field, n))
+                         * kron(Mat.identity(field, y.dim), th) * y.coaction)
+                back = left * kappa * right
+                assert back == kron(Mat.identity(field, m), th)
 
 
 def test_coevaluation_pairs_bases():
