@@ -28,7 +28,7 @@ entirely (zero map), so a minimal algebra is {"dim": 1}.
 
 A scalar is a JSON int, or a string holding an int, a fraction such as
 "-3/4" or a decimal such as "0.25"; exponent forms such as "1e3" are
-refused.  The prime p must be below 2^64.  A dim may not exceed the
+refused.  Each distinct scalar literal is parsed once per read.  The prime p must be below 2^64.  A dim may not exceed the
 square root of MAX_DENSE_ENTRIES, nor may the entry count of any map.
 
 The table _KINDS below is the format's single statement: parsing,
@@ -50,9 +50,8 @@ import math
 import os
 import sys
 from operator import attrgetter
-from types import SimpleNamespace
 
-from .exactlin import Field, Mat, Record, _from_flat, rank
+from .exactlin import Field, Mat, Record, _set, rank
 from .algstruct import (
     Algebra, Coalgebra, Comodule, check_algebra, check_coalgebra,
     check_comodule,
@@ -89,13 +88,22 @@ MAX_DENSE_ENTRIES = 1 << 24
 # -- scalars and structure maps ---------------------------------------
 
 
-def _scalar_in(f: Field, x, where: str):
-    if isinstance(x, bool) or not isinstance(x, (int, str)):
-        raise InputError(where, "scalar must be an int or a string, got %r" % (x,))
-    try:
-        return f.of(x)
-    except (ValueError, ZeroDivisionError) as ex:
-        raise InputError(where, str(ex))
+def _scalar_in(f: Field, scalars: dict, x):
+    """The value of scalar x, parsed once per distinct int or str literal
+    of a read: scalars maps those parsed so far to their values, a zero to
+    the field's zero.  1, 1.0 and true hash alike, so a float or a bool
+    never reaches the table and is refused.  A refusal carries no
+    position; the caller adds it."""
+    t = type(x)
+    if t is not int and t is not str:
+        raise InputError("", "scalar must be an int or a string, got %r" % (x,))
+    v = scalars.get(x)
+    if v is None:
+        try:
+            v = scalars[x] = f.of(x) or f.zero
+        except (ValueError, ZeroDivisionError) as ex:
+            raise InputError("", str(ex))
+    return v
 
 
 def _scalar_out(f: Field, x):
@@ -111,42 +119,75 @@ def _matrix_legs(shape, n_in: int) -> tuple:
     return tuple(range(n_in, len(shape))) + tuple(range(n_in))
 
 
-def _sparse_in(f: Field, entries, shape, n_in: int, where: str) -> Mat:
+def _sparse_in(f: Field, entries, shape, n_in: int, where: str, scalars: dict) -> Mat:
     """The matrix of a map from its nonzeros [i_1, ..., i_k, s], in file
     leg order with the first n_in legs the input.  The matrix rows run over
     the output legs and the columns over the input legs, each first-leg
-    major, so an entry sits at the flat index of its legs in matrix order.
-    A map too large for MAX_DENSE_ENTRIES is refused before anything is
-    allocated; scalars that parse to zero are dropped."""
+    major.  A map too large for MAX_DENSE_ENTRIES is refused before
+    anything is allocated.  Each entry is checked in file order, its shape,
+    then its indices, then its scalar; a scalar that parses to zero is
+    checked and dropped.  Duplicates, zeros among them, are refused once
+    the whole map has been read."""
     size = math.prod(shape)
     if size * size > MAX_DENSE_ENTRIES:
         raise InputError(where, "%d entries imply dense matrices over the limit "
                          "of %d entries" % (size, MAX_DENSE_ENTRIES))
     if not isinstance(entries, list):
         raise InputError(where, "expected a list of entries")
-    order = _matrix_legs(shape, n_in)
-    data, duplicate = {}, None
+    # (dim, row stride, column stride) of each file leg, first leg major:
+    # an input leg moves the column only, an output leg the row only.
+    k = len(shape)
+    legs, rows, cols = [None] * k, 1, 1
+    for p in range(k - 1, -1, -1):
+        d = shape[p]
+        if p < n_in:
+            legs[p], cols = (d, 0, cols), cols * d
+        else:
+            legs[p], rows = (d, rows, 0), rows * d
+    out = [{} for _ in range(rows)]
+    zero, zeros, get = f.zero, set(), scalars.get
     for t, ent in enumerate(entries):
-        try:
-            if not isinstance(ent, list) or len(ent) != len(shape) + 1:
-                raise InputError("", "expected [%d indices, scalar]" % len(shape))
-            for i, d in zip(ent, shape):
-                if isinstance(i, bool) or not isinstance(i, int) or not 0 <= i < d:
-                    raise InputError("", "index %r outside [0, %d)" % (i, d))
-            value = _scalar_in(f, ent[-1], "")
-        except InputError as ex:
-            # The entry's position is spelled out only when it is refused.
-            raise InputError("%s entry #%d" % (where, t), str(ex)) from None
-        flat = 0
-        for p in order:
-            flat = flat * shape[p] + ent[p]
-        if flat in data and duplicate is None:
-            duplicate = tuple(ent[p] for p in order)
-        data[flat] = value
-    if duplicate is not None:
-        raise InputError(where, "duplicate entry at index %r" % (duplicate,))
-    return _from_flat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]),
-                      {flat: x for flat, x in data.items() if x})
+        if type(ent) is not list or len(ent) != k + 1:
+            raise InputError("%s entry #%d" % (where, t),
+                             "expected [%d indices, scalar]" % k)
+        i = j = 0
+        for x, (d, si, sj) in zip(ent, legs):
+            if type(x) is not int or not 0 <= x < d:
+                raise InputError("%s entry #%d" % (where, t),
+                                 "index %r outside [0, %d)" % (x, d))
+            i += x * si
+            j += x * sj
+        x = ent[k]
+        ts = type(x)
+        v = get(x) if ts is int or ts is str else None
+        if v is None:
+            try:
+                v = _scalar_in(f, scalars, x)
+            except InputError as ex:
+                # The entry's position is spelled out only when it is refused.
+                raise InputError("%s entry #%d" % (where, t), str(ex)) from None
+        if v is zero:
+            zeros.add((i, j))
+        else:
+            out[i][j] = v
+    # Each entry fills one slot, a nonzero or a zero one: a duplicate
+    # leaves fewer slots than entries, or a zero slot that is also nonzero.
+    if (sum(map(len, out)) + len(zeros) != len(entries)
+            or any(j in out[i] for i, j in zeros)):
+        raise InputError(where, "duplicate entry at index %r"
+                         % (_first_duplicate(entries, _matrix_legs(shape, n_in)),))
+    return Mat._of(f, rows, cols, out)
+
+
+def _first_duplicate(entries, order) -> tuple:
+    """The legs, in matrix order, of the first entry whose index an
+    earlier entry has; the entries are known to be well formed."""
+    seen = set()
+    for ent in entries:
+        index = tuple(ent[p] for p in order)
+        if index in seen:
+            return index
+        seen.add(index)
 
 
 def _sparse_out(m: Mat, shape, n_in: int) -> list:
@@ -162,12 +203,23 @@ def _sparse_out(m: Mat, shape, n_in: int) -> list:
     return [idx + [_scalar_out(m.field, s)] for idx, s in out]
 
 
-def _vector_in(f: Field, xs, dim, where: str) -> tuple:
+def _vector_in(f: Field, xs, rows: int, cols: int, where: str, scalars: dict) -> Mat:
+    """The rows x cols matrix of a map listed as all of its row-major
+    entries, or the zero map if xs is None."""
     if xs is None:
-        return tuple(f.zero for _ in range(dim))
-    if not isinstance(xs, list) or len(xs) != dim:
-        raise InputError(where, "expected a list of %d scalars" % dim)
-    return tuple(_scalar_in(f, x, "%s[%d]" % (where, i)) for i, x in enumerate(xs))
+        return Mat.zeros(f, rows, cols)
+    n = rows * cols
+    if not isinstance(xs, list) or len(xs) != n:
+        raise InputError(where, "expected a list of %d scalars" % n)
+    zero, out = f.zero, [{} for _ in range(rows)]
+    for t, x in enumerate(xs):
+        try:
+            v = _scalar_in(f, scalars, x)
+        except InputError as ex:
+            raise InputError("%s[%d]" % (where, t), str(ex)) from None
+        if v is not zero:
+            out[t // cols][t % cols] = v
+    return Mat._of(f, rows, cols, out)
 
 
 # Layouts: how many of a map's file legs, counted from the start, are its
@@ -181,12 +233,13 @@ _COLUMN = (0, True)
 _ROW = (1, True)
 
 
-def _map_in(f: Field, spec: dict, key: str, shape, layout, where: str) -> Mat:
+def _map_in(f: Field, spec: dict, key: str, shape, layout, where: str,
+            scalars: dict) -> Mat:
     n_in, dense = layout
-    if not dense:
-        return _sparse_in(f, spec.get(key, []), shape, n_in, where)
-    values = _vector_in(f, spec.get(key), shape[0], where)
-    return Mat(f, math.prod(shape[n_in:]), math.prod(shape[:n_in]), values)
+    if dense:
+        return _vector_in(f, spec.get(key), math.prod(shape[n_in:]),
+                          math.prod(shape[:n_in]), where, scalars)
+    return _sparse_in(f, spec.get(key, []), shape, n_in, where, scalars)
 
 
 def _map_out(m: Mat, shape, layout):
@@ -196,9 +249,18 @@ def _map_out(m: Mat, shape, layout):
     return _sparse_out(m, shape, n_in)
 
 
-def _shape(obj, legs) -> tuple:
-    """The dim of each file leg, an attribute path from the object."""
-    return tuple(attrgetter(leg)(obj) for leg in legs)
+def _leg(path: str, heads: tuple) -> tuple:
+    """A leg's dim as (slot, getter) on an object's (dim, *refs): the
+    object's own dim, or an attribute path from one of its references."""
+    head, _, rest = path.partition(".")
+    if head == "dim":
+        return 0, None
+    return 1 + heads.index(head), attrgetter(rest)
+
+
+def _shape(env: tuple, legs) -> tuple:
+    """The dim of each file leg, read from (dim, *refs)."""
+    return tuple(env[s] if get is None else get(env[s]) for s, get in legs)
 
 
 # -- the format -------------------------------------------------------
@@ -212,6 +274,10 @@ class _Kind(Record):
     structure map, a leg being the attribute path of its dim.  The class
     takes the references (the field when there are none), then the dim,
     then the maps.
+
+    Set once, at import, and not fields: the required and optional keys
+    of an object, and layouts, per map (key, legs, layout) with each leg a
+    (slot, getter) of _leg.
     """
 
     key: str
@@ -220,6 +286,15 @@ class _Kind(Record):
     refs: tuple
     has_dim: bool
     maps: tuple
+
+    def __post_init__(self):
+        heads = tuple(attr for _, _, attr in self.refs)
+        _set(self, "required",
+             tuple(key for key, _, _ in self.refs) + ("dim",) * self.has_dim)
+        _set(self, "optional", tuple(key for key, _, _ in self.maps))
+        _set(self, "layouts", tuple(
+            (key, tuple(_leg(leg, heads) for leg in legs), layout)
+            for key, legs, layout in self.maps))
 
 
 _ALG = ("algebra", "algebras", "alg")
@@ -330,19 +405,19 @@ def field_as_dict(f: Field) -> dict:
     return {"kind": "rational"} if f.kind == "rational" else {"kind": "prime", "p": f.p}
 
 
-def _object_in(kind: _Kind, where: str, spec, f: Field, tables: dict):
-    _obj(spec, where, tuple(key for key, _, _ in kind.refs) + ("dim",) * kind.has_dim,
-         tuple(key for key, _, _ in kind.maps))
+def _object_in(kind: _Kind, where: str, spec, f: Field, tables: dict,
+               scalars: dict):
+    _obj(spec, where, kind.required, kind.optional)
     refs = [_ref(tables[table], spec[key], table[:-1], where)
             for key, table, _ in kind.refs]
-    env = SimpleNamespace(**{attr: ref for (_, _, attr), ref in zip(kind.refs, refs)})
+    dim = _dim_of(spec, where) if kind.has_dim else 0
+    env = (dim, *refs)
     args = refs or [f]
     if kind.has_dim:
-        env.dim = _dim_of(spec, where)
-        args.append(env.dim)
-    for key, legs, layout in kind.maps:
+        args.append(dim)
+    for key, legs, layout in kind.layouts:
         args.append(_map_in(f, spec, key, _shape(env, legs), layout,
-                            "%s.%s" % (where, key)))
+                            "%s.%s" % (where, key), scalars))
     try:
         return kind.make(*args)
     except ValueError as ex:
@@ -350,6 +425,9 @@ def _object_in(kind: _Kind, where: str, spec, f: Field, tables: dict):
 
 
 def parse_workspace(path: str, override: Field = None) -> Workspace:
+    """The workspace of a file, over override if given.  Each distinct
+    int or str scalar literal is parsed once in this call (see
+    _scalar_in); nothing is kept between calls."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -370,10 +448,10 @@ def parse_workspace(path: str, override: Field = None) -> Workspace:
     f = _field_in(doc["field"])
     if override is not None:
         f = override
-    tables = {}
+    tables, scalars = {}, {}
     for kind in _KINDS:
         tables[kind.key] = {
-            name: _object_in(kind, "%s.%s" % (kind.key, name), spec, f, tables)
+            name: _object_in(kind, "%s.%s" % (kind.key, name), spec, f, tables, scalars)
             for name, spec in _table_in(doc, kind.key).items()}
     return Workspace(f, **tables)
 
@@ -393,11 +471,13 @@ def workspace_as_dict(ws: Workspace) -> dict:
         raise InputError("serialize", "%s is not named in the workspace" % key[:-1])
 
     def one(kind, obj):
-        out = {key: name_of(table, getattr(obj, attr)) for key, table, attr in kind.refs}
+        refs = [getattr(obj, attr) for _, _, attr in kind.refs]
+        out = {key: name_of(table, ref) for (key, table, _), ref in zip(kind.refs, refs)}
+        dim = 0
         if kind.has_dim:
-            out["dim"] = obj.dim
-        for key, legs, layout in kind.maps:
-            out[key] = _map_out(getattr(obj, key), _shape(obj, legs), layout)
+            dim = out["dim"] = obj.dim
+        for key, legs, layout in kind.layouts:
+            out[key] = _map_out(getattr(obj, key), _shape((dim, *refs), legs), layout)
         return {k: v for k, v in out.items() if v != []}
 
     doc = {"field": field_as_dict(ws.field)}

@@ -295,6 +295,8 @@ class Field(Record):
             q = Fraction(s.strip())
         except (ValueError, ZeroDivisionError):
             raise ValueError("malformed scalar %r" % (s,))
+        if self.kind == "rational":
+            return q if q else _Q0
         return self.of(q)
 
     def label(self) -> str:
@@ -455,13 +457,14 @@ class Mat:
             raise ValueError("shape mismatch: %dx%d times %dx%d"
                              % (self.rows, self.cols, other.rows, other.cols))
         F, b = self.field, other.nz
-        prime, p = F.kind == "prime", F.p
+        prime, p, one = F.kind == "prime", F.p, F.one
         out = []
         made = {}
         for r in self.nz:
             if len(r) == 1:
                 (t, c), = r.items()
-                if c == 1:
+                # the field's shared one by a pointer compare, another by ==
+                if c is one or c == 1:
                     out.append(b[t])
                     continue
             acc = {}
@@ -525,7 +528,7 @@ def kron(a: Mat, b: Mat) -> Mat:
     if a.field != b.field:
         raise ValueError("field mismatch")
     F = a.field
-    prime, p, bc = F.kind == "prime", F.p, b.cols
+    prime, p, one, bc = F.kind == "prime", F.p, F.one, b.cols
     brows = [list(r.items()) for r in b.nz]
     # b is often an identity, whose products need no multiplication.
     ones = all(v == 1 for rb in brows for _, v in rb)
@@ -534,7 +537,7 @@ def kron(a: Mat, b: Mat) -> Mat:
         block = [{} for _ in brows]
         for j, c in ra.items():
             base = j * bc
-            if c == 1:
+            if c is one or c == 1:
                 for row, rb in zip(block, brows):
                     for l, v in rb:
                         row[base + l] = v
@@ -800,7 +803,13 @@ def inverse(m: Mat) -> Mat:
 
 
 class SubspaceBasis(Record):
-    """A subspace of k^ambient_dim given by independent basis columns."""
+    """A subspace of k^ambient_dim given by independent basis columns.
+
+    The basis vectors (the rows of basis.t) are eliminated once, on
+    construction: that checks their independence, and the reduced rows,
+    the unique reduced echelon form of the subspace, are kept for
+    in_subspace.  They are not a field, so equality and hash read
+    ambient_dim and basis only."""
 
     ambient_dim: int
     basis: Mat
@@ -808,8 +817,10 @@ class SubspaceBasis(Record):
     def __post_init__(self):
         if self.basis.rows != self.ambient_dim:
             raise ValueError("basis rows do not match ambient dimension")
-        if rank(self.basis) != self.basis.cols:
+        reduced = _rref_rows(self.basis.field, self.basis.t.nz)
+        if len(reduced) != self.basis.cols:
             raise ValueError("basis columns are dependent")
+        _set(self, "_reduced", reduced)
 
     @property
     def dim(self) -> int:
@@ -880,8 +891,21 @@ def restrict_map(f: Mat, dom_basis: Mat, cod_basis: Mat) -> Mat:
 
 
 def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
-    """Whether vec(f) lies in the span of the basis columns of space."""
-    return solve_affine(space.basis, vec(f)) is not None
+    """Whether vec(f) lies in the span of the basis columns of space: it
+    does when reducing it by the kept rows leaves nothing.  A kept row is
+    0 at every other pivot, so one pass over the pivots of vec(f) clears
+    them all."""
+    F, k = space.basis.field, f.cols
+    if f.field != F:
+        raise ValueError("field mismatch")
+    if f.rows * f.cols != space.ambient_dim:
+        raise ValueError("shape mismatch")
+    prime, p = F.kind == "prime", F.p
+    v = {i * k + j: x for i, r in enumerate(f.nz) for j, x in r.items()}
+    reduced = space._reduced
+    for c in [c for c in v if c in reduced]:
+        _axpy(v, F.neg(v.pop(c)), reduced[c], c, prime, p)
+    return not v
 
 
 # -- solution spaces of matrix equations ------------------------------

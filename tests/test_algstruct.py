@@ -2,9 +2,9 @@ from __future__ import annotations
 
 import pytest
 
-from entwine.exactlin import Field, Mat, kron
+from entwine.exactlin import Field, Mat
 from entwine.algstruct import (
-    Algebra, Coalgebra, Bialgebra, ModuleRight, ModuleLeft, Comodule,
+    Algebra, Coalgebra, Bialgebra, ModuleRight, Comodule,
     check_algebra, check_coalgebra, check_bialgebra,
     check_module_right, check_module_left, check_comodule,
     module_hom_right, module_hom_left, comodule_hom,

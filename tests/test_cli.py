@@ -3,7 +3,6 @@
 import gc
 import hashlib
 import json
-import os
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +13,7 @@ import entwine.cli as cli
 from entwine.cli import (
     InputError, main, parse_workspace, serialize_workspace, workspace_as_dict,
 )
-from entwine.exactlin import Field
+from entwine.exactlin import Field, Mat
 from entwine.algstruct import group_algebra
 from entwine.entwining import regular_doi_koppinen
 
@@ -531,8 +530,8 @@ def test_main_builds_no_garbage_and_repeats_itself(capsys):
 def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypatch,
                                                       doc, where, built):
     # Only the `built` matrices of the valid objects before the oversized
-    # map may be constructed, through either builder `cli` uses (`Mat` from
-    # a dense tuple, `_from_flat` from nonzeros); any further one fails the
+    # map may be constructed, through either builder of `Mat` (`Mat` from
+    # a dense tuple, `Mat._of` from sparse rows); any further one fails the
     # test.
     made = []
 
@@ -543,8 +542,8 @@ def test_oversized_input_is_refused_before_allocation(tmp_path, capsys, monkeypa
             return real(*args)
         return make
 
-    for builder in ("Mat", "_from_flat"):
-        monkeypatch.setattr(cli, builder, counted(getattr(cli, builder)))
+    monkeypatch.setattr(Mat, "__init__", counted(Mat.__init__))
+    monkeypatch.setattr(Mat, "_of", staticmethod(counted(Mat._of)))
     p = tmp_path / "w.json"
     p.write_text(json.dumps(dict(doc, field={"kind": "rational"})))
     with pytest.raises(InputError, match="over the limit") as refused:

@@ -4,7 +4,7 @@ import pytest
 
 from entwine.exactlin import Field, Mat, kron
 from entwine.algstruct import (
-    group_algebra, group_like_coalgebra, matrix_algebra, field_algebra,
+    group_algebra, group_like_coalgebra, matrix_algebra,
 )
 from entwine.entwining import (
     Entwining, check_entwining, check_entwining_morphism,

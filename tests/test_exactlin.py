@@ -10,7 +10,7 @@ from entwine.exactlin import (
     kron, flip, hstack, vstack, vec, unvec, block_inj, block_proj,
     rref, rank, kernel_basis, solve_affine, inverse, cokernel,
     restrict_map, same_subspace, mat_solution_basis, affine_matrix_system,
-    basis_columns, _is_prime,
+    basis_columns, in_subspace, _is_prime,
 )
 from oracles import (
     kron_oracle, matmul_oracle, det_oracle, rank_oracle, apply_oracle,
@@ -246,6 +246,32 @@ def test_same_subspace():
     assert same_subspace(a, b)
     assert not same_subspace(a, c)
     assert not same_subspace(a, SubspaceBasis(3, Mat.from_rows(Q, [[1], [0], [0]])))
+
+
+@pytest.mark.parametrize("field", [Q, Field.prime(5)], ids=["Q", "F5"])
+def test_in_subspace_agrees_with_an_affine_solve(field):
+    # Membership reduces vec(f) by the rows kept from the independence
+    # check; an affine solve against the whole basis is the reference.
+    rng = random.Random(7)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        basis = kernel_basis(random_mat(field, rng, rng.randint(1, 4), rows * cols, -1, 1))
+        if basis.cols == 0:
+            continue
+        space = SubspaceBasis(rows * cols, basis)
+        member = unvec(field, basis * random_mat(field, rng, basis.cols, 1), rows, cols)
+        for f in (member, random_mat(field, rng, rows, cols)):
+            want = solve_affine(basis, vec(f)) is not None
+            assert in_subspace(space, f) == want
+            seen[want] += 1
+    assert min(seen.values()) > 5
+    with pytest.raises(ValueError, match="shape mismatch"):
+        in_subspace(space, Mat.zeros(field, rows * cols + 1, 1))
+    # the kept rows are not a field of the record
+    again = SubspaceBasis(rows * cols, basis)
+    assert again == space and hash(again) == hash(space)
+    assert repr(space) == "SubspaceBasis(ambient_dim=%d, basis=%r)" % (rows * cols, basis)
 
 
 def test_cokernel():

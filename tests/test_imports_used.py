@@ -1,4 +1,5 @@
-"""Every name a module of `src/entwine` imports is used in that module.
+"""Every name a module of `src/entwine` or of `tests` imports is used in
+that module.
 
 The package's `__init__.py` imports to re-export, so it is not checked,
 and `from __future__ import annotations` binds no name.  A name counts
@@ -13,8 +14,8 @@ import ast
 import os
 import sys
 
-PKG = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                   "src", "entwine")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+PKG = os.path.join(os.path.dirname(TESTS), "src", "entwine")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,14 +41,24 @@ def test_checker_flags_only_unread_names():
     assert unused_imports(source) == ["e"]
 
 
-def test_every_import_is_used():
-    names = sorted(f for f in os.listdir(PKG)
-                   if f.endswith(".py") and f != "__init__.py")
+def _unused_in(directory: str, skip=()) -> list[str]:
+    names = sorted(f for f in os.listdir(directory)
+                   if f.endswith(".py") and f not in skip)
     assert names
     unused = []
     for name in names:
-        with open(os.path.join(PKG, name), encoding="utf-8") as f:
+        with open(os.path.join(directory, name), encoding="utf-8") as f:
             unused += ["%s: %s" % (name, u) for u in unused_imports(f.read())]
+    return unused
+
+
+def test_every_import_is_used():
+    unused = _unused_in(PKG, skip=("__init__.py",))
+    assert unused == [], "unused imports: " + ", ".join(unused)
+
+
+def test_every_import_of_the_tests_is_used():
+    unused = _unused_in(TESTS)
     assert unused == [], "unused imports: " + ", ".join(unused)
 
 

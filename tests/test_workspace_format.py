@@ -2,6 +2,7 @@
 round trips of seeded workspaces holding all eight kinds of table."""
 
 import copy
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -17,6 +18,8 @@ from entwine.entwining import Entwining
 from entwine.comodcat import EntwinedModule
 from entwine.contracat import EntwinedContraModule
 from entwine.measuring import GaloisData, Measuring
+
+from corpus import entwinings, tall_entwinings
 
 KZ2 = Path(cli.__file__).parent / "examples" / "kZ2.json"
 FILE = object()      # stands for the path of the workspace file
@@ -193,6 +196,26 @@ MALFORMED = [
      "galois.G.coaction entry #0", "malformed scalar '1/2/3'"),
     ("galois-not-a-list", ("galois", "G", "coaction"), {}, "galois.G.coaction",
      "expected a list of entries"),
+    # a literal read before does not let a float or a bool equal to it in
+    ("algebra-float-after-int", ("algebras", "A", "mult"), [[0, 0, 0, 1], [0, 1, 1, 1.0]],
+     "algebras.A.mult entry #1", "scalar must be an int or a string, got 1.0"),
+    ("coalgebra-bool-after-int", ("coalgebras", "C", "comult"),
+     [[0, 0, 0, 1], [1, 1, 1, True]], "coalgebras.C.comult entry #1",
+     "scalar must be an int or a string, got True"),
+    ("module-float-after-int", ("modules", "M", "action"), [[0, 0, 0, 1], [1, 1, 1, 0.5]],
+     "modules.M.action entry #1", "scalar must be an int or a string, got 0.5"),
+    ("algebra-vector-float-after-int", ("algebras", "A", "unit"), [1, 1.0],
+     "algebras.A.unit[1]", "scalar must be an int or a string, got 1.0"),
+    ("galois-float-after-int", ("galois", "G", "coaction"), [[0, 0, 0, 1], [1, 1, 1, 1.0]],
+     "galois.G.coaction entry #1", "scalar must be an int or a string, got 1.0"),
+    # duplicates are refused when either value, or both, is zero
+    ("comodule-duplicate-zero", ("comodules", "V", "coaction"), [[0, 1, 0, 1], [0, 1, 0, 0]],
+     "comodules.V.coaction", "duplicate entry at index (1, 0, 0)"),
+    ("entwining-duplicate-zero-first", ("entwinings", "E", "psi"),
+     [[0, 1, 1, 0, "0"], [0, 1, 1, 0, 1]],
+     "entwinings.E.psi", "duplicate entry at index (1, 0, 0, 1)"),
+    ("measuring-duplicate-zeros", ("measurings", "I", "alpha"), [[1, 0, 1, 0], [1, 0, 1, "0/5"]],
+     "measurings.I.alpha", "duplicate entry at index (1, 1, 0)"),
     # the constructor's own checks
     ("galois-not-a-comodule", ("galois", "G", "coaction"), [[0, 0, 0, 1]], "galois.G",
      "coaction fails comodule axioms: coaction-counit"),
@@ -361,6 +384,62 @@ def test_seeded_workspace_round_trip(tmp_path, field, seed):
         "algebras", "coalgebras", "entwinings", "modules", "contramodules",
         "comodules", "measurings", "galois"]
     assert serialize_workspace(again) == text
+
+
+# Serialize(parse) of every shipped workspace, of the corpus entwinings
+# in one workspace per field and of two of them read over F_3: the sha256
+# of the text, pinned so that a reader or writer that changes any byte
+# fails.
+ROOT = Path(__file__).parent
+CORPUS = {"corpus-Q": lambda: entwinings(Field.rational()),
+          "corpus-F5": lambda: entwinings(Field.prime(5)),
+          "corpus-tall": tall_entwinings}
+DIGESTS = {
+    ("kZ2_tall.json", None): "a88af0551003c7a74c63fcc7d526fa58de409afeb352b67c3118f6942fd3c6f2",
+    ("ut3.json", None): "647e169ef8ae6c2a54438e49f39880d6413689211766ac28977e666ab8606b81",
+    ("kZ2.json", None): "94c97d932f8b7561dc6381d08d69569d8073bd231d2fd3f56654e92a5eaf9626",
+    ("corpus-Q", None): "20391e1942b931fab274d5b49c19a53cbf3025d9b2fbb6561dbf5bad4d690fec",
+    ("corpus-Q", 3): "d0e68e80d6cbec187435ba2f61c1381841f726e2258f24369d1a1e81a3d37457",
+    ("corpus-F5", None): "7492082c83473da691a6c66e1fdd5d4b045387887ccc598412b880b765cd7559",
+    ("corpus-F5", 3): "d0e68e80d6cbec187435ba2f61c1381841f726e2258f24369d1a1e81a3d37457",
+    ("corpus-tall", None): "da7523abbd9bbaf564df896a1d1a7250a7e03d35bb9c9cca7f44d688ee28489c",
+}
+
+
+@pytest.mark.parametrize("name, p", list(DIGESTS), ids=["%s-%s" % key for key in DIGESTS])
+def test_reserialized_workspaces_are_pinned(tmp_path, name, p):
+    if name in CORPUS:
+        ents = CORPUS[name]()
+        field = next(iter(ents.values())).field
+        ws = Workspace(field, {n: e.alg for n, e in ents.items()},
+                       {n: e.coalg for n, e in ents.items()}, ents, {}, {}, {}, {}, {})
+        path = tmp_path / (name + ".json")
+        path.write_text(serialize_workspace(ws) + "\n")
+    else:
+        path = KZ2 if name == KZ2.name else ROOT / "data" / name
+    ws = parse_workspace(str(path), None if p is None else Field.prime(p))
+    assert hashlib.sha256(serialize_workspace(ws).encode()).hexdigest() == DIGESTS[name, p]
+
+
+def test_each_read_parses_literals_in_its_own_field(tmp_path):
+    # "1/2" is read three times; over F_2 its first occurrence, in read
+    # order, is refused, and reads over Q and F_3 before and after are
+    # unchanged by it: nothing parsed is kept from one read to the next.
+    doc = {"field": {"kind": "rational"},
+           "algebras": {"A": {"dim": 2, "mult": [[0, 0, 0, 1], [1, 1, 1, "1/2"]],
+                              "unit": ["1/2", 0]},
+                        "B": {"dim": 1, "unit": ["1/2"]}}}
+    p = tmp_path / "w.json"
+    p.write_text(json.dumps(doc))
+    for _ in range(2):
+        ws = parse_workspace(str(p))
+        assert ws.algebras["A"].mult[1, 3] == ws.algebras["B"].unit[0, 0] == Fraction(1, 2)
+        with pytest.raises(InputError) as refused:
+            parse_workspace(str(p), override=Field.prime(2))
+        assert str(refused.value) == (
+            "algebras.A.mult entry #1: denominator of 1/2 vanishes mod 2")
+        f3 = parse_workspace(str(p), override=Field.prime(3))
+        assert f3.algebras["A"].mult[1, 3] == f3.algebras["B"].unit[0, 0] == 2
 
 
 # -- bounds on the input ----------------------------------------------
