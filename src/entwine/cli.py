@@ -60,8 +60,8 @@ from .entwining import Entwining, check_entwining
 from .comodcat import EntwinedModule, check_entwined_module
 from .contracat import EntwinedContraModule, check_entwined_contramodule
 from .measuring import (
-    GaloisData, Measuring, canonical_map, check_measuring, cohom,
-    coinvariants, cotensor, hat_tensor, hom_tilde, identity_measuring,
+    GaloisData, Measuring, canonical_map, check_measuring, cohom, cotensor,
+    hat_tensor, hom_tilde, identity_measuring,
 )
 from .criteria import (
     Cointegral, decide_frobenius_co, decide_sep_co_f, decide_sep_co_t,
@@ -547,16 +547,14 @@ def _cmd_check(ws: Workspace, args):
 
 def _cmd_galois(ws: Workspace, args):
     g = _lookup(ws.galois, args.name, "galois datum")
-    b = coinvariants(g)
-    dom, can = canonical_map(g)
-    target = g.alg.dim * g.coalg.dim
+    b, dom, can = canonical_map(g)
     r = rank(can)
-    bij = dom.dim == target and r == target
+    bij = dom.dim == can.rows == r
     return {"subject": args.name, "galois": {
         "coinvariants_dim": b.dim,
         "canonical_domain_dim": dom.dim,
         "canonical_rank": r,
-        "target_dim": target,
+        "target_dim": can.rows,
         "bijective": bij,
     }}, (0 if bij else 1)
 

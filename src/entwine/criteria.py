@@ -212,8 +212,8 @@ decide_sep_contra_f = decide_sep_co_f
 # membership holds by construction, and fixing either side makes the
 # couplings linear in the other side's coordinates.  Its rungs: fix one
 # side on a membership basis vector and solve the other side linearly,
-# sigma basis first; fix rho on a seed (a basis vector or a sum of two)
-# and solve sigma from all couplings; fix sigma, then rho, on the all-ones
+# sigma basis first; fix rho on a seed (a sum of two basis vectors) and
+# solve sigma from all couplings; fix sigma, then rho, on the all-ones
 # point; over a prime field with a small enough membership space,
 # enumerate the smaller side up to scaling, which alone can certify NONE.
 
@@ -302,72 +302,67 @@ def _decide_frobenius(e: Entwining, budget_bits: int) -> Verdict:
         return Verdict("FOUND", witness={"e": s, "theta": th},
                        log=tuple(log), data=data)
 
-    # With a zero-dimensional side the joint system is linear outright.
-    if 0 in dims:
-        k = dims.index(0)
-        hit = extend(k, Mat.zeros(F, 0, 1))
+    # The sweep: of the smaller side, over a prime field, within the budget.
+    k3 = 0 if dims[0] <= dims[1] else 1
+    count = (F.p ** dims[k3] - 1) // (F.p - 1) + 1 if F.kind == "prime" else 0
+    sweep = F.kind == "prime" and count <= (1 << budget_bits)
+
+    # The candidates (side, coordinates, log line on a hit), rung by rung;
+    # a rung that misses logs its line before the next begins.  A new rung
+    # is one more block of candidates.
+    def ladder():
+        # With a zero-dimensional side the joint system is linear outright.
+        if 0 in dims:
+            k = dims.index(0)
+            yield (k, Mat.zeros(F, 0, 1),
+                   "%s side is zero; %s solved linearly" % (_SIDES[k], _SIDES[1 - k]))
+            return
+        # Strategy 1: pin one family to a membership basis vector.
+        units = [[Mat.identity(F, d).col_mat(i) for i in range(d)] for d in dims]
+        for k in (0, 1):
+            for i, b in enumerate(units[k]):
+                yield k, b, "strategy 1: %s basis vector %d extends" % (_SIDES[k], i)
+        log.append("strategy 1: no membership basis vector extends")
+        # Strategy 2: rho seeds, the pairwise sums of the first six rho basis
+        # vectors (strategy 1 has tried each alone), each extended directly.
+        # Sigma seeds, a partial solve from the first coupling alone and
+        # further rounds of alternation found no witness that these miss.
+        for a, b in combinations(units[1][:6], 2):
+            yield 1, a + b, "strategy 2: alternation from a rho seed"
+        log.append("strategy 2: alternation exhausted without a witness")
+        # The all-ones point of sigma, then of rho: a point off every
+        # coordinate hyperplane, so it extends when the feasible set of that
+        # side is the torus of nonzero coordinates, as on regular
+        # Doi-Koppinen entwinings.  A failure adds no log line; a candidate
+        # the sweep meets again is not solved twice.
+        for k in (0, 1):
+            yield (k, Mat(F, dims[k], 1, (F.one,) * dims[k]),
+                   "all-ones point: %s extends" % _SIDES[k])
+        # Strategy 3: exhaustive sweep.  Since (s, th) is a witness exactly
+        # when (y s, th / y) is one, for y != 0, it takes zero and then, in
+        # lexicographic order, the points whose first nonzero coordinate is
+        # 1: (p^d - 1)/(p - 1) + 1 candidates, with the first hit of a sweep
+        # of all p^d points, since any hit scales to one with leading
+        # coordinate 1 that comes no later.
+        if sweep:
+            for coeffs in _projective_points(F.p, dims[k3]):
+                yield (k3, Mat(F, dims[k3], 1, tuple(map(F.of, coeffs))),
+                       "strategy 3: enumeration hit %r" % (coeffs,))
+
+    for k, v, how in ladder():
+        hit = extend(k, v)
         if hit is not None:
-            return found(hit, "%s side is zero; %s solved linearly"
-                         % (_SIDES[k], _SIDES[1 - k]))
+            return found(hit, how)
+    if 0 in dims:
         log.append("one membership space is zero; joint system linear and infeasible")
         return Verdict("NONE", certificate="linear", log=tuple(log), data=data)
-
-    # The membership basis vectors, in coordinates.
-    units = [[Mat.identity(F, d).col_mat(i) for i in range(d)] for d in dims]
-
-    # Strategy 1: pin one family to a membership basis vector.
-    for k in (0, 1):
-        for i, b in enumerate(units[k]):
-            hit = extend(k, b)
-            if hit is not None:
-                return found(hit, "strategy 1: %s basis vector %d extends"
-                             % (_SIDES[k], i))
-    log.append("strategy 1: no membership basis vector extends")
-
-    # Strategy 2: rho seeds, the first six rho basis vectors and then their
-    # pairwise sums, each extended directly.  Sigma seeds, a partial solve
-    # from the first coupling alone and further rounds of alternation found
-    # no witness that these seeds miss.
-    first = units[1][:6]
-    for v in first + [a + b for a, b in combinations(first, 2)]:
-        hit = extend(1, v)
-        if hit is not None:
-            return found(hit, "strategy 2: alternation from a rho seed")
-    log.append("strategy 2: alternation exhausted without a witness")
-
-    # The all-ones point of sigma, then of rho: a point off every coordinate
-    # hyperplane, so it extends when the feasible set of that side is the
-    # torus of nonzero coordinates, as on regular Doi-Koppinen entwinings.
-    # A failure adds no log line; a candidate the sweep meets again is not
-    # solved twice.
-    for k in (0, 1):
-        hit = extend(k, Mat(F, dims[k], 1, (F.one,) * dims[k]))
-        if hit is not None:
-            return found(hit, "all-ones point: %s extends" % _SIDES[k])
-
-    # Strategy 3: exhaustive sweep of the smaller membership space.  Only
-    # this rung can certify NONE: any witness pair projects into the
-    # swept space, so an empty sweep rules every pair out.  Since (s, th)
-    # is a witness exactly when (y s, th / y) is one, for y != 0, the sweep
-    # takes zero and then, in lexicographic order, the points whose first
-    # nonzero coordinate is 1: (p^d - 1)/(p - 1) + 1 candidates, with the
-    # first hit of a sweep of all p^d points, since any hit scales to one
-    # with leading coordinate 1 that comes no later.
-    if F.kind == "prime":
-        k = 0 if dims[0] <= dims[1] else 1
-        count = (F.p ** dims[k] - 1) // (F.p - 1) + 1
-        if count <= (1 << budget_bits):
-            for coeffs in _projective_points(F.p, dims[k]):
-                hit = extend(k, Mat(F, dims[k], 1, tuple(map(F.of, coeffs))))
-                if hit is not None:
-                    return found(hit, "strategy 3: enumeration hit %r" % (coeffs,))
-            log.append("strategy 3: all %d candidates fail" % count)
-            return Verdict("NONE", certificate="exhaustive", log=tuple(log),
-                           data=data)
-        log.append("strategy 3: %d candidates exceed budget %d"
-                   % (count, 1 << budget_bits))
-    else:
-        log.append("strategy 3: needs a prime field")
+    # Past a zero side, only the sweep can certify NONE: any witness pair
+    # projects into the swept space, so an empty sweep rules every pair out.
+    if sweep:
+        log.append("strategy 3: all %d candidates fail" % count)
+        return Verdict("NONE", certificate="exhaustive", log=tuple(log), data=data)
+    log.append("strategy 3: %d candidates exceed budget %d" % (count, 1 << budget_bits)
+               if F.kind == "prime" else "strategy 3: needs a prime field")
     return Verdict("UNKNOWN", log=tuple(log), data=data)
 
 

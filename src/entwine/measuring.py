@@ -26,9 +26,10 @@ objects, transposed.  A cokernel is read off the kernel of the
 transpose, so these are the bases the contramodule side would choose.
 
 The Galois half builds the measuring canonically attached to a
-coalgebra-Galois extension: coinvariants, the canonical map on the
-tensor product over the coinvariants, the entwining it transports, and
-the measuring (inclusion, coaction-of-unit).
+coalgebra-Galois extension from one canonical_map call: the coinvariants,
+the canonical map on the tensor product over them, the entwining
+transported through its inverse (inverting it is the bijectivity test),
+and the measuring (inclusion, coaction-of-unit).
 """
 
 from __future__ import annotations
@@ -192,51 +193,50 @@ def coinvariants(g: GaloisData) -> Coinvariants:
 
 
 def canonical_map(g: GaloisData):
-    """Quotient of A (x) A by the coinvariant relations, and the map
-    a (x) a' |-> a . coaction(a') descended to it."""
+    """(b, dom, can): the coinvariants b, the quotient dom of A (x) A by
+    the coinvariant relations, and the map a (x) a' |-> a . coaction(a')
+    descended to it.  The data is Galois when can is square of full rank."""
     F = g.field
     n = g.alg.dim
     i_n = Mat.identity(F, n)
     mult, coact = g.alg.mult, g.coaction
-    inc = coinvariants(g).inclusion
-    rel = (kron(mult * kron(i_n, inc), i_n)
-           - kron(i_n, mult * kron(inc, i_n)))
+    b = coinvariants(g)
+    rel = (kron(mult * kron(i_n, b.inclusion), i_n)
+           - kron(i_n, mult * kron(b.inclusion, i_n)))
     dom = cokernel(rel)
     unreduced = kron(mult, Mat.identity(F, g.coalg.dim)) * kron(i_n, coact)
-    return dom, _descend(unreduced, dom, "canonical map")
+    return b, dom, _descend(unreduced, dom, "canonical map")
 
 
 def is_galois(g: GaloisData) -> bool:
-    dom, can = canonical_map(g)
-    target = g.alg.dim * g.coalg.dim
-    return dom.dim == target and rank(can) == target
+    _, dom, can = canonical_map(g)
+    return dom.dim == can.rows == rank(can)
 
 
 def galois_entwining(g: GaloisData) -> Entwining:
     """The entwining transported through the inverse of the canonical map."""
-    F = g.field
-    n, c = g.alg.dim, g.coalg.dim
-    i_n = Mat.identity(F, n)
-    dom, can = canonical_map(g)
-    if dom.dim != n * c or rank(can) != n * c:
-        raise ValueError("data is not Galois: canonical map is not bijective")
-    # Right multiplication descends to the quotient carrier.
-    act_q = dom.projection * kron(i_n, g.alg.mult) * kron(dom.section, i_n)
-    if not (dom.projection * kron(i_n, g.alg.mult)
-            * kron(dom.relations, i_n)).is_zero():
-        raise ValueError("right multiplication does not descend")
-    can_inv = inverse(can)
-    psi = can * act_q * kron(can_inv * kron(g.alg.unit, Mat.identity(F, c)), i_n)
-    return Entwining(g.alg, g.coalg, psi)
+    return galois_measuring(g).dst
 
 
 def galois_measuring(g: GaloisData) -> Measuring:
     """The canonical measuring from (B, k, id) into the transported
     entwining, with alpha the inclusion and gamma the coaction of 1."""
-    dst = galois_entwining(g)
-    b = coinvariants(g)
-    src = trivial_entwining(b.algebra)
-    return Measuring(src, dst, b.inclusion, g.coaction * g.alg.unit)
+    F = g.field
+    i_n = Mat.identity(F, g.alg.dim)
+    b, dom, can = canonical_map(g)
+    try:
+        can_inv = inverse(can)
+    except ValueError:
+        raise ValueError("data is not Galois: canonical map is not bijective") from None
+    # Right multiplication descends to the quotient carrier.
+    act_q = dom.projection * kron(i_n, g.alg.mult) * kron(dom.section, i_n)
+    if not (dom.projection * kron(i_n, g.alg.mult)
+            * kron(dom.relations, i_n)).is_zero():
+        raise ValueError("right multiplication does not descend")
+    unit_c = kron(g.alg.unit, Mat.identity(F, g.coalg.dim))
+    dst = Entwining(g.alg, g.coalg, can * act_q * kron(can_inv * unit_c, i_n))
+    return Measuring(trivial_entwining(b.algebra), dst, b.inclusion,
+                     g.coaction * g.alg.unit)
 
 
 # ---------------------------------------------------------------------------

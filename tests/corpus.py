@@ -18,6 +18,7 @@ from entwine.entwining import (
     regular_doi_koppinen, trivial_entwining, trivial_entwining_coalg,
 )
 from entwine.comodcat import EntwinedModule
+from entwine.measuring import GaloisData
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, curry_left, uncurry_left,
 )
@@ -208,3 +209,56 @@ def tensor_contra(mdim: int, x: EntwinedContraModule) -> EntwinedContraModule:
     return EntwinedContraModule(x.ent, mdim * x.dim,
                                 kron(i_m, x.pi),
                                 uncurry_left(mu, mdim * x.dim, n))
+
+
+# -- graded algebras as group-algebra comodule algebras ----------------
+
+
+def cyclic_group(m: int) -> tuple:
+    """The Cayley table of Z_m on the elements 0..m-1."""
+    return tuple(tuple((g + h) % m for h in range(m)) for g in range(m))
+
+
+# Z_2 x Z_2 on the elements 0..3, read as pairs of bits.
+KLEIN = tuple(tuple(g ^ h for h in range(4)) for g in range(4))
+
+
+def quaternion_algebra(field: Field) -> Algebra:
+    """The quaternions (-1, -1) on the basis 1, i, j, k (indices 0..3):
+    i^2 = j^2 = k^2 = -1 and ij = k = -ji, jk = i = -kj, ki = j = -ik.
+    The product of basis vectors a and b is +-(a xor b)."""
+    def sign(a, b):
+        if a == 0 or b == 0:
+            return 1
+        return -1 if a == b or (b - a) % 3 == 2 else 1
+    mult = [[field.zero] * 16 for _ in range(4)]
+    for a in range(4):
+        for b in range(4):
+            mult[a ^ b][a * 4 + b] = field.of(sign(a, b))
+    return Algebra(field, 4, Mat.from_rows(field, mult),
+                   Mat.from_rows(field, [[1], [0], [0], [0]]))
+
+
+def graded_galois(alg: Algebra, grades, group) -> GaloisData:
+    """alg graded by the group with Cayley table `group`, basis vector i
+    in degree grades[i], as a kG-comodule algebra: a |-> a (x) g_deg(a)
+    over the group-like coalgebra on the elements of the group."""
+    c = group_like_coalgebra(alg.field, len(group))
+    return GaloisData(alg, c, graded_comodule(c, grades).coaction)
+
+
+def graded_algebras(field: Field) -> dict:
+    """Graded algebras by name: (algebra, degree of each basis vector,
+    Cayley table of the group).  M2 by Z_2 with the diagonal even, kZ_4 by
+    Z_2 and the quaternions by Z_2 x Z_2 are strongly graded, A_g A_h =
+    A_gh for all g and h; M2 by Z_3 (e12 in degree 1, e21 in degree 2),
+    k[x]/x^2 by Z_2 and k[x]/x^3 by Z_3 are not."""
+    z2, z3 = cyclic_group(2), cyclic_group(3)
+    return {
+        "m2-z2": (matrix_algebra(2, field), (0, 1, 1, 0), z2),
+        "kz4-z2": (group_algebra(4, field).alg, (0, 1, 0, 1), z2),
+        "quaternions-klein": (quaternion_algebra(field), (0, 1, 2, 3), KLEIN),
+        "m2-z3": (matrix_algebra(2, field), (0, 1, 2, 0), z3),
+        "tp2-z2": (trunc_poly_algebra(2, field), (0, 1), z2),
+        "tp3-z3": (trunc_poly_algebra(3, field), (0, 1, 2), z3),
+    }

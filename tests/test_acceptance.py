@@ -160,7 +160,7 @@ def test_criterion_2_coinvariants_and_canonical_map():
     if not (in_span(Q, [inc_col], one_col) and in_span(Q, [one_col], inc_col)):
         problems.append("coinvariants differ from the span of the unit")
 
-    dom, can = canonical_map(g)
+    _, dom, can = canonical_map(g)
     if dom.dim != n * c:
         problems.append("canonical domain has dim %d, expected %d" % (dom.dim, n * c))
     if rank(can) != n * c:

@@ -8,13 +8,19 @@ calls and one `transpose` per object it takes in or hands back.  This
 test counts the calls that go through the module's globals on the
 identity measuring of the regular Doi-Koppinen entwining of kZ2 over Q,
 and pins them exactly.
+
+The Galois half computes the coinvariants and the canonical map in one
+canonical_map call per command, and galois_measuring tests bijectivity by
+inverting the canonical map, without a rank.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from entwine import measuring
+from pathlib import Path
+
+from entwine import cli, exactlin, measuring
 from entwine.exactlin import Field
 from entwine.algstruct import (
     dual_left_module, group_algebra, regular_comodule, regular_right_module,
@@ -22,6 +28,7 @@ from entwine.algstruct import (
 from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import induce_mc, induce_tc
 from entwine.contracat import free_contramodule, induce_a_t, induce_contra_t
+from corpus import graded_algebras, graded_galois
 
 COUNTED = ("comodule_side_induce", "contra_induce", "kernel_basis", "cokernel",
            "t_lower", "s_upper", "s_lower", "transpose")
@@ -65,3 +72,52 @@ def test_calls_per_call(case, monkeypatch):
     result = call()
     assert getattr(result, "passed", True)
     assert counts == dict(dict.fromkeys(COUNTED, 0), **expected)
+
+
+KZ2_PATH = Path(cli.__file__).parent / "examples" / "kZ2.json"
+
+
+def _galois_data(name):
+    if name == "kZ2":
+        return cli.parse_workspace(str(KZ2_PATH)).galois["G"]
+    return graded_galois(*graded_algebras(Field.rational())[name])
+
+
+def _galois_command(name, tmp_path, capsys):
+    path = KZ2_PATH
+    if name != "kZ2":
+        ws = cli.Workspace(Field.rational(), {}, {}, {}, {}, {}, {}, {}, {})
+        g = ws.galois["G"] = _galois_data(name)
+        ws.algebras["A"], ws.coalgebras["C"] = g.alg, g.coalg
+        path = tmp_path / "graded.json"
+        path.write_text(cli.serialize_workspace(ws))
+    code = cli.main(["galois", str(path), "G"])
+    capsys.readouterr()
+    return code
+
+
+@pytest.mark.parametrize("name", ["kZ2", "m2-z2"])
+@pytest.mark.parametrize("call", ["command", "galois_measuring", "galois_entwining"])
+def test_galois_calls_compute_the_coinvariants_once(name, call, tmp_path, capsys,
+                                                    monkeypatch):
+    can = measuring.canonical_map(_galois_data(name))[-1]
+    coinvariant_calls, ranked = [], []
+
+    def counted_coinvariants(g, _f=measuring.coinvariants):
+        coinvariant_calls.append(g)
+        return _f(g)
+
+    def counted_rank(m, _f=exactlin.rank):
+        ranked.append(m)
+        return _f(m)
+
+    monkeypatch.setattr(measuring, "coinvariants", counted_coinvariants)
+    for module in (exactlin, measuring, cli):
+        monkeypatch.setattr(module, "rank", counted_rank)
+    if call == "command":
+        assert _galois_command(name, tmp_path, capsys) == 0
+    else:
+        getattr(measuring, call)(_galois_data(name))
+    assert len(coinvariant_calls) == 1
+    # Only the command takes the canonical map's rank, which it reports.
+    assert sum(m == can for m in ranked) == (call == "command")
