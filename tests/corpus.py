@@ -19,6 +19,7 @@ from entwine.entwining import (
 )
 from entwine.comodcat import EntwinedModule
 from entwine.measuring import GaloisData
+from entwine.cli import Workspace, serialize_workspace
 from entwine.contracat import (
     ContraModule, EntwinedContraModule, curry_left, uncurry_left,
 )
@@ -245,6 +246,14 @@ def graded_galois(alg: Algebra, grades, group) -> GaloisData:
     over the group-like coalgebra on the elements of the group."""
     c = group_like_coalgebra(alg.field, len(group))
     return GaloisData(alg, c, graded_comodule(c, grades).coaction)
+
+
+def write_galois_workspace(g: GaloisData, path) -> None:
+    """A workspace file holding g as the Galois datum "G", over its
+    algebra "A" and coalgebra "C"."""
+    ws = Workspace(g.field, {}, {}, {}, {}, {}, {}, {}, {})
+    ws.algebras["A"], ws.coalgebras["C"], ws.galois["G"] = g.alg, g.coalg, g
+    path.write_text(serialize_workspace(ws))
 
 
 def graded_algebras(field: Field) -> dict:

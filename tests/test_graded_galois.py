@@ -20,7 +20,7 @@ from itertools import product
 
 import pytest
 
-from entwine.cli import Workspace, main, serialize_workspace
+from entwine.cli import main
 from entwine.exactlin import Field, Mat, SubspaceBasis, kron, same_subspace
 from entwine.algstruct import check_algebra
 from entwine.entwining import check_entwining
@@ -28,7 +28,7 @@ from entwine.measuring import (
     check_measuring, coinvariants, galois_entwining, galois_measuring,
     is_co_galois, is_contra_galois, is_galois,
 )
-from corpus import graded_algebras, graded_galois
+from corpus import graded_algebras, graded_galois, write_galois_workspace
 from oracles import rank_oracle
 
 FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F3": Field.prime(3),
@@ -75,10 +75,8 @@ def test_galois_iff_strongly_graded(name, fname, tmp_path, capsys):
     assert same_subspace(b.space, SubspaceBasis(alg.dim, Mat.from_rows(
         g.field, [[int(r == i) for i in degree_zero] for r in range(alg.dim)])))
 
-    ws = Workspace(g.field, {}, {}, {}, {}, {}, {}, {}, {})
-    ws.algebras["A"], ws.coalgebras["C"], ws.galois["G"] = g.alg, g.coalg, g
     path = tmp_path / "graded.json"
-    path.write_text(serialize_workspace(ws))
+    write_galois_workspace(g, path)
     code = main(["galois", str(path), "G", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert (doc["galois"]["bijective"], code) == (strong, 0 if strong else 1)

@@ -16,9 +16,9 @@ inverting the canonical map, without a rank.
 
 from __future__ import annotations
 
-import pytest
-
 from pathlib import Path
+
+import pytest
 
 from entwine import cli, exactlin, measuring
 from entwine.exactlin import Field
@@ -28,7 +28,7 @@ from entwine.algstruct import (
 from entwine.entwining import regular_doi_koppinen
 from entwine.comodcat import induce_mc, induce_tc
 from entwine.contracat import free_contramodule, induce_a_t, induce_contra_t
-from corpus import graded_algebras, graded_galois
+from corpus import graded_algebras, graded_galois, write_galois_workspace
 
 COUNTED = ("comodule_side_induce", "contra_induce", "kernel_basis", "cokernel",
            "t_lower", "s_upper", "s_lower", "transpose")
@@ -86,11 +86,8 @@ def _galois_data(name):
 def _galois_command(name, tmp_path, capsys):
     path = KZ2_PATH
     if name != "kZ2":
-        ws = cli.Workspace(Field.rational(), {}, {}, {}, {}, {}, {}, {}, {})
-        g = ws.galois["G"] = _galois_data(name)
-        ws.algebras["A"], ws.coalgebras["C"] = g.alg, g.coalg
         path = tmp_path / "graded.json"
-        path.write_text(cli.serialize_workspace(ws))
+        write_galois_workspace(_galois_data(name), path)
     code = cli.main(["galois", str(path), "G"])
     capsys.readouterr()
     return code
