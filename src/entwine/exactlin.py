@@ -20,7 +20,10 @@ and x` is mostly a pointer compare, and no result relies on it, as any
 other zero fails the truth test.
 
 There is one elimination, _rref_rows, on the rows (over Q on integer
-multiples of them, fraction-free).  rref,
+multiples of them, fraction-free).  It drops empty rows and peels the
+singleton rows first (structured Gaussian elimination): a row with one
+nonzero fixes its column, which is deleted from every other row, until
+no singleton is left, and only the core that remains is eliminated.  rref,
 rank, kernel_basis, solve_affine, inverse and cokernel all go through
 it, and every kernel basis is read off its result the same way
 (_kernel).  The form is unique, so none of them depends on the order
@@ -641,16 +644,24 @@ def block_diag(a: Mat, b: Mat) -> Mat:
 
 def _rref_rows(F: Field, rows) -> dict:
     """The nonzero rows of the reduced row echelon form of the given rows,
-    dicts {column: value} of nonzero entries, as {pivot column: row}.  The
-    given rows are left unchanged: over F_p copies of them are reduced in
-    place, over Q new integer rows.
+    dicts {column: value} of nonzero entries, as {pivot column: row}.  No
+    given row is written: the peel copies a row it shortens, the F_p
+    elimination reduces copies, the Q one builds new integer rows.
 
-    Rows are taken one at a time.  Every kept row is 1 at its pivot, 0 left
-    of it and 0 at every other pivot, so a new row is reduced by one pass
-    over the pivots it touches; if anything is left, its first column is
-    a new pivot, which is then cleared from the kept rows.  Those
-    properties define the reduced row echelon form, so the result is the
-    unique one of the row space, whatever the order of the rows.
+    Empty rows are dropped, then singleton rows peeled in rounds: a row
+    with one nonzero, at column j, puts e_j in the row space, so j is
+    fixed (its unit row is in the result) and deleting column j from the
+    other rows keeps the row space.  A round fixes the singletons' columns
+    and keeps the rows of two or more entries without those columns; a
+    row may become a singleton, for the next round, or empty.
+
+    The core left is eliminated one row at a time.  Every kept row is 1
+    at its pivot, 0 left of it and 0 at every other pivot, so a new row is
+    reduced by one pass over the pivots it touches; if anything is left,
+    its first column is a new pivot, cleared from the kept rows.  Core
+    rows are 0 at the fixed columns and unit rows 0 at the core's pivots,
+    so together they are the unique reduced row echelon form of the row
+    space, whatever the order of the rows.
 
     Over Q the same steps run on integers, fraction-free (Bareiss): a row
     is scaled by the lcm of its denominators, w is cleared from v by
@@ -660,9 +671,15 @@ def _rref_rows(F: Field, rows) -> dict:
     the end each row is divided by its pivot: one Fraction per entry.
     """
     prime, p, one = F.kind == "prime", F.p, F.one
+    fixed, core = [], [r for r in rows if r]
+    while new := {j for r in core if len(r) == 1 for j in r}:
+        fixed += new
+        core = [r if new.isdisjoint(r) else {j: x for j, x in r.items() if j not in new}
+                for r in core if len(r) > 1]
+        core = [r for r in core if r]
     piv = {}
     if not prime:
-        for v in rows:
+        for v in core:
             m = lcm(*[x.denominator for x in v.values()])
             v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
             for c in [j for j in v if j in piv]:
@@ -685,21 +702,23 @@ def _rref_rows(F: Field, rows) -> dict:
         for c, v in piv.items():
             pc = v[c]
             piv[c] = {j: _Q1 if j == c else Fraction(x, pc) for j, x in v.items()}
-        return piv
-    for v in map(dict, rows):
-        for c in [j for j in v if j in piv]:
-            _axpy(v, -v.pop(c), piv[c], c, prime, p)
-        if not v:
-            continue
-        c = min(v)
-        if v[c] != one:
-            inv = F.inv(v[c])
-            for j, x in v.items():
-                v[j] = x * inv % p
-        for kept in piv.values():
-            if c in kept:
-                _axpy(kept, -kept.pop(c), v, c, prime, p)
-        piv[c] = v
+    else:
+        for v in map(dict, core):
+            for c in [j for j in v if j in piv]:
+                _axpy(v, -v.pop(c), piv[c], c, prime, p)
+            if not v:
+                continue
+            c = min(v)
+            if v[c] != one:
+                inv = F.inv(v[c])
+                for j, x in v.items():
+                    v[j] = x * inv % p
+            for kept in piv.values():
+                if c in kept:
+                    _axpy(kept, -kept.pop(c), v, c, prime, p)
+            piv[c] = v
+    for j in fixed:
+        piv[j] = {j: one}
     return piv
 
 
@@ -775,15 +794,13 @@ def solve_affine(a: Mat, b: Mat):
     One rref of [a | b] serves both: row operations on [a | b] act on the
     columns of a exactly as on a alone, so with no pivot in b the first
     a.cols columns are the rref of a, and the pivot rows' b columns give a
-    particular solution.  Zero rows of [a | b] are left out of it: they
-    change neither the pivots nor the nonzero rows of its rref, which is
-    all that is read.
+    particular solution.
     """
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
     F, n = a.field, a.cols
     ab = [{**r, **{n + j: x for j, x in s.items()}} if s else r
-          for r, s in zip(a.nz, b.nz) if r or s]
+          for r, s in zip(a.nz, b.nz)]
     R, pivots = rref(Mat._of(F, len(ab), n + b.cols, ab))
     if pivots and pivots[-1] >= n:
         return None
@@ -848,8 +865,6 @@ class QuotientPresentation(Record):
             raise ValueError("projection does not kill the relations")
         if self.projection * self.section != Mat.identity(self.projection.field, self.dim):
             raise ValueError("section is not split by the projection")
-        if rank(self.projection) != self.dim:
-            raise ValueError("projection is not surjective")
 
     @property
     def dim(self) -> int:

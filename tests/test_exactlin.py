@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from entwine import exactlin
 from entwine.exactlin import (
     Field, Mat, SubspaceBasis, QuotientPresentation,
     kron, flip, hstack, vstack, vec, unvec, block_inj, block_proj,
@@ -295,6 +296,26 @@ def test_quotient_presentation_validation():
         QuotientPresentation(2, m, Mat.from_rows(Q, [[1, 0]]), Mat.from_rows(Q, [[1], [0]]))
     with pytest.raises(ValueError):
         QuotientPresentation(2, m, Mat.from_rows(Q, [[0, 1]]), Mat.from_rows(Q, [[1], [0]]))
+
+
+@pytest.mark.parametrize("F", FIELDS, ids=["Q", "F5"])
+def test_cokernel_eliminates_once(F, monkeypatch):
+    """A cokernel is read off one elimination of m^T.  Its presentation
+    checks projection . section = I, which already makes the projection
+    surjective, so no rank of the projection is taken."""
+    calls = []
+
+    def counted(field, rows, _f=exactlin._rref_rows):
+        calls.append(field)
+        return _f(field, rows)
+
+    monkeypatch.setattr(exactlin, "_rref_rows", counted)
+    rng = random.Random(11)
+    for rows, cols in [(3, 2), (4, 4), (2, 5), (3, 0), (0, 2)]:
+        calls.clear()
+        q = cokernel(random_mat(F, rng, rows, cols))
+        assert q.dim == rows - rank_oracle(q.relations)
+        assert calls == [F]
 
 
 def test_restrict_map():

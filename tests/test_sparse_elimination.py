@@ -13,6 +13,13 @@ about 3%, 50% and 100% over Q, F_2 and F_5, with rows that cancel
 zero entries given to `Mat` as fresh `Fraction(0)` objects over Q, no
 rows at all and no columns.
 
+The elimination peels singleton rows before it eliminates the rest, so
+further systems take each step of the peel: cascades, where fixing one
+column leaves the next row a singleton; singletons of every kind of
+value, duplicated and proportional; rows the peel leaves empty; systems
+of singletons only; [a | b] with a row that is, or becomes, a singleton
+in b (no solution); and a check that no given row dict is written.
+
 Over Q the elimination runs fraction-free on integer rows, so "Qtall"
 draws scalars of height up to 2^70 with coprime denominators, and
 `test_integer_elimination_branches` gives rows with a negative leading
@@ -30,7 +37,8 @@ from fractions import Fraction
 import pytest
 
 from entwine.exactlin import (
-    Field, Mat, cokernel, inverse, kernel_basis, kron, rref, solve_affine,
+    Field, Mat, _rref_rows, cokernel, hstack, inverse, kernel_basis, kron, rref,
+    solve_affine,
 )
 from corpus import TALL
 from oracles import kernel_oracle, matmul_oracle, rref_oracle
@@ -181,3 +189,143 @@ def test_integer_elimination_branches():
     assert_typed(Q, inv, m * inv, inv * m)
     assert m * inv == Mat.identity(Q, 4) == inv * m
     assert list((m * inv).entries) == list(matmul_oracle(m, inv).entries)
+
+
+# -- singleton rows ---------------------------------------------------
+#
+# The elimination first peels rows with one nonzero: their columns are
+# fixed, deleted from every other row, and the rows that become
+# singletons are peeled in the next round.  These systems are built to
+# take each step of the peel.
+
+
+def nonzero(F, rng):
+    """A nonzero scalar: over Q negative, halved and (Qtall) tall ones."""
+    return rand_row(F, rng, 1, 1.0)[0]
+
+
+def sparse_row(F, cols, entries):
+    row = [F.zero] * cols
+    for j, x in entries.items():
+        row[j] = x
+    return row
+
+
+def cascade(F, rng, cols, length):
+    """A singleton, then rows each of which becomes a singleton once the
+    column before it is fixed: the peel takes `length` rounds."""
+    order = rng.sample(range(cols), length)
+    rows = [sparse_row(F, cols, {order[0]: nonzero(F, rng)})]
+    rows += [sparse_row(F, cols, {order[k - 1]: nonzero(F, rng), order[k]: nonzero(F, rng)})
+             for k in range(1, length)]
+    return rows
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_singleton_cascades_match_dense(fname):
+    F = FIELDS[fname]
+    rng = seeded(fname, "cascade-%s" % fname)
+    for cols, length, extra, fill in [(6, 6, 0, 0.0), (9, 4, 3, 0.5), (12, 7, 5, 0.3),
+                                      (8, 3, 8, 1.0), (10, 5, 2, 0.2)]:
+        for _ in range(3):
+            rows = cascade(F, rng, cols, length)
+            rows += [rand_row(F, rng, cols, fill) for _ in range(extra)]
+            rng.shuffle(rows)
+            check(F, rows, cols, rng)
+
+
+def singleton_values(F):
+    if F.kind == "prime":
+        return [F.of(x) for x in range(1, F.p)]
+    return [Q.of(x) for x in (1, -1, 3, -3, Fraction(-5, 2), Fraction(1, 3), *TALL)]
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_duplicate_and_proportional_singletons_match_dense(fname):
+    """Singletons with every kind of value, each column given by several
+    singleton rows: the same row twice and multiples of it."""
+    F = FIELDS[fname]
+    rng = seeded(fname, "proportional-%s" % fname)
+    values = singleton_values(F)
+    cols = len(values) + 3
+    for fill in (0.0, 0.3, 1.0):
+        rows = [sparse_row(F, cols, {j: x}) for j, x in enumerate(values)]
+        rows += [sparse_row(F, cols, {j: F.mul(x, rng.choice(values))})
+                 for j, x in enumerate(values)]
+        rows += [list(rng.choice(rows)) for _ in range(3)]
+        rows += [rand_row(F, rng, cols, fill) for _ in range(4)]
+        rng.shuffle(rows)
+        check(F, rows, cols, rng)
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_rows_emptied_by_the_peel_match_dense(fname):
+    """Rows whose every column is fixed by singletons, zero rows, and
+    systems of singletons only."""
+    F = FIELDS[fname]
+    rng = seeded(fname, "emptied-%s" % fname)
+    cols = 7
+    for _ in range(4):
+        fixed = rng.sample(range(cols), 4)
+        rows = [sparse_row(F, cols, {j: nonzero(F, rng)}) for j in fixed]
+        rows += [sparse_row(F, cols, {j: nonzero(F, rng) for j in rng.sample(fixed, k)})
+                 for k in (2, 3, 4)]
+        rows += [[F.zero] * cols, rand_row(F, rng, cols, 0.5)]
+        rng.shuffle(rows)
+        check(F, rows, cols, rng)
+    # Singletons only: every fixed column is a unit row of the result.
+    for cols in (1, 4, 9):
+        rows = [sparse_row(F, cols, {rng.randrange(cols): nonzero(F, rng)})
+                for _ in range(cols + 2)]
+        rows.append([F.zero] * cols)
+        check(F, rows, cols, rng)
+        d = dense(F, rows, cols)
+        r, piv = rref(d)
+        assert r.nz[:len(piv)] == tuple({j: F.one} for j in piv)
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_singleton_in_b_has_no_solution(fname):
+    """A row of [a | b] that is, or is left by the peel as, a singleton in
+    b's column is a pivot there: a x = b has no solution."""
+    F = FIELDS[fname]
+    rng = seeded(fname, "b-singleton-%s" % fname)
+    for n in (1, 3, 6):
+        for _ in range(3):
+            a_rows = [rand_row(F, rng, n, 0.4) for _ in range(n)]
+            x = dense(F, [rand_row(F, rng, 1, 0.7) for _ in range(n)], 1)
+            b_rows = [list((dense(F, [r], n) * x).row(0)) for r in a_rows]
+            # Feasible so far; a x = b is solved, whatever the peel fixed.
+            part = solve_affine(dense(F, a_rows, n), dense(F, b_rows, 1))
+            assert dense(F, a_rows, n) * part[0] == dense(F, b_rows, 1)
+            # A zero row of a with a nonzero b.
+            j = rng.randrange(n)
+            zero_a = a_rows + [[F.zero] * n]
+            assert solve_affine(dense(F, zero_a, n),
+                                dense(F, b_rows + [[nonzero(F, rng)]], 1)) is None
+            # A singleton of a fixes column j; a row of a that is a
+            # multiple of it, with another b, is left a singleton in b.
+            s = nonzero(F, rng)
+            row = sparse_row(F, n, {j: s})
+            twin = sparse_row(F, n, {j: F.mul(s, nonzero(F, rng))})
+            a2, b2 = a_rows + [row, twin], b_rows + [[F.zero], [nonzero(F, rng)]]
+            flat, pivots = rref_oracle(hstack([dense(F, a2, n), dense(F, b2, 1)]))
+            assert pivots[-1] == n
+            assert solve_affine(dense(F, a2, n), dense(F, b2, 1)) is None
+
+
+@pytest.mark.parametrize("fname", sorted(FIELDS))
+def test_elimination_leaves_the_given_rows_unchanged(fname):
+    """Mats share row dicts, so neither the peel nor the elimination may
+    write a given row, and no row of the result is a given row."""
+    F = FIELDS[fname]
+    rng = seeded(fname, "unchanged-%s" % fname)
+    cols = 10
+    rows = cascade(F, rng, cols, 5) + [rand_row(F, rng, cols, f) for f in (0.3, 0.6, 1.0)]
+    rows += [list(rows[0]), rand_row(F, rng, cols, 0.0)]
+    given = dense(F, rows, cols).nz
+    before = [dict(r) for r in given]
+    piv = _rref_rows(F, given)
+    assert list(given) == before
+    assert all(v is not r for v in piv.values() for r in given)
+    assert sorted(piv) == rref_oracle(dense(F, rows, cols))[1]
