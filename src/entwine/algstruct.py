@@ -9,7 +9,8 @@ return a Report whose failed checks carry an entry witness.
 from __future__ import annotations
 
 from .exactlin import (
-    Field, Mat, Record, kron, flip, mat_solution_basis, SubspaceBasis, Lift, Term, TermList,
+    Field, Mat, Record, kron, flip, mat_solution_basis, reshape, SubspaceBasis, Lift, Term,
+    TermList,
 )
 from .report import Report, eq_check
 
@@ -341,15 +342,9 @@ def regular_left_module(a: Algebra) -> ModuleLeft:
 
 
 def dual_left_module(a: Algebra) -> ModuleLeft:
-    """A* as a left A-module, (a.f)(x) = f(xa), in the dual basis."""
-    n = a.dim
-    F = a.field
-    act = [[F.zero] * (n * n) for _ in range(n)]
-    for j in range(n):
-        for s in range(n):
-            for i in range(n):
-                act[j][s * n + i] = a.mult[i, j * n + s]
-    return ModuleLeft(a, n, Mat.from_rows(F, act))
+    """A* as a left A-module, (a.f)(x) = f(xa), in the dual basis: the
+    transpose of the regular right module, whose action is mult."""
+    return ModuleLeft(a, a.dim, reshape(a.mult.t, a.dim, a.dim * a.dim))
 
 
 def regular_comodule(c: Coalgebra) -> Comodule:

@@ -28,8 +28,9 @@ entirely (zero map), so a minimal algebra is {"dim": 1}.
 
 A scalar is a JSON int, or a string holding an int, a fraction such as
 "-3/4" or a decimal such as "0.25"; exponent forms such as "1e3" are
-refused.  Each distinct scalar literal is parsed once per read.  The prime p must be below 2^64.  A dim may not exceed the
-square root of MAX_DENSE_ENTRIES, nor may the entry count of any map.
+refused.  Each distinct scalar literal is parsed once per read.  The
+prime p must be below 2^64.  A dim may not exceed the square root of
+MAX_DENSE_ENTRIES, nor may the entry count of any map.
 
 The table _KINDS below is the format's single statement: parsing,
 serialization, the Workspace fields and the order of `check` all read

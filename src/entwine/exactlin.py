@@ -23,11 +23,12 @@ There is one elimination, _rref_rows, on the rows (over Q on integer
 multiples of them, fraction-free).  It drops empty rows and peels the
 singleton rows first (structured Gaussian elimination): a row with one
 nonzero fixes its column, which is deleted from every other row, until
-no singleton is left, and only the core that remains is eliminated.  rref,
-rank, kernel_basis, solve_affine, inverse and cokernel all go through
-it, and every kernel basis is read off its result the same way
-(_kernel).  The form is unique, so none of them depends on the order
-rows are reduced in.
+no singleton is left, and only the core that remains is eliminated, by
+one loop for both fields whose two per-field steps are _clear and
+_primitive.  rref, rank, kernel_basis, solve_affine, inverse and
+cokernel all go through it, and every kernel basis is read off its
+result the same way (_kernel).  The form is unique, so none of them
+depends on the order rows are reduced in.
 
 Tensor factors flatten first-factor-major: kron(f, g) is the matrix of
 f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
@@ -53,12 +54,12 @@ nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
 multiplied.  Over Q the nonzeros are (numerator, denominator) int pairs
 through every lift, summed as the product sums them, and each distinct
 pair of the result becomes one shared Fraction (_shared).
-affine_matrix_system and mat_solution_basis put the
-contracted nonzeros straight into the sparse rows of their matrix
-(_from_flat), which mat_solution_basis eliminates; neither builds a
-dense system.  compile_bilinear takes only term lists: it projects the
-nonzeros onto the sparse rows of two bases, so a coupling is compiled
-straight into basis coordinates.  Given any other callable,
+affine_matrix_system and mat_solution_basis put the contracted nonzeros
+straight into the sparse rows of their matrix (_from_flat), which
+mat_solution_basis eliminates; neither builds a dense system.
+compile_bilinear takes only term lists: their contracted nonzeros are
+the sparse rows of W, and the coupling in the coordinates of two bases P
+and Q is the product P^T W Q.  Given any other callable,
 affine_matrix_system and mat_solution_basis evaluate it on every matrix
 unit instead; every condition of the package is a term list, and only
 tests and the benchmark pass closures.
@@ -655,22 +656,22 @@ def _rref_rows(F: Field, rows) -> dict:
     and keeps the rows of two or more entries without those columns; a
     row may become a singleton, for the next round, or empty.
 
-    The core left is eliminated one row at a time.  Every kept row is 1
-    at its pivot, 0 left of it and 0 at every other pivot, so a new row is
-    reduced by one pass over the pivots it touches; if anything is left,
-    its first column is a new pivot, cleared from the kept rows.  Core
-    rows are 0 at the fixed columns and unit rows 0 at the core's pivots,
-    so together they are the unique reduced row echelon form of the row
-    space, whatever the order of the rows.
+    The core left is eliminated one row at a time, by one loop for both
+    fields.  Every kept row is a multiple of its reduced row: 0 left of
+    its pivot and at every other pivot, so a new row is reduced by one
+    pass over the pivots it touches (_clear); if anything is left, its
+    first column is a new pivot, cleared from the kept rows.  That row and
+    each kept row it clears are rescaled (_primitive).  Core rows are 0 at
+    the fixed columns and unit rows 0 at the core's pivots, so together
+    they are the unique reduced row echelon form of the row space,
+    whatever the order of the rows.
 
-    Over Q the same steps run on integers, fraction-free (Bareiss): a row
-    is scaled by the lcm of its denominators, w is cleared from v by
-    (pc/g) v - (f/g) w, pc the pivot of w, f the entry of v, g their gcd,
-    and every kept row is the primitive integer multiple of its reduced
-    row with a positive pivot, so heights stay those of the result.  At
-    the end each row is divided by its pivot: one Fraction per entry.
+    Over F_p a kept row is 1 at its pivot.  Over Q the rows are integer
+    (Bareiss): a row is scaled by the lcm of its denominators on entry, a
+    kept row is primitive with a positive pivot, so heights stay those of
+    the result, and each is divided by its pivot at the end.
     """
-    prime, p, one = F.kind == "prime", F.p, F.one
+    p, one = F.p, F.one
     fixed, core = [], [r for r in rows if r]
     while new := {j for r in core if len(r) == 1 for j in r}:
         fixed += new
@@ -678,73 +679,73 @@ def _rref_rows(F: Field, rows) -> dict:
                 for r in core if len(r) > 1]
         core = [r for r in core if r]
     piv = {}
-    if not prime:
-        for v in core:
+    for v in core:
+        if p:
+            v = dict(v)
+        else:
             m = lcm(*[x.denominator for x in v.values()])
             v = {j: x.numerator * (m // x.denominator) for j, x in v.items()}
-            for c in [j for j in v if j in piv]:
-                _clear(v, v.pop(c), piv[c], c)
-            if not v:
-                continue
-            c = min(v)
-            g = gcd(*v.values())
-            if v[c] < 0:
-                g = -g
-            if g != 1:
-                v = {j: x // g for j, x in v.items()}
-            for k, kept in piv.items():
-                if c in kept:
-                    _clear(kept, kept.pop(c), v, c)
-                    g = gcd(*kept.values())
-                    if g != 1:
-                        piv[k] = {j: x // g for j, x in kept.items()}
-            piv[c] = v
+        for c in [j for j in v if j in piv]:
+            _clear(v, v.pop(c), piv[c], c, p)
+        if not v:
+            continue
+        c = min(v)
+        v = _primitive(v, c, p)
+        for k, kept in piv.items():
+            if c in kept:
+                _clear(kept, kept.pop(c), v, c, p)
+                piv[k] = _primitive(kept, k, p)
+        piv[c] = v
+    if not p:
         for c, v in piv.items():
             pc = v[c]
             piv[c] = {j: _Q1 if j == c else Fraction(x, pc) for j, x in v.items()}
-    else:
-        for v in map(dict, core):
-            for c in [j for j in v if j in piv]:
-                _axpy(v, -v.pop(c), piv[c], c, prime, p)
-            if not v:
-                continue
-            c = min(v)
-            if v[c] != one:
-                inv = F.inv(v[c])
-                for j, x in v.items():
-                    v[j] = x * inv % p
-            for kept in piv.values():
-                if c in kept:
-                    _axpy(kept, -kept.pop(c), v, c, prime, p)
-            piv[c] = v
     for j in fixed:
         piv[j] = {j: one}
     return piv
 
 
-def _clear(v: dict, f: int, w: dict, c: int) -> None:
-    """v := (pc/g) v - (f/g) w on integer rows, pc = w[c] > 0 and g =
-    gcd(f, pc); f is v's entry at c, already popped, so the result is 0
-    there."""
+def _clear(v: dict, f: int, w: dict, c: int, p: int) -> None:
+    """Clear w's pivot column c from v, whose entry f there is popped:
+    v := (pc/g) v - (f/g) w, pc = w[c] and g = gcd(f, pc), on integer
+    rows over Q (p = 0); v := v - f w mod p over F_p, where pc = 1."""
     pc = w[c]
-    g = gcd(f, pc)
-    if pc != g:
-        a = pc // g
-        for j in v:
-            v[j] *= a
-    _axpy(v, -(f // g), w, c, False, 0)
+    if pc != 1:
+        g = gcd(f, pc)
+        if pc != g:
+            a = pc // g
+            for j in v:
+                v[j] *= a
+        f //= g
+    _axpy(v, -f, w, c, p)
 
 
-def _axpy(v: dict, f, w: dict, c: int, prime: bool, p: int) -> None:
-    """v += f . w on sparse rows, dropping the entries that cancel.  w's
-    pivot column c is skipped, as the caller has popped it from v; c = -1
-    skips none."""
+def _primitive(v: dict, c: int, p: int) -> dict:
+    """v rescaled as the elimination keeps it, pivot at c: over Q (p = 0)
+    the primitive integer row with a positive pivot, over F_p pivot 1."""
+    x = v[c]
+    if p:
+        if x != 1:
+            inv = pow(x, -1, p)
+            for j, y in v.items():
+                v[j] = y * inv % p
+        return v
+    g = gcd(*v.values())
+    if x < 0:
+        g = -g
+    return v if g == 1 else {j: y // g for j, y in v.items()}
+
+
+def _axpy(v: dict, f, w: dict, c: int, p: int) -> None:
+    """v += f . w on sparse rows, mod p over F_p (p = 0 over Q), dropping
+    the entries that cancel.  w's pivot column c is skipped, as the caller
+    has popped it from v."""
     for j, x in w.items():
         if j == c:
             continue
         y = v.get(j)
         y = f * x if y is None else y + f * x
-        if prime:
+        if p:
             y %= p
         if y:
             v[j] = y
@@ -825,8 +826,8 @@ class SubspaceBasis(Record):
     The basis vectors (the rows of basis.t) are eliminated once, on
     construction: that checks their independence, and the reduced rows,
     the unique reduced echelon form of the subspace, are kept for
-    in_subspace.  They are not a field, so equality and hash read
-    ambient_dim and basis only."""
+    in_subspace and same_subspace.  They are not a field, so equality and
+    hash read ambient_dim and basis only."""
 
     ambient_dim: int
     basis: Mat
@@ -845,11 +846,12 @@ class SubspaceBasis(Record):
 
 
 def same_subspace(a: SubspaceBasis, b: SubspaceBasis) -> bool:
+    """Whether a and b span one subspace: their kept reduced rows agree."""
     if a.ambient_dim != b.ambient_dim:
         return False
-    if a.dim != b.dim:
-        return False
-    return rank(hstack([a.basis, b.basis])) == a.dim
+    if a.basis.field != b.basis.field:
+        raise ValueError("field mismatch")
+    return a._reduced == b._reduced
 
 
 class QuotientPresentation(Record):
@@ -875,23 +877,16 @@ def cokernel(m: Mat) -> QuotientPresentation:
     """Quotient of the codomain of m by its image.
 
     Coordinates on the quotient are the non-pivot coordinates of the row
-    space of m^T; the section includes them back, the projection subtracts
-    the pivot components.  Deterministic via rref.
+    space of m^T.  The projection subtracts the pivot components: it is
+    the transpose of the canonical kernel basis of the reduced rows
+    (_kernel), and the section, which includes the coordinates back, is
+    that basis with its pivot rows zeroed.  Deterministic via rref.
     """
-    F = m.field
     R, pivots = rref(m.t)
-    pivset = set(pivots)
-    nonpiv = {c: i for i, c in enumerate(c for c in range(m.rows) if c not in pivset)}
-    o = F.one
-    proj = [{c: o} for c in nonpiv]
-    for pcol, row in zip(pivots, R.nz):
-        for tcol, x in row.items():
-            if tcol in nonpiv:
-                proj[nonpiv[tcol]][pcol] = F.neg(x)
-    projection = Mat._of(F, len(nonpiv), m.rows, proj)
-    section = Mat._of(F, m.rows, len(nonpiv),
-                      ({nonpiv[c]: o} if c in nonpiv else {} for c in range(m.rows)))
-    return QuotientPresentation(m.rows, m, projection, section)
+    piv = dict(zip(pivots, R.nz))
+    k = _kernel(m.field, piv, m.rows)
+    section = k._like({} if c in piv else r for c, r in enumerate(k.nz))
+    return QuotientPresentation(m.rows, m, k.t, section)
 
 
 def restrict_map(f: Mat, dom_basis: Mat, cod_basis: Mat) -> Mat:
@@ -915,11 +910,10 @@ def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
         raise ValueError("field mismatch")
     if f.rows * f.cols != space.ambient_dim:
         raise ValueError("shape mismatch")
-    prime, p = F.kind == "prime", F.p
     v = {i * k + j: x for i, r in enumerate(f.nz) for j, x in r.items()}
     reduced = space._reduced
     for c in [c for c in v if c in reduced]:
-        _axpy(v, F.neg(v.pop(c)), reduced[c], c, prime, p)
+        _axpy(v, F.neg(v.pop(c)), reduced[c], c, F.p)
     return not v
 
 
@@ -1195,8 +1189,9 @@ class CompiledBilinear(Record):
 
     x has n0 entries, y has n1 and f's value r.  b is (n0*r) x n1 with
     b[i*r + q, j] = vec(beta(P_i, Q_j))[q] for the basis columns P_i and
-    Q_j, and gamma = vec(f(0, 0)).  The layout is row-major, so one set of
-    rows serves either argument fixed:
+    Q_j, and gamma = vec(f(0, 0)); compile_bilinear builds b as
+    reshape(P^T W, (n0*r) x n1) . Q.  The layout is row-major, so one set
+    of rows serves either argument fixed:
       x fixed:  A = (x^T (x) I_r) . b
       y fixed:  A = reshape(b . y, n0 x r)^T
     and f == 0 iff A (other coordinates) = -gamma.
@@ -1222,44 +1217,23 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     coordinates of bases = (P, Q), whose columns are vectorized values of X
     and of Y.
 
-    The terms are contracted into the coefficient of X[u] Y[v] in each
-    entry q of the value, and each nonzero is projected onto the sparse
-    rows u of P and v of Q.  Each term must have one lift on each side.
+    The terms are contracted into W, the coefficient of X[u] Y[v] in
+    entry q of the value at row u and column (q, v), and b is P^T W,
+    rows (i, q) and columns v, times Q.  Each term must have one lift on
+    each side.
     """
     if any(sorted(lift.side for lift in t.lifts) != [0, 1] for t in f.terms):
         raise ValueError("coupling term is not bilinear")
+    P, Q = bases
     r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
-    acc, out = {}, {}
+    acc = {}
     for t in f.terms:
         _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
-    prime = field.kind == "prime"
-    rows0, rows1 = ([{j: x if prime else (x.numerator, x.denominator)
-                      for j, x in row.items()} for row in m.nz] for m in bases)
-    d0, d1 = bases[0].cols, bases[1].cols
-    for idx, w in acc.items():
-        u, qv = divmod(idx, r * n1)
-        q, v = divmod(qv, n1)
-        for i, x in rows0[u].items():
-            base = (i * r + q) * d1
-            if prime:
-                wx = w * x
-                for j, y in rows1[v].items():
-                    out[base + j] = out.get(base + j, 0) + wx * y
-                continue
-            wn, wd = w[0] * x[0], w[1] * x[1]
-            for j, y in rows1[v].items():
-                n, d = wn * y[0], wd * y[1]
-                z = out.get(base + j)
-                if z is None:
-                    out[base + j] = n, d
-                elif z[1] == d:
-                    out[base + j] = z[0] + n, d
-                else:
-                    out[base + j] = z[0] * d + n * z[1], z[1] * d
-    out = ({i: y for i, x in out.items() if (y := x % field.p)} if prime
-           else _shared(out))
+    if field.kind == "rational":
+        acc = _shared(acc)
+    W = _from_flat(field, P.rows, r * n1, acc)
     gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
-    return CompiledBilinear(d0, _from_flat(field, d0 * r, d1, out), gamma)
+    return CompiledBilinear(P.cols, reshape(P.t * W, P.cols * r, n1) * Q, gamma)
 
 
 def basis_columns(field: Field, basis: Mat, rows: int, cols: int):

@@ -13,6 +13,7 @@ from entwine.exactlin import (
     restrict_map, same_subspace, mat_solution_basis, affine_matrix_system,
     basis_columns, in_subspace, _is_prime,
 )
+from corpus import TALL
 from oracles import (
     kron_oracle, matmul_oracle, det_oracle, rank_oracle, apply_oracle,
     random_mat,
@@ -240,6 +241,19 @@ def test_subspace_basis_validation():
         SubspaceBasis(2, b)
 
 
+# F64 is the largest prime below 2^64.
+SPAN_FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": F5,
+               "F64": Field.prime(18446744073709551557)}
+
+
+def independent_columns(field, rows, cols, draw):
+    """A random rows x cols matrix of independent columns, entries from draw."""
+    while True:
+        m = Mat(field, rows, cols, tuple(draw() for _ in range(rows * cols)))
+        if rank(m) == cols:
+            return m
+
+
 def test_same_subspace():
     a = SubspaceBasis(3, Mat.from_rows(Q, [[1, 0], [0, 1], [0, 0]]))
     b = SubspaceBasis(3, Mat.from_rows(Q, [[1, 1], [1, -1], [0, 0]]))
@@ -247,6 +261,46 @@ def test_same_subspace():
     assert same_subspace(a, b)
     assert not same_subspace(a, c)
     assert not same_subspace(a, SubspaceBasis(3, Mat.from_rows(Q, [[1], [0], [0]])))
+    # same_subspace compares the reduced rows each span keeps; the rank of
+    # the stacked bases is the reference.
+    for fname, F in SPAN_FIELDS.items():
+        rng = random.Random("span-%s" % fname)
+
+        def draw():
+            if rng.random() < 0.4:
+                return F.zero
+            if fname == "Qtall":
+                return F.of(rng.choice(TALL))
+            return F.of(rng.randrange(-3, 4) if F.kind == "rational" else rng.randrange(F.p))
+
+        outcomes = set()
+        for n, d in [(1, 1), (3, 1), (4, 2), (5, 3), (6, 6), (8, 4)]:
+            for _ in range(4):
+                basis = independent_columns(F, n, d, draw)
+                span = SubspaceBasis(n, basis)
+                mix = independent_columns(F, d, d, draw)
+                assert same_subspace(span, SubspaceBasis(n, basis * mix))
+                # Column k replaced by a combination of the basis columns,
+                # which keeps the span when column k's coefficient is
+                # nonzero, or by a random vector.
+                k = rng.randrange(d)
+                for v in (basis * Mat(F, d, 1, tuple(draw() for _ in range(d))),
+                          Mat(F, n, 1, tuple(draw() for _ in range(n)))):
+                    other = hstack([basis.col_mat(j) if j != k else v for j in range(d)])
+                    if rank(other) < d:
+                        continue
+                    same = same_subspace(span, SubspaceBasis(n, other))
+                    assert same == (rank(hstack([basis, other])) == d)
+                    assert same_subspace(SubspaceBasis(n, other), span) == same
+                    outcomes.add(same)
+        assert outcomes == {True, False}, fname
+        # Other ambient dimensions are other spaces; spans over Q and F_p
+        # are not compared.
+        e1 = SubspaceBasis(2, Mat.from_rows(F, [[1], [0]]))
+        assert not same_subspace(e1, SubspaceBasis(3, Mat.from_rows(F, [[1], [0], [0]])))
+        with pytest.raises(ValueError):
+            same_subspace(e1, SubspaceBasis(2, Mat.from_rows(
+                F5 if F.kind == "rational" else Q, [[1], [0]])))
 
 
 @pytest.mark.parametrize("field", [Q, Field.prime(5)], ids=["Q", "F5"])

@@ -5,11 +5,13 @@ operations of `Field` alone: the products here, the elimination
 (`rref_oracle`, `kernel_oracle`) in `oracles.py`.  `rref`, `rank`,
 `kernel_basis`, `solve_affine`, `cokernel` and `inverse` all go through
 the package's one sparse-row elimination, so each is checked against the
-dense reference.  Inputs are seeded random matrices at
-fills 0, about 3%, 50% and 100%, over Q, F_2 and F_5.  Over Q each input
-is also rebuilt with fresh `Fraction(0)` objects in place of the shared
-zero, and products that cancel to zero are fed back in, so a kernel that
-treated only the shared zero object as zero would give a different answer.
+dense reference.  Inputs are seeded random matrices at fills 0, about
+3%, 50% and 100%, over Q, F_2, F_5 and F64, the largest prime below
+2^64, whose residues multiply to 128 bits before they are reduced.  Over
+Q each input is also rebuilt with fresh `Fraction(0)` objects in place
+of the shared zero, and products that cancel to zero are fed back in, so
+a kernel that treated only the shared zero object as zero would give a
+different answer.
 
 "Qtall" is Q again with scalars of height up to 2^70 and coprime
 denominators (TALL): the Q products and the elimination run on integer
@@ -34,7 +36,9 @@ from corpus import TALL
 from oracles import kernel_oracle, rref_oracle
 
 Q = Field.rational()
-FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
+# F64: the largest prime below 2^64, whose residues multiply to 128 bits.
+FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5),
+          "F64": Field.prime(18446744073709551557)}
 FILLS = (0.0, 0.03, 0.5, 1.0)
 
 

@@ -7,11 +7,11 @@ copies of those rows.  The reduced row echelon form of a row space is
 unique, so it must give the pivots, the reduced rows and the canonical
 kernel basis of the naive dense Gauss-Jordan reference (`rref_oracle`,
 `kernel_oracle` in `oracles.py`) entry for entry, whatever the order of
-the rows.  Inputs are seeded random matrices at fills 0,
-about 3%, 50% and 100% over Q, F_2 and F_5, with rows that cancel
-(differences and multiples of other rows), duplicate rows, zero rows,
-zero entries given to `Mat` as fresh `Fraction(0)` objects over Q, no
-rows at all and no columns.
+the rows.  Inputs are seeded random matrices at fills 0, about 3%, 50%
+and 100% over Q, F_2, F_5 and F64, the largest prime below 2^64, with
+rows that cancel (differences and multiples of other rows), duplicate
+rows, zero rows, zero entries given to `Mat` as fresh `Fraction(0)`
+objects over Q, no rows at all and no columns.
 
 The elimination peels singleton rows before it eliminates the rest, so
 further systems take each step of the peel: cascades, where fixing one
@@ -44,7 +44,9 @@ from corpus import TALL
 from oracles import kernel_oracle, matmul_oracle, rref_oracle
 
 Q = Field.rational()
-FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
+# F64: the largest prime below 2^64, whose residues multiply to 128 bits.
+FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5),
+          "F64": Field.prime(18446744073709551557)}
 FILLS = (0.0, 0.03, 0.5, 1.0)
 SHAPES = [(1, 1), (3, 5), (5, 3), (6, 6), (9, 12), (14, 10), (0, 4), (4, 0), (0, 0)]
 
@@ -235,8 +237,13 @@ def test_singleton_cascades_match_dense(fname):
 
 
 def singleton_values(F):
-    if F.kind == "prime":
+    """Every nonzero residue of a small prime field; for a large prime,
+    residues of either sign, inverses and residues of 63 and 64 bits."""
+    if F.kind == "prime" and F.p < 100:
         return [F.of(x) for x in range(1, F.p)]
+    if F.kind == "prime":
+        return [F.of(x) for x in (1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3),
+                                  1 << 63, F.p - 2 ** 40)]
     return [Q.of(x) for x in (1, -1, 3, -3, Fraction(-5, 2), Fraction(1, 3), *TALL)]
 
 

@@ -27,7 +27,7 @@ from entwine.exactlin import Field, Mat, SubspaceBasis, basis_columns, hstack, s
 from entwine.report import mat_as_lists
 from entwine.algstruct import (
     Comodule, ModuleLeft, ModuleRight, dual_left_module, group_algebra,
-    regular_comodule, regular_left_module, regular_right_module,
+    regular_comodule, regular_left_module, regular_right_module, trunc_poly_algebra,
 )
 from entwine.comodcat import (
     EntwinedModule, check_entwined_module, hom_space, induce_mc, induce_tc,
@@ -87,6 +87,22 @@ def test_transpose_rejects_other_objects():
     for bad in (e, e.alg, Mat.identity(e.field, 2)):
         with pytest.raises(ValueError):
             transpose(bad)
+
+
+@pytest.mark.parametrize("field", [FIELDS[0], FIELDS[1], FIELDS[3]], ids=["Q", "F2", "F5"])
+def test_dual_left_module_is_the_transposed_regular_right_module(field):
+    """A* is the regular right module transposed, and its action is the
+    one (a.f)(x) = f(xa) states on the dual basis: action[j, (s, i)] =
+    mult[i, (j, s)]."""
+    algs = [e.alg for e in corpus.entwinings(field).values()]
+    algs += [group_algebra(4, field).alg, trunc_poly_algebra(3, field)]
+    if field.kind == "rational":
+        algs += [e.alg for e in corpus.tall_entwinings().values()]
+    for a in algs:
+        n, x = a.dim, dual_left_module(a)
+        assert x == transpose(regular_right_module(a))
+        assert all(x.action[j, s * n + i] == a.mult[i, j * n + s]
+                   for i in range(n) for j in range(n) for s in range(n))
 
 
 @pytest.mark.parametrize("key", ENTWININGS)
