@@ -51,15 +51,19 @@ term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
 per leg, the coefficient of X[p, q] in entry (r, s) is the sum over
 alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
-multiplied.  Over Q the nonzeros are (numerator, denominator) int pairs
-through every lift, summed as the product sums them, and each distinct
-pair of the result becomes one shared Fraction (_shared).
-affine_matrix_system and mat_solution_basis put the contracted nonzeros
-straight into the sparse rows of their matrix (_from_flat), which
-mat_solution_basis eliminates; neither builds a dense system.
-compile_bilinear takes only term lists: their contracted nonzeros are
-the sparse rows of W, and the coupling in the coordinates of two bases P
-and Q is the product P^T W Q.  Given any other callable,
+multiplied.  Each term is contracted in one pass (_accumulate): its
+coefficient is folded into the nonzeros of L, each carries the flat
+index of its entry of the system through the lifts, and the last lift's
+products go straight into the system's accumulator.  The sums stay
+unreduced there, ints over F_p and (numerator, denominator) int pairs
+over Q summed as the product sums them, until one _finish per system
+reduces them mod p, or makes one shared Fraction per distinct pair, and
+drops the zeros.  affine_matrix_system and mat_solution_basis put the
+finished nonzeros straight into the sparse rows of their matrix
+(_from_flat), which mat_solution_basis eliminates; neither builds a
+dense system.  compile_bilinear takes only term lists: their finished
+nonzeros are the sparse rows of W, and the coupling in the coordinates
+of two bases P and Q is the product P^T W Q.  Given any other callable,
 affine_matrix_system and mat_solution_basis evaluate it on every matrix
 unit instead; every condition of the package is a term list, and only
 tests and the benchmark pass closures.
@@ -991,124 +995,99 @@ def _lift(u: Mat, a: int, b: int) -> Mat:
         for alpha in range(a) for r in u.nz for s in range(alpha * w, alpha * w + b)))
 
 
-def _nonzeros(m: Mat, n: int, prime: bool):
-    """(row, column, value) of each nonzero entry of m, or of I_n if m is
-    None; over Q the value is its (numerator, denominator) int pair."""
+def _nonzeros(m: Mat, n: int, prime: bool, c):
+    """(row, column, value) of each nonzero entry of c . m, or of c . I_n
+    if m is None, value unreduced; over Q c and each value are
+    (numerator, denominator) int pairs."""
     if m is None:
-        one = 1 if prime else (1, 1)
-        return [(i, i, one) for i in range(n)]
+        return [(i, i, c) for i in range(n)]
     if prime:
-        return [(i, j, x) for i, r in enumerate(m.nz) for j, x in r.items()]
-    return [(i, j, (x.numerator, x.denominator))
+        return [(i, j, c * x) for i, r in enumerate(m.nz) for j, x in r.items()]
+    cn, cd = c
+    return [(i, j, (cn * x.numerator, cd * x.denominator))
             for i, r in enumerate(m.nz) for j, x in r.items()]
-
-
-def _contract(field: Field, term: Term, shapes):
-    """The coefficients of a term: (entries, k), entries the nonzero
-    (row, s, value) with row (r, p_1, q_1, ..., p_j, q_j) flattened and
-    value the coefficient of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry
-    (r, s) of the term's value, U_i the unknown of lift i, and
-    k the value's column count.  Over Q each value is a (numerator,
-    denominator) int pair, summed as _matmul sums them.
-
-    By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient
-    of X[p, q] in (L (I_a (x) X (x) I_b) R)[r, s] is the sum over alpha,
-    beta of L[r, (alpha, p, beta)] . R[(alpha, q, beta), s].  Each lift
-    indexes the nonzeros of L and of R by (alpha, beta) and multiplies the
-    matching pairs; read with rows (r, p, q), the result is the left
-    factor of the next lift.  Identity factors (None) are never built.
-    """
-    prime, p = field.kind == "prime", field.p
-    first = term.lifts[0]
-    xr = shapes[first.side][0]
-    width = first.a * xr * first.b if term.left is None else term.left.cols
-    cur = _nonzeros(term.left, width, prime)
-    for lift in term.lifts:
-        xr, xc = shapes[lift.side]
-        a, b, right = lift.a, lift.b, lift.right
-        if width != a * xr * b or right is not None and right.rows != a * xc * b:
-            raise ValueError("term does not fit the shape of its unknown")
-        by_leg = {}
-        for r, j, v in cur:
-            ap, beta = divmod(j, b)
-            alpha, pp = divmod(ap, xr)
-            by_leg.setdefault(alpha * b + beta, []).append(((r * xr + pp) * xc, v))
-        out = {}
-        for i, s, w in _nonzeros(right, a * xc * b, prime):
-            aq, beta = divmod(i, b)
-            alpha, q = divmod(aq, xc)
-            for row, v in by_leg.get(alpha * b + beta, ()):
-                key = (row + q, s)
-                x = out.get(key)
-                if prime:
-                    out[key] = v * w if x is None else x + v * w
-                    continue
-                n, d = v[0] * w[0], v[1] * w[1]
-                if x is None:
-                    out[key] = n, d
-                elif x[1] == d:
-                    out[key] = x[0] + n, d
-                else:
-                    out[key] = x[0] * d + n * x[1], x[1] * d
-        if prime:
-            cur = [(row, s, y) for (row, s), x in out.items() if (y := x % p)]
-        else:
-            cur = [(row, s, x) for (row, s), x in out.items() if x[0]]
-        width = a * xc * b if right is None else right.cols
-    return cur, width
 
 
 def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: int,
                 weights) -> None:
-    """Add the term's coefficients into acc, the nonzero entries of a flat
-    matrix with ncols columns by index: the coefficient in entry (r, s) of
-    the value, of unknown entries with flat indices i_1, i_2, ..., goes to
-    index start + (r*k + s)*ncols + sum of weights[side_j]*i_j, k the
-    value's columns.  Entries that cancel are dropped over F_p; over Q
-    the entries are int pairs, as _contract gives them, and a sum that
-    cancels keeps its pair with numerator 0, dropped by _shared."""
-    cur, k = _contract(field, term, shapes)
-    # Index, at r = s = 0, of each row (p_1, q_1, ...) of a block of cur.
-    inner = [0]
-    for lift in term.lifts:
-        (xr, xc), w = shapes[lift.side], weights[lift.side]
-        inner = [x + i * w for x in inner for i in range(xr * xc)]
-    block, rstep = len(inner), k * ncols
-    c = field.of(term.coeff)
-    prime, p, one = field.kind == "prime", field.p, c == 1
+    """Add the term's coefficients into acc, the entries of a flat matrix
+    with ncols columns by index, unreduced until _finish: the coefficient
+    of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry (r, s) of the term's
+    value, U_i the unknown of lift i, goes to index
+    start + (r*k + s)*ncols + sum over i of weights[side_i]*(p_i*c_i + q_i),
+    k the value's column count and c_i that of U_i.  Over Q the entries
+    are (numerator, denominator) int pairs, summed as _matmul sums them.
+
+    By vec(L X R) = (L (x) R^T) vec(X), applied per leg, the coefficient
+    of X[p, q] in (L (I_a (x) X (x) I_b) R)[r, s] is the sum over alpha,
+    beta of L[r, (alpha, p, beta)] . R[(alpha, q, beta), s].  The term's
+    coefficient is folded into L's nonzeros, and each carries the index
+    its row r contributes.  Each lift indexes the nonzeros of L and of R
+    by (alpha, beta), multiplies the matching pairs and adds the weighted
+    flat index of (p, q) to the index.  The last lift's products go into
+    acc; an earlier lift's, summed, reduced and without zeros, are the
+    left factor of the next lift.  Identity factors (None) are never built.
+    """
+    prime, p = field.kind == "prime", field.p
+    c, one = field.of(term.coeff), 1
     if not prime:
-        cn, cd = c.numerator, c.denominator
-    for row, s, v in cur:
-        r, u = divmod(row, block)
-        i = start + r * rstep + inner[u] + s * ncols
-        w = acc.get(i)
-        if prime:
-            v = v if one else c * v % p
-            w = v if w is None else (w + v) % p
-            if w:
-                acc[i] = w
+        c, one = (c.numerator, c.denominator), (1, 1)
+    first, last = term.lifts[0], term.lifts[-1]
+    xr = shapes[first.side][0]
+    width = first.a * xr * first.b if term.left is None else term.left.cols
+    k = last.a * shapes[last.side][1] * last.b if last.right is None else last.right.cols
+    cur = [(start + r * k * ncols, j, v) for r, j, v in _nonzeros(term.left, width, prime, c)]
+    for depth, lift in enumerate(term.lifts, 1 - len(term.lifts)):
+        (xr, xc), w = shapes[lift.side], weights[lift.side]
+        a, b, right = lift.a, lift.b, lift.right
+        if width != a * xr * b or right is not None and right.rows != a * xc * b:
+            raise ValueError("term does not fit the shape of its unknown")
+        by_leg = {}
+        for i, j, v in cur:
+            ap, beta = divmod(j, b)
+            alpha, pp = divmod(ap, xr)
+            by_leg.setdefault(alpha * b + beta, []).append((i + pp * xc * w, v))
+        final = depth == 0
+        out = acc if final else {}
+        for i, s, x in _nonzeros(right, a * xc * b, prime, one):
+            aq, beta = divmod(i, b)
+            alpha, q = divmod(aq, xc)
+            q = q * w + s * ncols if final else q * w
+            for row, v in by_leg.get(alpha * b + beta, ()):
+                key = row + q if final else (row + q, s)
+                y = out.get(key)
+                if prime:
+                    out[key] = v * x if y is None else y + v * x
+                    continue
+                n, d = v[0] * x[0], v[1] * x[1]
+                if y is None:
+                    out[key] = n, d
+                elif y[1] == d:
+                    out[key] = y[0] + n, d
+                else:
+                    out[key] = y[0] * d + n * y[1], y[1] * d
+        if not final:
+            if prime:
+                cur = [(i, s, y) for (i, s), x in out.items() if (y := x % p)]
             else:
-                acc.pop(i, None)
-            continue
-        n, d = v[0] * cn, v[1] * cd
-        if w is None:
-            acc[i] = n, d
-        elif w[1] == d:
-            acc[i] = w[0] + n, d
-        else:
-            acc[i] = w[0] * d + n * w[1], w[1] * d
+                cur = [(i, s, x) for (i, s), x in out.items() if x[0]]
+            width = a * xc * b if right is None else right.cols
 
 
-def _shared(acc: dict) -> dict:
-    """{key: Fraction} of the (numerator, denominator) int pairs of acc
-    whose numerator is nonzero, one Fraction per distinct pair."""
+def _finish(field: Field, acc: dict) -> dict:
+    """The nonzero entries of acc with its sums reduced, once: over F_p
+    mod p; over Q each (numerator, denominator) pair becomes a Fraction,
+    one per distinct pair."""
+    if field.kind == "prime":
+        p = field.p
+        return {i: y for i, x in acc.items() if (y := x % p)}
     out, made = {}, {}
-    for k, nd in acc.items():
+    for i, nd in acc.items():
         if nd[0]:
             x = made.get(nd)
             if x is None:
                 x = made[nd] = Fraction(*nd)
-            out[k] = x
+            out[i] = x
     return out
 
 
@@ -1131,9 +1110,7 @@ def _contracted_system(field: Field, rows: int, cols: int, forms):
         h = f.shape[0] * f.shape[1]
         rhs.append(Mat.zeros(field, h, 1) if f.const is None else vec(-f.const))
         off += h
-    if field.kind == "rational":
-        acc = _shared(acc)
-    return acc, off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
+    return _finish(field, acc), off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
 
 
 def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat:
@@ -1229,9 +1206,7 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     acc = {}
     for t in f.terms:
         _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
-    if field.kind == "rational":
-        acc = _shared(acc)
-    W = _from_flat(field, P.rows, r * n1, acc)
+    W = _from_flat(field, P.rows, r * n1, _finish(field, acc))
     gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
     return CompiledBilinear(P.cols, reshape(P.t * W, P.cols * r, n1) * Q, gamma)
 

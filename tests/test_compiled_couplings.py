@@ -7,12 +7,13 @@ reshape.  The reference is the coupling's closure in
 `reference_residuals`, evaluated at pairs of basis vectors
 (`coupling_system`): the two must give the same (A, b) for fixed
 coordinates that are zero, random, and unit vectors, on both sides, for
-both variances, over Q, F_2 and F_5.  The contramodule decider poses the
-comodule side's couplings and memberships, whose transposes its own
-identities are, sigma the row r; so its closures, written independently,
-are compared as r -> closure(r^T)^T.  "Qtall" is Q again on the corpus
-moved to bases scaled by the TALL scalars, with fixed coordinates drawn
-from them.  A term without one lift on each side is refused.
+both variances, over Q, F_2, F_5 and F64, the largest prime below 2^64.
+The contramodule decider poses the comodule side's couplings and
+memberships, whose transposes its own identities are, sigma the row r;
+so its closures, written independently, are compared as
+r -> closure(r^T)^T.  "Qtall" is Q again on the corpus moved to bases
+scaled by the TALL scalars, with fixed coordinates drawn from them.  A
+term without one lift on each side is refused.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from entwine.criteria import _frobenius_couplings_co, _v1p_residual, _w1p_residu
 import reference_residuals as ref
 from corpus import TALL, entwinings, tall_entwinings
 
+# F64: the largest prime below 2^64, whose residues multiply to 128 bits.
 FIELDS = {"Q": Field.rational(), "Qtall": Field.rational(), "F2": Field.prime(2),
-          "F5": Field.prime(5)}
+          "F5": Field.prime(5), "F64": Field.prime(18446744073709551557)}
 
 
 def frobenius_setup(e, variance):

@@ -8,10 +8,11 @@ which the first two functions assemble by evaluation on matrix units,
 and which `coupling_system` evaluates at pairs of random basis vectors
 for a coupling.  Both must give the same (A, b), solution basis,
 fixed-argument system and gamma entry for entry, and the same value at
-random unknowns, on the corpus entwinings over Q, F_2 and F_5.  "Qtall" is
-Q again on the corpus moved to bases scaled by the TALL scalars, with
-unknowns and bases drawn from them: the contraction sums integer
-numerators over equal and over unequal denominators there.
+random unknowns, on the corpus entwinings over Q, F_2, F_5 and F64, the
+largest prime below 2^64.  "Qtall" is Q again on the corpus moved to
+bases scaled by the TALL scalars, with unknowns and bases drawn from
+them: the contraction sums integer numerators over equal and over
+unequal denominators there.
 
 The contramodule deciders pose the comodule side's identities, whose
 transposes their own are, sigma the row r.  So the contramodule closures,
@@ -34,8 +35,9 @@ from entwine.exactlin import (
 import reference_residuals as ref
 from corpus import TALL, entwinings, tall_entwinings
 
+# F64: the largest prime below 2^64, whose residues multiply to 128 bits.
 FIELDS = {"Q": Field.rational(), "Qtall": Field.rational(), "F2": Field.prime(2),
-          "F5": Field.prime(5)}
+          "F5": Field.prime(5), "F64": Field.prime(18446744073709551557)}
 NAMES = sorted(entwinings(FIELDS["Q"]))
 SMALL = (0, 0, 1, -1, 2, -3)
 

@@ -9,9 +9,12 @@ a scalar product and sum per entry.  Random term lists, linear and
 bilinear (the lifts in either order), with a and b up to 3, left and
 right factors implicit (None) where the lift fits, coefficients 1, -1 and
 others, and a constant or none, must give the same value entry for entry
-over Q, F_2 and F_5, and over "Qtall", Q with every scalar drawn from
-TALL.  Terms that cancel must leave exactly the constant, with no stored
-zero.  The same random term lists, contracted, must give the system that
+over Q, F_2, F_5 and F64, the largest prime below 2^64, and over
+"Qtall", Q with every scalar drawn from TALL.  Terms that cancel must
+leave exactly the constant, with no stored zero, both evaluated and
+contracted: the contracted system has no stored entry and its right side
+is the negated constant, also over F64, where the unreduced sums of
+cancelling terms are nonzero multiples of p.  The same random term lists, contracted, must give the system that
 the reference gives on the matrix units (`affine_matrix_system`,
 `mat_solution_basis`) and, bilinear, the compiled coupling that it gives
 on pairs of basis vectors (`compile_bilinear`).
@@ -34,7 +37,9 @@ from corpus import TALL
 from oracles import term_list_oracle
 
 Q = Field.rational()
-FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5)}
+# F64: the largest prime below 2^64, whose residues multiply to 128 bits.
+FIELDS = {"Q": Q, "Qtall": Q, "F2": Field.prime(2), "F5": Field.prime(5),
+          "F64": Field.prime(18446744073709551557)}
 # The shapes of the two unknowns, and of every value.
 SHAPES = ((2, 3), (3, 2))
 VALUE = (6, 6)
@@ -127,6 +132,25 @@ def test_cancelling_terms_leave_the_constant(fname):
                 form = TermList(tuple(Term(k, t.left, t.lifts) for k in pair), const, VALUE)
                 want = Mat.zeros(F, *VALUE) if const is None else const
                 assert_value(F, form(*xs), want)
+                assert_cancels_contracted(F, sides, form, want)
+
+
+def assert_cancels_contracted(F, sides, form, want):
+    """The contracted system of form, whose terms cancel, holds no entry
+    and its constant is want: (A, b) with A empty and b = -vec(want) for
+    a linear form, stated in its one unknown; for a bilinear form the
+    compiled coupling, in the unit bases, with b empty and gamma vec(want)."""
+    if len(sides) == 2:
+        cb = compile_bilinear(F, *SHAPES, form,
+                              [Mat.identity(F, r * c) for r, c in SHAPES])
+        assert cb.b.is_zero() and cb.gamma == vec(want)
+        return
+    linear = TermList(tuple(Term(t.coeff, t.left, tuple(Lift(u.a, u.b, u.right)
+                                                         for u in t.lifts))
+                            for t in form.terms), form.const, VALUE)
+    A, b = affine_matrix_system(F, *SHAPES[sides[0]], linear)
+    assert A.is_zero()
+    assert_value(F, b, -vec(want))
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
