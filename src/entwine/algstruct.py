@@ -2,15 +2,18 @@
 
 Everything is structure-constant data in a fixed basis.  Multiplication
 is a matrix A(x)A -> A (n x n^2), comultiplication C -> C(x)C (c^2 x c),
-with tensor legs flattened first-factor-major as in exactlin.  Checkers
-return a Report whose failed checks carry an entry witness.
+with tensor legs flattened first-factor-major as in exactlin.  Each
+record checks each of its maps with one exactlin.require_shape call, and
+the stock algebras are product tables written into sparse rows by one
+builder (_algebra).  Checkers return a Report whose failed checks carry
+an entry witness.
 """
 
 from __future__ import annotations
 
 from .exactlin import (
-    Field, Mat, Record, kron, flip, mat_solution_basis, reshape, SubspaceBasis, Lift, Term,
-    TermList,
+    Field, Mat, Record, kron, flip, mat_solution_basis, require_shape, reshape, SubspaceBasis,
+    Lift, Term, TermList,
 )
 from .report import Report, eq_check
 
@@ -23,12 +26,8 @@ class Algebra(Record):
 
     def __post_init__(self):
         n = self.dim
-        if (self.mult.rows, self.mult.cols) != (n, n * n):
-            raise ValueError("mult must be %d x %d" % (n, n * n))
-        if (self.unit.rows, self.unit.cols) != (n, 1):
-            raise ValueError("unit must be a length-%d column" % n)
-        if self.mult.field != self.field or self.unit.field != self.field:
-            raise ValueError("field mismatch")
+        require_shape("mult", self.mult, n, n * n, self.field)
+        require_shape("unit", self.unit, n, 1, self.field)
 
 
 class Coalgebra(Record):
@@ -39,12 +38,8 @@ class Coalgebra(Record):
 
     def __post_init__(self):
         c = self.dim
-        if (self.comult.rows, self.comult.cols) != (c * c, c):
-            raise ValueError("comult must be %d x %d" % (c * c, c))
-        if (self.counit.rows, self.counit.cols) != (1, c):
-            raise ValueError("counit must be a length-%d row" % c)
-        if self.comult.field != self.field or self.counit.field != self.field:
-            raise ValueError("field mismatch")
+        require_shape("comult", self.comult, c * c, c, self.field)
+        require_shape("counit", self.counit, 1, c, self.field)
 
 
 class Bialgebra(Record):
@@ -74,11 +69,8 @@ class ModuleRight(Record):
     action: Mat
 
     def __post_init__(self):
-        m, n = self.dim, self.alg.dim
-        if (self.action.rows, self.action.cols) != (m, m * n):
-            raise ValueError("action must be %d x %d" % (m, m * n))
-        if self.action.field != self.alg.field:
-            raise ValueError("field mismatch")
+        m = self.dim
+        require_shape("action", self.action, m, m * self.alg.dim, self.alg.field)
 
 
 class ModuleLeft(Record):
@@ -89,11 +81,8 @@ class ModuleLeft(Record):
     action: Mat
 
     def __post_init__(self):
-        m, n = self.dim, self.alg.dim
-        if (self.action.rows, self.action.cols) != (m, n * m):
-            raise ValueError("action must be %d x %d" % (m, n * m))
-        if self.action.field != self.alg.field:
-            raise ValueError("field mismatch")
+        m = self.dim
+        require_shape("action", self.action, m, self.alg.dim * m, self.alg.field)
 
 
 class Comodule(Record):
@@ -104,11 +93,8 @@ class Comodule(Record):
     coaction: Mat
 
     def __post_init__(self):
-        m, c = self.dim, self.coalg.dim
-        if (self.coaction.rows, self.coaction.cols) != (m * c, m):
-            raise ValueError("coaction must be %d x %d" % (m * c, m))
-        if self.coaction.field != self.coalg.field:
-            raise ValueError("field mismatch")
+        m = self.dim
+        require_shape("coaction", self.coaction, m * self.coalg.dim, m, self.coalg.field)
 
 
 # -- axiom checkers ---------------------------------------------------
@@ -259,68 +245,54 @@ def field_coalgebra(f: Field) -> Coalgebra:
 
 def group_like_coalgebra(f: Field, n: int) -> Coalgebra:
     """Basis of group-likes: each basis vector g has Dg = g(x)g, eps(g)=1."""
-    z, o = f.zero, f.one
-    comult = [[z] * n for _ in range(n * n)]
-    for i in range(n):
-        comult[i * n + i][i] = o
-    return Coalgebra(f, n,
-                     Mat.from_rows(f, comult),
-                     Mat(f, 1, n, (o,) * n))
+    o = f.one
+    comult = ({r // (n + 1): o} if r % (n + 1) == 0 else {} for r in range(n * n))
+    return Coalgebra(f, n, Mat._of(f, n * n, n, comult),
+                     Mat._of(f, 1, n, (dict.fromkeys(range(n), o),)))
+
+
+def _algebra(f: Field, n: int, table, unit) -> Algebra:
+    """The algebra on basis e_0, ..., e_{n-1} with e_i e_j = e_k for each
+    (i, j): k in table and every other product 0, whose unit is the sum
+    of the e_i for i in unit; each row is written sparse."""
+    o = f.one
+    mult = [{} for _ in range(n)]
+    for (i, j), k in table.items():
+        mult[k][i * n + j] = o
+    return Algebra(f, n, Mat._of(f, n, n * n, mult),
+                   Mat._of(f, n, 1, ({0: o} if i in unit else {} for i in range(n))))
 
 
 def group_algebra(n: int, f: Field) -> Bialgebra:
     """Cyclic group algebra k[Z_n] with its group-like coalgebra."""
     if n < 1:
         raise ValueError("group order must be positive")
-    z, o = f.zero, f.one
-    mult = [[z] * (n * n) for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mult[(i + j) % n][i * n + j] = o
-    unit = [[o] if i == 0 else [z] for i in range(n)]
-    alg = Algebra(f, n, Mat.from_rows(f, mult), Mat.from_rows(f, unit))
-    return Bialgebra(alg, group_like_coalgebra(f, n))
+    table = {(i, j): (i + j) % n for i in range(n) for j in range(n)}
+    return Bialgebra(_algebra(f, n, table, (0,)), group_like_coalgebra(f, n))
 
 
 def matrix_algebra(n: int, f: Field) -> Algebra:
     """Full matrix algebra on matrix units e_ij, basis index i*n + j."""
     if n < 1:
         raise ValueError("size must be positive")
-    d = n * n
-    z, o = f.zero, f.one
-    mult = [[z] * (d * d) for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for l in range(n):
-                # e_ij e_jl = e_il
-                mult[i * n + l][(i * n + j) * d + (j * n + l)] = o
-    unit = [[o] if i % (n + 1) == 0 else [z] for i in range(d)]  # sum of e_ii
-    return Algebra(f, d, Mat.from_rows(f, mult), Mat.from_rows(f, unit))
+    # e_ij e_jl = e_il; the unit is the sum of the e_ii
+    table = {(i * n + j, j * n + l): i * n + l
+             for i in range(n) for j in range(n) for l in range(n)}
+    return _algebra(f, n * n, table, range(0, n * n, n + 1))
 
 
 def trunc_poly_algebra(m: int, f: Field) -> Algebra:
     """k[x]/(x^m), basis 1, x, ..., x^{m-1}."""
     if m < 1:
         raise ValueError("truncation order must be positive")
-    z, o = f.zero, f.one
-    mult = [[z] * (m * m) for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i + j < m:
-                mult[i + j][i * m + j] = o
-    unit = [[o] if i == 0 else [z] for i in range(m)]
-    return Algebra(f, m, Mat.from_rows(f, mult), Mat.from_rows(f, unit))
+    table = {(i, j): i + j for i in range(m) for j in range(m - i)}
+    return _algebra(f, m, table, (0,))
 
 
 def upper_triangular_algebra(f: Field) -> Algebra:
     """2x2 upper triangular matrices, basis (e11, e12, e22)."""
-    z, o = f.zero, f.one
-    mult = [[z] * 9 for _ in range(3)]
     table = {(0, 0): 0, (0, 1): 1, (1, 2): 1, (2, 2): 2}
-    for (i, j), k in table.items():
-        mult[k][i * 3 + j] = o
-    unit = [[o], [z], [o]]  # e11 + e22
-    return Algebra(f, 3, Mat.from_rows(f, mult), Mat.from_rows(f, unit))
+    return _algebra(f, 3, table, (0, 2))  # unit e11 + e22
 
 
 def dual_algebra(c: Coalgebra) -> Algebra:

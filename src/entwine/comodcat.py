@@ -6,11 +6,15 @@ adjunctions (contracat) are these at transposed objects.
 An entwined module stores action M(x)A -> M and coaction M -> M(x)C; the
 compatibility square reads
     coaction o action = (action (x) C) o (M (x) psi) o (coaction (x) A).
+
+The free object N (x) A and the cofree object M (x) C are built once
+(_free, _cofree) from a twist: induce_tc and induce_mc twist by psi, and
+measuring.comodule_side_induce by a measuring's twists.
 """
 
 from __future__ import annotations
 
-from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis
+from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis, require_shape
 from .report import Report, eq_check, hom_bijection_report
 from .algstruct import (
     Comodule, ModuleRight, check_comodule, check_module_right,
@@ -26,13 +30,9 @@ class EntwinedModule(Record):
     coaction: Mat
 
     def __post_init__(self):
-        m, n, c = self.dim, self.ent.alg.dim, self.ent.coalg.dim
-        if (self.action.rows, self.action.cols) != (m, m * n):
-            raise ValueError("action must be %d x %d" % (m, m * n))
-        if (self.coaction.rows, self.coaction.cols) != (m * c, m):
-            raise ValueError("coaction must be %d x %d" % (m * c, m))
-        if self.action.field != self.ent.field or self.coaction.field != self.ent.field:
-            raise ValueError("field mismatch")
+        m, F = self.dim, self.ent.field
+        require_shape("action", self.action, m, m * self.ent.alg.dim, F)
+        require_shape("coaction", self.coaction, m * self.ent.coalg.dim, m, F)
 
     def as_module(self) -> ModuleRight:
         return ModuleRight(self.ent.alg, self.dim, self.action)
@@ -58,29 +58,37 @@ def check_entwined_module(x: EntwinedModule) -> Report:
     return rep
 
 
+def _free(e: Entwining, m0: int, coaction: Mat, twist: Mat) -> EntwinedModule:
+    """N (x) A, for N of dimension m0 with a coaction N -> N (x) C' and a
+    twist C' (x) A -> A (x) C: the free action I_N (x) mult and the
+    coaction (I_N (x) twist)(coaction (x) I_A)."""
+    i_m0 = Mat.identity(e.field, m0)
+    action = kron(i_m0, e.alg.mult)
+    coaction = kron(i_m0, twist) * kron(coaction, Mat.identity(e.field, e.alg.dim))
+    return EntwinedModule(e, m0 * e.alg.dim, action, coaction)
+
+
+def _cofree(e: Entwining, m: int, action: Mat, twist: Mat) -> EntwinedModule:
+    """M (x) C, for M of dimension m with an action M (x) A' -> M and a
+    twist C (x) A -> A' (x) C: the action (action (x) I_C)(I_M (x) twist)
+    and the free coaction I_M (x) comult."""
+    i_m = Mat.identity(e.field, m)
+    action = kron(action, Mat.identity(e.field, e.coalg.dim)) * kron(i_m, twist)
+    return EntwinedModule(e, m * e.coalg.dim, action, kron(i_m, e.coalg.comult))
+
+
 def induce_tc(e: Entwining, n: Comodule) -> EntwinedModule:
     """N (x) A with the free action and the psi-twisted coaction."""
     if n.coalg != e.coalg:
         raise ValueError("comodule is not over the entwining's coalgebra")
-    F = e.field
-    m0 = n.dim
-    i_m0 = Mat.identity(F, m0)
-    i_n = Mat.identity(F, e.alg.dim)
-    action = kron(i_m0, e.alg.mult)
-    coaction = kron(i_m0, e.psi) * kron(n.coaction, i_n)
-    return EntwinedModule(e, m0 * e.alg.dim, action, coaction)
+    return _free(e, n.dim, n.coaction, e.psi)
 
 
 def induce_mc(e: Entwining, m: ModuleRight) -> EntwinedModule:
     """M (x) C with the psi-twisted action and the free coaction."""
     if m.alg != e.alg:
         raise ValueError("module is not over the entwining's algebra")
-    F = e.field
-    i_m = Mat.identity(F, m.dim)
-    i_c = Mat.identity(F, e.coalg.dim)
-    action = kron(m.action, i_c) * kron(i_m, e.psi)
-    coaction = kron(i_m, e.coalg.comult)
-    return EntwinedModule(e, m.dim * e.coalg.dim, action, coaction)
+    return _cofree(e, m.dim, m.action, e.psi)
 
 
 def morphism_conditions(x: EntwinedModule, y: EntwinedModule):

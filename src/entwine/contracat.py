@@ -23,7 +23,9 @@ states only the objects, their axioms and their hom spaces.
 
 from __future__ import annotations
 
-from .exactlin import Mat, Record, kron, SubspaceBasis, mat_solution_basis, reshape
+from .exactlin import (
+    Mat, Record, kron, SubspaceBasis, mat_solution_basis, require_shape, reshape,
+)
 from .report import Report, eq_check
 from .algstruct import (
     Coalgebra, Comodule, ModuleLeft, ModuleRight, check_module_left,
@@ -70,11 +72,8 @@ class ContraModule(Record):
     pi: Mat
 
     def __post_init__(self):
-        m, c = self.dim, self.coalg.dim
-        if (self.pi.rows, self.pi.cols) != (m, m * c):
-            raise ValueError("pi must be %d x %d" % (m, m * c))
-        if self.pi.field != self.coalg.field:
-            raise ValueError("field mismatch")
+        m = self.dim
+        require_shape("pi", self.pi, m, m * self.coalg.dim, self.coalg.field)
 
 
 def check_contramodule(x: ContraModule) -> Report:
@@ -102,13 +101,9 @@ class EntwinedContraModule(Record):
     action: Mat
 
     def __post_init__(self):
-        m, n, c = self.dim, self.ent.alg.dim, self.ent.coalg.dim
-        if (self.pi.rows, self.pi.cols) != (m, m * c):
-            raise ValueError("pi must be %d x %d" % (m, m * c))
-        if (self.action.rows, self.action.cols) != (m, n * m):
-            raise ValueError("action must be %d x %d" % (m, n * m))
-        if self.pi.field != self.ent.field or self.action.field != self.ent.field:
-            raise ValueError("field mismatch")
+        m, F = self.dim, self.ent.field
+        require_shape("pi", self.pi, m, m * self.ent.coalg.dim, F)
+        require_shape("action", self.action, m, self.ent.alg.dim * m, F)
 
     @property
     def mu(self) -> Mat:

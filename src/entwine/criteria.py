@@ -24,7 +24,7 @@ from itertools import combinations, product
 from .exactlin import (
     Field, Mat, Record, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
-    compile_bilinear, Lift, Term, TermList,
+    compile_bilinear, require_shape, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict
 from .algstruct import (
@@ -69,11 +69,8 @@ class Cointegral(Record):
     def __init__(self, ent: Entwining, phi: Mat, _verified: bool = False):
         # _verified is True only from from_verdict: the identities hold already.
         super().__init__(ent, phi)
-        n, c = self.ent.alg.dim, self.ent.coalg.dim
-        if (self.phi.rows, self.phi.cols) != (n, n * c):
-            raise ValueError("phi must be %d x %d" % (n, n * c))
-        if self.phi.field != self.ent.field:
-            raise ValueError("field mismatch")
+        n = self.ent.alg.dim
+        require_shape("phi", self.phi, n, n * self.ent.coalg.dim, self.ent.field)
         if _verified:
             return
         for name, r in zip(_COINTEGRAL_NAMES, _cointegral_residuals(self.ent)):
@@ -431,8 +428,7 @@ def find_cointegral(e: Entwining) -> Verdict:
 def _require_morphism(conditions, x, y, f: Mat, kind: str, entwined: bool) -> None:
     """f: x -> y must commute with the coalgebra structure (ValueError
     otherwise); an averaged f must also commute with the action."""
-    if (f.rows, f.cols) != (y.dim, x.dim):
-        raise ValueError("morphism must be %d x %d" % (y.dim, x.dim))
+    require_shape("morphism", f, y.dim, x.dim, x.ent.field)
     action, structure = conditions
     if not structure(f).is_zero():
         raise ValueError("not a morphism of %s" % kind)
@@ -450,8 +446,7 @@ def maschke_split_contra(e: Entwining, phi: Cointegral, x: EntwinedContraModule,
     xi^T: transpose(y) -> transpose(x) is averaged, and the result
     transposed back.
     """
-    if (xi.rows, xi.cols) != (y.dim, x.dim):
-        raise ValueError("morphism must be %d x %d" % (y.dim, x.dim))
+    require_shape("morphism", xi, y.dim, x.dim, x.ent.field)
     return _average(e, phi, transpose(y), transpose(x), xi.t, "contramodules").t
 
 

@@ -6,7 +6,7 @@ Every axiom is evaluated as a full matrix identity; nothing is sampled.
 
 from __future__ import annotations
 
-from .exactlin import Field, Mat, Record, kron, flip
+from .exactlin import Field, Mat, Record, kron, flip, require_shape
 from .report import Report, eq_check
 from .algstruct import (
     Algebra, Coalgebra, Bialgebra, Comodule, check_comodule,
@@ -23,10 +23,7 @@ class Entwining(Record):
         n, c = self.alg.dim, self.coalg.dim
         if self.alg.field != self.coalg.field:
             raise ValueError("field mismatch")
-        if (self.psi.rows, self.psi.cols) != (n * c, c * n):
-            raise ValueError("psi must be %d x %d" % (n * c, c * n))
-        if self.psi.field != self.alg.field:
-            raise ValueError("field mismatch")
+        require_shape("psi", self.psi, n * c, c * n, self.alg.field)
 
     @property
     def field(self) -> Field:
@@ -61,10 +58,8 @@ def check_entwining_morphism(src: Entwining, dst: Entwining,
     if src.field != dst.field:
         raise ValueError("field mismatch")
     F = src.field
-    if (f.rows, f.cols) != (dst.alg.dim, src.alg.dim):
-        raise ValueError("f must be %d x %d" % (dst.alg.dim, src.alg.dim))
-    if (g.rows, g.cols) != (dst.coalg.dim, src.coalg.dim):
-        raise ValueError("g must be %d x %d" % (dst.coalg.dim, src.coalg.dim))
+    require_shape("f", f, dst.alg.dim, src.alg.dim, F)
+    require_shape("g", g, dst.coalg.dim, src.coalg.dim, F)
     rep.add(eq_check("f-multiplicative",
                      f * src.alg.mult, dst.alg.mult * kron(f, f)))
     rep.add(eq_check("f-unital", f * src.alg.unit, dst.alg.unit))
@@ -97,8 +92,7 @@ def doi_koppinen(h: Bialgebra, a: Algebra, rho: Mat) -> Entwining:
     n, d = a.dim, h.dim
     if h.field != F:
         raise ValueError("field mismatch")
-    if (rho.rows, rho.cols) != (n * d, n):
-        raise ValueError("rho must be %d x %d" % (n * d, n))
+    require_shape("rho", rho, n * d, n, F)
     com = check_comodule(Comodule(h.coalg, n, rho))
     for ch in com.checks:
         if not ch.passed:

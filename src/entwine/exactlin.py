@@ -529,6 +529,15 @@ class Mat:
         return "Mat(%dx%d: %s)" % (self.rows, self.cols, body)
 
 
+def require_shape(name: str, m: Mat, rows: int, cols: int, field: Field) -> None:
+    """Refuse a map m that is not rows x cols over field: ValueError
+    "<name> must be R x C", else "field mismatch"."""
+    if (m.rows, m.cols) != (rows, cols):
+        raise ValueError("%s must be %d x %d" % (name, rows, cols))
+    if m.field != field:
+        raise ValueError("field mismatch")
+
+
 def kron(a: Mat, b: Mat) -> Mat:
     """Tensor product of linear maps, first factor major on both sides:
     row (i1, i2) pairs the nonzeros of row i1 of a with those of row i2

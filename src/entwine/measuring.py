@@ -15,7 +15,9 @@ representing objects and report bijectivity.
 Each functor is stated once, on the entwined modules: a private builder
 returns the object with its kernel inclusion or with the cokernel
 presenting it, and the (co)units and adjunction checks read from that
-presentation.  Maps that share an identity leg are multiplied before
+presentation.  comodule_side_induce is comodcat's free or cofree object
+with the measuring's twist, and every map onto a quotient is descended
+by _descend.  Maps that share an identity leg are multiplied before
 they are lifted, by kron(I, X) kron(I, Y) = kron(I, X Y).  The
 contramodule side is the transpose (`contracat.transpose`, the dual on
 the dual basis): contra_induce, cohom, hom_tilde, s_upper, s_lower,
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from .exactlin import (
     Mat, Record, kron, kernel_basis, cokernel, restrict_map, mat_solution_basis,
-    SubspaceBasis, rank, inverse, Lift, Term, TermList,
+    require_shape, SubspaceBasis, rank, inverse, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict, hom_bijection_report
 from .algstruct import (
@@ -45,7 +47,7 @@ from .algstruct import (
 )
 from .entwining import Entwining, trivial_entwining
 from .comodcat import (
-    EntwinedModule, induce_tc, induce_mc, hom_space, morphism_conditions,
+    EntwinedModule, _cofree, _free, induce_tc, induce_mc, hom_space, morphism_conditions,
 )
 from .contracat import (
     ContraModule, EntwinedContraModule, free_contramodule, induce_contra_t,
@@ -65,13 +67,9 @@ class Measuring(Record):
         if self.src.field != self.dst.field:
             raise ValueError("field mismatch")
         n, c = self.dst.alg.dim, self.dst.coalg.dim
-        np_, cp = self.src.alg.dim, self.src.coalg.dim
-        if (self.alpha.rows, self.alpha.cols) != (n, cp * np_):
-            raise ValueError("alpha must be %d x %d" % (n, cp * np_))
-        if (self.gamma.rows, self.gamma.cols) != (n * c, cp):
-            raise ValueError("gamma must be %d x %d" % (n * c, cp))
-        if self.alpha.field != self.src.field or self.gamma.field != self.src.field:
-            raise ValueError("field mismatch")
+        cp, F = self.src.coalg.dim, self.src.field
+        require_shape("alpha", self.alpha, n, cp * self.src.alg.dim, F)
+        require_shape("gamma", self.gamma, n * c, cp, F)
 
     @property
     def field(self):
@@ -136,9 +134,8 @@ class GaloisData(Record):
     def __post_init__(self):
         if self.alg.field != self.coalg.field:
             raise ValueError("field mismatch")
-        n, c = self.alg.dim, self.coalg.dim
-        if (self.coaction.rows, self.coaction.cols) != (n * c, n):
-            raise ValueError("coaction must be %d x %d" % (n * c, n))
+        n = self.alg.dim
+        require_shape("coaction", self.coaction, n * self.coalg.dim, n, self.field)
         rep = check_comodule(self.as_comodule())
         if not rep.passed:
             bad = [ch.name for ch in rep.checks if not ch.passed]
@@ -205,7 +202,8 @@ def canonical_map(g: GaloisData):
            - kron(i_n, mult * kron(b.inclusion, i_n)))
     dom = cokernel(rel)
     unreduced = kron(mult, Mat.identity(F, g.coalg.dim)) * kron(i_n, coact)
-    return b, dom, _descend(unreduced, dom, "canonical map")
+    return b, dom, _descend(unreduced, dom.relations, dom.section,
+                            "canonical map does not kill the relations")
 
 
 def is_galois(g: GaloisData) -> bool:
@@ -228,11 +226,8 @@ def galois_measuring(g: GaloisData) -> Measuring:
         can_inv = inverse(can)
     except ValueError:
         raise ValueError("data is not Galois: canonical map is not bijective") from None
-    # Right multiplication descends to the quotient carrier.
-    act_q = dom.projection * kron(i_n, g.alg.mult) * kron(dom.section, i_n)
-    if not (dom.projection * kron(i_n, g.alg.mult)
-            * kron(dom.relations, i_n)).is_zero():
-        raise ValueError("right multiplication does not descend")
+    act_q = _descend(dom.projection * kron(i_n, g.alg.mult), kron(dom.relations, i_n),
+                     kron(dom.section, i_n), "right multiplication does not descend")
     unit_c = kron(g.alg.unit, Mat.identity(F, g.coalg.dim))
     dst = Entwining(g.alg, g.coalg, can * act_q * kron(can_inv * unit_c, i_n))
     return Measuring(trivial_entwining(b.algebra), dst, b.inclusion,
@@ -254,50 +249,36 @@ def _require_morphism(conditions, f: Mat, what: str) -> None:
             raise ValueError("%s %s" % (what, failure))
 
 
-def _descend(f: Mat, cok, what: str) -> Mat:
-    """f on the quotient that cok presents; f must kill its relations."""
-    if not (f * cok.relations).is_zero():
-        raise ValueError("%s does not kill the relations" % what)
-    return f * cok.section
+def _descend(f: Mat, relations: Mat, section: Mat, message: str) -> Mat:
+    """f on the quotient presented by relations and section; f must kill
+    the relations, else ValueError(message)."""
+    if not (f * relations).is_zero():
+        raise ValueError(message)
+    return f * section
 
 
 def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
     """M (x) C' over the source from a module over the target algebra,
     or M' (x) A over the target from a comodule over the source
-    coalgebra."""
+    coalgebra: the cofree and the free object, twisted through
+    (alpha (x) C')(C' (x) psi')(comult' (x) A') and through
+    (mult (x) C)(A (x) psi)(gamma (x) A)."""
     F = m.field
-    n, c = m.dst.alg.dim, m.dst.coalg.dim
-    np_, cp = m.src.alg.dim, m.src.coalg.dim
     if isinstance(x, ModuleRight):
         if x.alg != m.dst.alg:
             raise ValueError("module is not over the target algebra")
-        i_m = Mat.identity(F, x.dim)
-        i_cp = Mat.identity(F, cp)
-        coaction = kron(i_m, m.src.coalg.comult)
-        action = (kron(x.action, i_cp)
-                  * kron(i_m, kron(m.alpha, i_cp) * kron(i_cp, m.src.psi)
-                         * kron(m.src.coalg.comult, Mat.identity(F, np_))))
-        return EntwinedModule(m.src, x.dim * cp, action, coaction)
+        i_cp = Mat.identity(F, m.src.coalg.dim)
+        twist = (kron(m.alpha, i_cp) * kron(i_cp, m.src.psi)
+                 * kron(m.src.coalg.comult, Mat.identity(F, m.src.alg.dim)))
+        return _cofree(m.src, x.dim, x.action, twist)
     if isinstance(x, Comodule):
         if x.coalg != m.src.coalg:
             raise ValueError("comodule is not over the source coalgebra")
-        i_m = Mat.identity(F, x.dim)
-        i_n = Mat.identity(F, n)
-        action = kron(i_m, m.dst.alg.mult)
-        coaction = (kron(i_m, kron(m.dst.alg.mult, Mat.identity(F, c))
-                         * kron(i_n, m.dst.psi) * kron(m.gamma, i_n))
-                    * kron(x.coaction, i_n))
-        return EntwinedModule(m.dst, x.dim * n, action, coaction)
+        i_n = Mat.identity(F, m.dst.alg.dim)
+        twist = (kron(m.dst.alg.mult, Mat.identity(F, m.dst.coalg.dim))
+                 * kron(i_n, m.dst.psi) * kron(m.gamma, i_n))
+        return _free(m.dst, x.dim, x.coaction, twist)
     raise ValueError("expected a ModuleRight or a Comodule")
-
-
-def _mc_module(m: Measuring, x: EntwinedModule) -> ModuleRight:
-    """M (x) C as a module over the target algebra, twisted through psi."""
-    F = m.field
-    c = m.dst.coalg.dim
-    action = (kron(x.action, Mat.identity(F, c))
-              * kron(Mat.identity(F, x.dim), m.dst.psi))
-    return ModuleRight(m.dst.alg, x.dim * c, action)
 
 
 def _t_upper(m: Measuring, x: EntwinedModule):
@@ -312,7 +293,7 @@ def _t_upper(m: Measuring, x: EntwinedModule):
          - kron(x.action, Mat.identity(F, c * cp))
          * kron(Mat.identity(F, x.dim), kron(m.gamma, i_cp) * m.src.coalg.comult))
     dom = comodule_side_induce(m, x.as_module())
-    cod = comodule_side_induce(m, _mc_module(m, x))
+    cod = comodule_side_induce(m, induce_mc(m.dst, x.as_module()).as_module())
     _require_morphism(morphism_conditions(dom, cod), t, "t_upper")
     return t, dom
 
@@ -357,15 +338,11 @@ def _hat_tensor(m: Measuring, x: EntwinedModule):
     ind = comodule_side_induce(m, x.as_comodule())
     cok = cokernel(t)
     F = m.field
-    n, c = m.dst.alg.dim, m.dst.coalg.dim
-    i_n = Mat.identity(F, n)
-    i_c = Mat.identity(F, c)
-    if not (cok.projection * ind.action * kron(t, i_n)).is_zero():
-        raise ValueError("action does not descend to the quotient")
-    if not (kron(cok.projection, i_c) * ind.coaction * t).is_zero():
-        raise ValueError("coaction does not descend to the quotient")
-    action = cok.projection * ind.action * kron(cok.section, i_n)
-    coaction = kron(cok.projection, i_c) * ind.coaction * cok.section
+    i_n = Mat.identity(F, m.dst.alg.dim)
+    action = _descend(cok.projection * ind.action, kron(t, i_n), kron(cok.section, i_n),
+                      "action does not descend to the quotient")
+    coaction = _descend(kron(cok.projection, Mat.identity(F, m.dst.coalg.dim)) * ind.coaction,
+                        t, cok.section, "coaction does not descend to the quotient")
     return EntwinedModule(m.dst, cok.dim, action, coaction), cok
 
 
@@ -402,7 +379,8 @@ def counit_upsilon(m: Measuring, x: EntwinedModule) -> Mat:
     """hat_tensor(cotensor(x)) -> x: evaluate the counit, then multiply."""
     k, iota = _cotensor(m, x)
     y, cok = _hat_tensor(m, k)
-    upsilon = _descend(_upsilon(m, x, iota), cok, "counit composite")
+    upsilon = _descend(_upsilon(m, x, iota), cok.relations, cok.section,
+                       "counit composite does not kill the relations")
     _require_morphism(morphism_conditions(y, x), upsilon, "counit_upsilon")
     return upsilon
 
@@ -515,7 +493,8 @@ def _adjunction(m: Measuring, x: EntwinedModule, y: EntwinedModule, title: str) 
         return restrict_map(kron(zeta, i_cp) * raw_omega, i_y, iota_x)
 
     def up(xi: Mat) -> Mat:
-        return _descend(upsilon * kron(xi, i_n), cok_y, "transposed map")
+        return _descend(upsilon * kron(xi, i_n), cok_y.relations, cok_y.section,
+                        "transposed map does not kill the relations")
 
     return hom_bijection_report(title,
                                 left, (x.dim, hat_y.dim), right, (cot_x.dim, y.dim),

@@ -192,3 +192,75 @@ def test_shape_validation():
         Bialgebra(group_algebra(2, Q).alg, group_like_coalgebra(Q, 3))
     with pytest.raises(ValueError):
         Comodule(group_like_coalgebra(Q, 2), 1, Mat.zeros(Q, 1, 1))
+
+
+# -- structure constants of the builders, entry by entry ---------------
+
+
+BUILDER_FIELDS = {"Q": Q, "F2": Field.prime(2), "F5": F5}
+
+
+def _matrix_unit_product(n, a, b):
+    """e_a e_b in the basis of matrix units e_ij, index i*n + j, by
+    multiplying the 0/1 matrices: a dict {index: coefficient}."""
+    i, j = divmod(a, n)
+    k, l = divmod(b, n)
+    ea = [[int((r, s) == (i, j)) for s in range(n)] for r in range(n)]
+    eb = [[int((r, s) == (k, l)) for s in range(n)] for r in range(n)]
+    prod = [[sum(ea[r][t] * eb[t][s] for t in range(n)) for s in range(n)] for r in range(n)]
+    return {r * n + s: prod[r][s] for r in range(n) for s in range(n) if prod[r][s]}
+
+
+# basis (e11, e12, e22) of the upper triangular matrices as matrix units of M2
+_UT_BASIS = (0, 1, 3)
+
+
+def _ut_product(a, b):
+    return {_UT_BASIS.index(k): x
+            for k, x in _matrix_unit_product(2, _UT_BASIS[a], _UT_BASIS[b]).items()}
+
+
+def _algebra_cases(F):
+    """(algebra, product table (a, b) -> {k: coefficient}, unit {k: coefficient})."""
+    for n in range(1, 7):
+        yield (group_algebra(n, F).alg, lambda a, b, n=n: {(a + b) % n: 1}, {0: 1})
+    for n in range(1, 4):
+        yield (matrix_algebra(n, F), lambda a, b, n=n: _matrix_unit_product(n, a, b),
+               {i * n + i: 1 for i in range(n)})
+    for m in range(1, 7):
+        yield (trunc_poly_algebra(m, F), lambda a, b, m=m: {a + b: 1} if a + b < m else {},
+               {0: 1})
+    yield upper_triangular_algebra(F), _ut_product, {0: 1, 2: 1}
+
+
+def _stores_no_zero(m: Mat) -> bool:
+    return all(x for r in m.nz for x in r.values())
+
+
+@pytest.mark.parametrize("fname", sorted(BUILDER_FIELDS))
+def test_algebra_builders_structure_constants(fname):
+    F = BUILDER_FIELDS[fname]
+    for a, product, unit in _algebra_cases(F):
+        n = a.dim
+        assert a.field == F
+        for i in range(n):
+            for j in range(n):
+                p = product(i, j)
+                for k in range(n):
+                    assert a.mult[k, i * n + j] == F.of(p.get(k, 0)), (n, i, j, k)
+        assert [a.unit[k, 0] for k in range(n)] == [F.of(unit.get(k, 0)) for k in range(n)]
+        assert _stores_no_zero(a.mult) and _stores_no_zero(a.unit)
+
+
+@pytest.mark.parametrize("fname", sorted(BUILDER_FIELDS))
+def test_group_like_coalgebra_structure_constants(fname):
+    F = BUILDER_FIELDS[fname]
+    for n in range(1, 7):
+        c = group_algebra(n, F).coalg
+        assert c == group_like_coalgebra(F, n)
+        for g in range(n):
+            for i in range(n):
+                for j in range(n):
+                    assert c.comult[i * n + j, g] == F.of(int(i == j == g))
+        assert [c.counit[0, g] for g in range(n)] == [F.one] * n
+        assert _stores_no_zero(c.comult) and _stores_no_zero(c.counit)

@@ -33,7 +33,7 @@ from entwine.measuring import (
     unit_psi, counit_phi, is_contra_galois, adjunction_check_measuring,
 )
 from corpus import (
-    graded_comodule, involution_module, involution_module_left,
+    entwinings, graded_comodule, involution_module, involution_module_left,
     tensor_entwined, tensor_contra,
 )
 from oracles import rank_oracle, exhaustive_solution_count
@@ -233,6 +233,25 @@ def test_comodule_side_induce_from_comodules():
     y = comodule_side_induce(mi, graded_comodule(e.coalg, [0, 1, 1]))
     assert y.ent == e and y.dim == 6
     assert check_entwined_module(y).passed
+
+
+INDUCE_FIELDS = {"Q": Q, "F2": Field.prime(2), "F3": Field.prime(3), "F5": F5}
+
+
+@pytest.mark.parametrize("name", sorted(entwinings(Q)))
+@pytest.mark.parametrize("fname", sorted(INDUCE_FIELDS))
+def test_the_identity_measuring_induces_the_entwinings_own_modules(fname, name):
+    """Along the identity measuring, alpha = counit (x) I and gamma =
+    unit (x) I, so by the counit and unit laws both twists are psi and
+    comodule_side_induce is induce_mc on modules and induce_tc on
+    comodules."""
+    e = entwinings(INDUCE_FIELDS[fname])[name]
+    mi = identity_measuring(e)
+    c = e.coalg.dim
+    mod = regular_right_module(e.alg)
+    assert comodule_side_induce(mi, mod) == induce_mc(e, mod)
+    for com in (regular_comodule(e.coalg), graded_comodule(e.coalg, [0, c - 1, c // 2])):
+        assert comodule_side_induce(mi, com) == induce_tc(e, com)
 
 
 def test_comodule_side_induce_rejects_mismatches():
