@@ -68,13 +68,16 @@ def _free(e: Entwining, m0: int, coaction: Mat, twist: Mat) -> EntwinedModule:
     return EntwinedModule(e, m0 * e.alg.dim, action, coaction)
 
 
+def _cofree_action(e: Entwining, m: int, action: Mat, twist: Mat) -> Mat:
+    return kron(action, Mat.identity(e.field, e.coalg.dim)) * kron(Mat.identity(e.field, m), twist)
+
+
 def _cofree(e: Entwining, m: int, action: Mat, twist: Mat) -> EntwinedModule:
     """M (x) C, for M of dimension m with an action M (x) A' -> M and a
     twist C (x) A -> A' (x) C: the action (action (x) I_C)(I_M (x) twist)
     and the free coaction I_M (x) comult."""
-    i_m = Mat.identity(e.field, m)
-    action = kron(action, Mat.identity(e.field, e.coalg.dim)) * kron(i_m, twist)
-    return EntwinedModule(e, m * e.coalg.dim, action, kron(i_m, e.coalg.comult))
+    return EntwinedModule(e, m * e.coalg.dim, _cofree_action(e, m, action, twist),
+                          kron(Mat.identity(e.field, m), e.coalg.comult))
 
 
 def induce_tc(e: Entwining, n: Comodule) -> EntwinedModule:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .exactlin import (
-    Field, Mat, Record, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
+    Field, Mat, Record, kron, flip, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
     compile_bilinear, require_shape, Lift, Term, TermList,
 )
@@ -57,10 +57,12 @@ class Cointegral(Record):
     a separability idempotent of A, the classical Maschke condition,
     which fails for kG when the characteristic divides |G|.
 
-    Validates its three defining identities on construction, so holders
-    of a Cointegral may average morphisms without re-checking; raises
-    ValueError naming the first identity that fails.  from_verdict takes
-    the witness of find_cointegral, which has re-verified already.
+    phi is one exactly when theta = (I_n (x) phi)(coev (x) I_c) is a
+    normalized rho family, by sep-f's identities term for term (Brzezinski,
+    Proc. AMS 128, 2000; Caenepeel-Militaru-Zhu, LNM 1787).  Validates them
+    at theta on construction, so holders may average morphisms without
+    re-checking; raises ValueError naming the first identity that fails.
+    from_verdict takes find_cointegral's witness, re-verified already.
     """
 
     ent: Entwining
@@ -73,8 +75,9 @@ class Cointegral(Record):
         require_shape("phi", self.phi, n, n * self.ent.coalg.dim, self.ent.field)
         if _verified:
             return
-        for name, r in zip(_COINTEGRAL_NAMES, _cointegral_residuals(self.ent)):
-            if not r(self.phi).is_zero():
+        theta = self.theta
+        for name, r in zip(_COINTEGRAL_NAMES, _sep_f_identities(self.ent)):
+            if not r(theta).is_zero():
                 raise ValueError("cointegral identity %r fails" % (name,))
 
     @staticmethod
@@ -85,8 +88,9 @@ class Cointegral(Record):
         return Cointegral(e, v.witness["phi"], True) if v.found else None
 
     @property
-    def coev(self) -> Mat:
-        return coevaluation(self.ent.field, self.ent.alg.dim)
+    def theta(self) -> Mat:
+        F, n, c = self.ent.field, self.ent.alg.dim, self.ent.coalg.dim
+        return unvec(F, _phi_layout(F, n, c) * vec(self.phi), n * n, c)
 
 
 # -- condition systems at the base field ------------------------------
@@ -100,6 +104,9 @@ class Cointegral(Record):
 # transpose does, so each contramodule decider is its comodule one under
 # a second name.  The tests check them against contramodule identities
 # written out independently (components.py, reference_residuals.py).
+# The cointegral identities are sep-f's at th = (I_n (x) phi)(coev (x) I_c),
+# th[(i, j), k] = phi[j, (i, k)], term for term (Brzezinski 2000; CMZ, LNM
+# 1787), so they have no factory of their own.  Identity factors are None.
 
 
 def _term(coeff, left: Mat, a: int, b: int, right: Mat) -> Term:
@@ -116,15 +123,14 @@ def _v1p_residual(e: Entwining):
     n, c = e.alg.dim, e.coalg.dim
     i_c = Mat.identity(F, c)
     tail = kron(e.coalg.comult, Mat.identity(F, n))
-    return [TermList((_term(1, i_c, 1, c, kron(i_c, e.psi) * tail),
-                      _term(-1, i_c, c, 1, tail)))]
+    return [TermList((_term(1, None, 1, c, kron(i_c, e.psi) * tail),
+                      _term(-1, None, c, 1, tail)), shape=(c, c * n))]
 
 
 def _v1p_norm(e: Entwining):
     """r (I_c (x) unit) - counit; transposed, (I_c (x) unit^T) s - counit^T."""
-    i_c = Mat.identity(e.field, e.coalg.dim)
-    return TermList((_term(1, Mat.identity(e.field, 1), 1, 1, kron(i_c, e.alg.unit)),),
-                    -e.coalg.counit)
+    right = kron(Mat.identity(e.field, e.coalg.dim), e.alg.unit)
+    return TermList((_term(1, None, 1, 1, right),), -e.coalg.counit)
 
 
 def _w1p_residuals(e: Entwining):
@@ -140,17 +146,26 @@ def _w1p_residuals(e: Entwining):
     mult, comult, psi = e.alg.mult, e.coalg.comult, e.psi
     coaction_side = TermList((
         _term(1, kron(i_n, psi) * kron(psi, i_n), c, 1, comult),
-        _term(-1, Mat.identity(F, n * n * c), 1, c, comult)))
+        _term(-1, None, 1, c, comult)))
     action_side = TermList((
-        _term(1, kron(i_n, mult), 1, n, Mat.identity(F, c * n)),
+        _term(1, kron(i_n, mult), 1, n, None),
         _term(-1, kron(mult, i_n), n, 1, psi)))
     return [coaction_side, action_side]
 
 
 def _w1_norm(e: Entwining):
     """Normalization of rho, the same on both sides: mult th - unit counit."""
-    return TermList((_term(1, e.alg.mult, 1, 1, Mat.identity(e.field, e.coalg.dim)),),
-                    -(e.alg.unit * e.coalg.counit))
+    return TermList((_term(1, e.alg.mult, 1, 1, None),), -(e.alg.unit * e.coalg.counit))
+
+
+def _sep_f_identities(e: Entwining):
+    """Sep-f's identities; in phi (_phi_layout), the _COINTEGRAL_NAMES ones."""
+    return _w1p_residuals(e) + [_w1_norm(e)]
+
+
+def _phi_layout(field: Field, n: int, c: int) -> Mat:
+    """P = flip(n, n) (x) I_c, its own inverse: vec(th) = P vec(phi)."""
+    return kron(flip(field, n, n), Mat.identity(field, c))
 
 
 # -- separability deciders --------------------------------------------
@@ -166,17 +181,27 @@ def _substitution_check(tag: str, residuals) -> None:
 
 def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str, wit_key: str,
                    log=("normalized family: linear system infeasible",
-                        "normalized family found by linear solve")) -> Verdict:
-    a, b = affine_matrix_system(e.field, rows, cols, residuals)
-    sol = solve_affine(a, b)
+                        "normalized family found by linear solve"),
+                   layout=None) -> Verdict:
+    """Solve the residuals, affine in X (rows x cols), and check X by
+    substitution.  layout = (P, shape) solves for W of that shape, vec(X) =
+    P vec(W), P a permutation and its own inverse: A's columns are relabelled,
+    A P = (P A^T)^T, before the solve, so the particular solution is W's."""
+    F = e.field
+    p, shape = layout or (None, (rows, cols))
+    a, b = affine_matrix_system(F, rows, cols, residuals)
     data = {"unknowns": rows * cols, "rows": a.rows}
+    if p is not None:
+        a = (p * a.t).t
+    sol = solve_affine(a, b)
     del a, b  # not needed for the substitution check; frees the largest matrix
     if sol is None:
         return Verdict("NONE", certificate="linear", data=data, log=log[:1])
-    u = unvec(e.field, sol[0], rows, cols)
-    _substitution_check(tag, [r(u) for r in residuals])
+    x = unvec(F, sol[0] if p is None else p * sol[0], rows, cols)
+    _substitution_check(tag, [r(x) for r in residuals])
     data["parameters"] = sol[1].cols
-    return Verdict("FOUND", witness={wit_key: u}, data=data, log=log[1:])
+    return Verdict("FOUND", witness={wit_key: unvec(F, sol[0], *shape)}, data=data,
+                   log=log[1:])
 
 
 def decide_sep_co_t(e: Entwining) -> Verdict:
@@ -193,7 +218,7 @@ def decide_sep_co_f(e: Entwining) -> Verdict:
     (the action side negated), with the same zero set, and its
     normalization is this one, so this is decide_sep_contra_f too."""
     n, c = e.alg.dim, e.coalg.dim
-    return _decide_linear(e, n * n, c, _w1p_residuals(e) + [_w1_norm(e)], "sep-f", "theta")
+    return _decide_linear(e, n * n, c, _sep_f_identities(e), "sep-f", "theta")
 
 
 decide_sep_contra_t = decide_sep_co_t
@@ -221,17 +246,14 @@ def _frobenius_couplings_co(e: Entwining):
       (r (x) I_n) (I_c (x) th) comult - unit counit,
       comult^T (I_c (x) th^T) (psi^T (x) I_n) (I_n (x) s) - counit^T unit^T,
       comult^T (I_c (x) th^T) (s (x) I_n) - counit^T unit^T."""
-    F = e.field
     n, c = e.alg.dim, e.coalg.dim
-    i_n = Mat.identity(F, n)
     const = -(e.alg.unit * e.coalg.counit)
 
     def coupling(a, b, middle):
-        return TermList((Term(1, i_n, (Lift(a, b, middle),
-                                       Lift(c, 1, e.coalg.comult, side=1))),), const)
+        return TermList((Term(1, None, (Lift(a, b, middle),
+                                        Lift(c, 1, e.coalg.comult, side=1))),), const)
 
-    return [coupling(n, 1, kron(e.psi, i_n)),
-            coupling(1, n, Mat.identity(F, c * n * n))]
+    return [coupling(n, 1, kron(e.psi, Mat.identity(e.field, n))), coupling(1, n, None)]
 
 
 _SIDES = ("sigma", "rho")
@@ -381,32 +403,6 @@ _COINTEGRAL_NAMES = ("coaction-compatibility", "action-compatibility",
                      "normalization")
 
 
-def _cointegral_residuals(e: Entwining):
-    """The cointegral identities in phi:
-      (I_n (x) psi) (psi (x) phi) (I_c (x) coev (x) I_c) comult
-        - (I_n (x) phi (x) I_c) (coev (x) comult),
-      (I_n (x) mult) (I_n (x) phi (x) I_n) (coev (x) I_cn)
-        - (mult (x) phi) (I_n (x) coev (x) I_c) psi,
-      mult (I_n (x) phi) (coev (x) I_c) - unit counit,
-    with psi (x) phi = (psi (x) I_n) (I_cn (x) phi), and mult (x) phi
-    likewise."""
-    F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_n, i_c = Mat.identity(F, n), Mat.identity(F, c)
-    mult, comult, psi = e.alg.mult, e.coalg.comult, e.psi
-    coev = coevaluation(F, n)
-    coaction_side = TermList((
-        _term(1, kron(i_n, psi) * kron(psi, i_n), c * n, 1,
-              kron(i_c, kron(coev, i_c)) * comult),
-        _term(-1, Mat.identity(F, n * n * c), n, c, kron(coev, comult))))
-    action_side = TermList((
-        _term(1, kron(i_n, mult), n, n, kron(coev, Mat.identity(F, c * n))),
-        _term(-1, kron(mult, i_n), n * n, 1, kron(i_n, kron(coev, i_c)) * psi)))
-    normalization = TermList((_term(1, mult, n, 1, kron(coev, i_c)),),
-                             -(e.alg.unit * e.coalg.counit))
-    return [coaction_side, action_side, normalization]
-
-
 def find_cointegral(e: Entwining) -> Verdict:
     """Exact affine solve for a normalized cointegral.
 
@@ -416,13 +412,16 @@ def find_cointegral(e: Entwining) -> Verdict:
     regular Doi-Koppinen entwining of kG the verdict is FOUND in every
     characteristic; for a trivial entwining it is FOUND exactly when A
     has a separability idempotent (for kG: the characteristic does not
-    divide |G|).  A FOUND witness re-verifies by substitution; if it
-    failed an identity, that would be a solver bug (AssertionError).
+    divide |G|).  It solves sep-f's system (see Cointegral), its columns
+    relabelled from th index (i*n + j)*c + k to phi index j*n*c + i*c + k
+    before the solve.  A FOUND witness re-verifies by substitution, as
+    th; if it failed an identity, that would be a solver bug.
     """
     n, c = e.alg.dim, e.coalg.dim
-    return _decide_linear(e, n, n * c, _cointegral_residuals(e), "cointegral", "phi",
+    return _decide_linear(e, n * n, c, _sep_f_identities(e), "cointegral", "phi",
                           log=("cointegral system infeasible",
-                               "cointegral found by linear solve"))
+                               "cointegral found by linear solve"),
+                          layout=(_phi_layout(e.field, n, c), (n, n * c)))
 
 
 def _require_morphism(conditions, x, y, f: Mat, kind: str, entwined: bool) -> None:
@@ -464,16 +463,11 @@ def _average(e: Entwining, phi: Cointegral, x: EntwinedModule, y: EntwinedModule
         raise ValueError("objects and cointegral must share the entwining")
     conditions = morphism_conditions(x, y)
     _require_morphism(conditions, x, y, xi, kind, entwined=False)
+    # (I_M (x) I_n (x) phi)(I_M (x) coev (x) I_c) = I_M (x) th, and maps
+    # that share the identity leg I_n are multiplied before it is lifted.
     F = e.field
-    n, c = e.alg.dim, e.coalg.dim
-    i_n = Mat.identity(F, n)
-    mx = x.dim
-    out = (y.action
-           * kron(xi, i_n)
-           * kron(x.action, i_n)
-           * kron(Mat.identity(F, mx * n), phi.phi)
-           * kron(Mat.identity(F, mx), kron(phi.coev, Mat.identity(F, c)))
-           * x.coaction)
+    out = (y.action * kron(xi * x.action, Mat.identity(F, e.alg.dim))
+           * kron(Mat.identity(F, x.dim), phi.theta) * x.coaction)
     _require_morphism(conditions, x, y, out, kind, entwined=True)
     return out
 

@@ -47,7 +47,8 @@ from .algstruct import (
 )
 from .entwining import Entwining, trivial_entwining
 from .comodcat import (
-    EntwinedModule, _cofree, _free, induce_tc, induce_mc, hom_space, morphism_conditions,
+    EntwinedModule, _cofree, _cofree_action, _free, induce_tc, induce_mc, hom_space,
+    morphism_conditions,
 )
 from .contracat import (
     ContraModule, EntwinedContraModule, free_contramodule, induce_contra_t,
@@ -286,14 +287,15 @@ def _t_upper(m: Measuring, x: EntwinedModule):
     if x.ent != m.dst:
         raise ValueError("object is not over the target entwining")
     F = m.field
-    c = m.dst.coalg.dim
-    cp = m.src.coalg.dim
+    c, cp = m.dst.coalg.dim, m.src.coalg.dim
     i_cp = Mat.identity(F, cp)
     t = (kron(x.coaction, i_cp)
          - kron(x.action, Mat.identity(F, c * cp))
          * kron(Mat.identity(F, x.dim), kron(m.gamma, i_cp) * m.src.coalg.comult))
     dom = comodule_side_induce(m, x.as_module())
-    cod = comodule_side_induce(m, induce_mc(m.dst, x.as_module()).as_module())
+    # M (x) C, the module of induce_mc, whose cofree coaction is not needed.
+    mc = ModuleRight(m.dst.alg, x.dim * c, _cofree_action(m.dst, x.dim, x.action, m.dst.psi))
+    cod = comodule_side_induce(m, mc)
     _require_morphism(morphism_conditions(dom, cod), t, "t_upper")
     return t, dom
 

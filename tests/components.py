@@ -70,6 +70,13 @@ def sigma_equations_co(e: Entwining, r: Mat, m: int):
     return [mem, norm]
 
 
+def theta_of_phi(e: Entwining, phi: Mat) -> Mat:
+    """(I_n (x) phi)(coev (x) I_c): C -> A(x)A, the rho family value of a
+    cointegral phi: A*(x)C -> A."""
+    F, n, c = e.field, e.alg.dim, e.coalg.dim
+    return kron(Mat.identity(F, n), phi) * kron(vec(Mat.identity(F, n)), Mat.identity(F, c))
+
+
 def rho_equations_co(e: Entwining, th: Mat, m: int):
     i_m, i_mc, i_mn, i_n, i_c = _ids(e, m)
     coact = (kron(i_mn, e.psi) * kron(i_m, kron(e.psi, i_n))

@@ -20,6 +20,12 @@ written independently, are compared with the comodule term lists as
 r -> closure(r^T)^T: the rho memberships in the comodule side's order,
 coaction then action, and the action side negated, as its transpose is
 the negative of the comodule side's.
+
+`find_cointegral` poses sep-f's identities with the unknown's columns
+relabelled into phi's layout, th = (I_n (x) phi)(coev (x) I_c)
+(Brzezinski, Proc. AMS 128, 2000; Caenepeel-Militaru-Zhu, LNM 1787).
+So the cointegral closures, written in phi, are compared with sep-f's
+term lists at that th, and with sep-f's contracted system relabelled.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ import pytest
 
 from entwine import criteria
 from entwine.exactlin import (
-    Field, Mat, affine_matrix_system, compile_bilinear, mat_solution_basis, vec,
+    Field, Mat, affine_matrix_system, compile_bilinear, hstack, mat_solution_basis, rref, vec,
 )
 import reference_residuals as ref
+from components import theta_of_phi
 from corpus import TALL, entwinings, tall_entwinings
 
 # F64: the largest prime below 2^64, whose residues multiply to 128 bits.
@@ -67,9 +74,21 @@ def linear_identities(e):
                                   ref.w1_norm(e)])),
         "w1p": ((n * n, c), pairs(criteria._w1p_residuals(e) + [criteria._w1_norm(e)],
                                   ref.w1p_residuals(e) + [ref.w1_norm(e)])),
-        "cointegral": ((n, n * c), pairs(criteria._cointegral_residuals(e),
+        "cointegral": ((n, n * c), pairs(criteria._sep_f_identities(e),
                                          ref.cointegral_residuals(e))),
     }
+
+
+def contracted(e, family, shape, forms):
+    """(A, b) of the term lists by contraction, in the columns of the
+    family's unknown: the cointegral's is sep-f's system, its columns
+    relabelled into phi's layout."""
+    F = e.field
+    if family != "cointegral":
+        return affine_matrix_system(F, *shape, forms)
+    n, c = e.alg.dim, e.coalg.dim
+    a, b = affine_matrix_system(F, n * n, c, forms)
+    return a * criteria._phi_layout(F, n, c), b
 
 
 def random_value(F, rng, shape, scalars=SMALL):
@@ -88,11 +107,13 @@ def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
     forms = [f for f, _ in pairs]
     closures = [r for _, r in pairs]
     for form, closure in pairs:
-        assert affine_matrix_system(F, *shape, form) == affine_matrix_system(F, *shape, closure)
+        assert contracted(e, family, shape, form) == affine_matrix_system(F, *shape, closure)
     # Stacked, as the deciders pose them.
-    assert (affine_matrix_system(F, *shape, forms)
-            == affine_matrix_system(F, *shape,
-                                    lambda u: ref.stacked([r(u) for r in closures])))
+    a, b = contracted(e, family, shape, forms)
+    ra, rb = affine_matrix_system(F, *shape, lambda u: ref.stacked([r(u) for r in closures]))
+    assert (a, b) == (ra, rb)
+    # The particular solution is read off the reduced augmented form.
+    assert rref(hstack([a, b])) == rref(hstack([ra, rb]))
     # The membership conditions, as the Frobenius ladder poses them.
     if family != "cointegral":
         assert (mat_solution_basis(F, *shape, forms[:-1])
@@ -100,8 +121,13 @@ def test_contracted_linear_systems_match_unit_assembly(name, fname, family):
     rng = random.Random("%s-%s-%s" % (name, fname, family))
     for _ in range(2):
         x = random_value(F, rng, shape, scalars)
+        u = x
+        if family == "cointegral":
+            u = theta_of_phi(e, x)
+            n, c = e.alg.dim, e.coalg.dim
+            assert vec(u) == criteria._phi_layout(F, n, c) * vec(x)
         for form, closure in pairs:
-            assert form(x) == closure(x)
+            assert form(u) == closure(x)
 
 
 FROBENIUS = {

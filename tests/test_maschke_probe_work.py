@@ -1,10 +1,11 @@
 """Work per maschke-probe call: the cointegral identities once.
 
-`find_cointegral` re-verifies its witness by substitution, and
-`Cointegral.from_verdict` takes that witness without evaluating the
-identities again.  One `maschke-probe` call on the shipped kZ2 example
-must therefore build the three term lists of the cointegral identities
-once and evaluate each of them once.
+`find_cointegral` solves sep-f's system, whose three identities are the
+cointegral's in th = (I_n (x) phi)(coev (x) I_c), and re-verifies its
+witness by substitution there; `Cointegral.from_verdict` takes that
+witness without evaluating the identities again.  One `maschke-probe`
+call on the shipped kZ2 example must therefore build the three term
+lists once and evaluate each of them once.
 """
 
 from __future__ import annotations
@@ -29,13 +30,13 @@ def test_identities_built_and_evaluated_once(monkeypatch, capsys):
             evaluations.append(self)
             return super().__call__(*xs)
 
-    real = criteria._cointegral_residuals
+    real = criteria._sep_f_identities
 
     def counted(e):
         builds.append(e)
         return [Counted(f.terms, f.const, f.shape) for f in real(e)]
 
-    monkeypatch.setattr(criteria, "_cointegral_residuals", counted)
+    monkeypatch.setattr(criteria, "_sep_f_identities", counted)
     code = cli.main(["maschke-probe", KZ2, "E", "--format", "json"])
     doc = json.loads(capsys.readouterr().out)
     assert code == 0 and doc["cointegral_status"] == "FOUND"

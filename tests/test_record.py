@@ -148,13 +148,13 @@ def test_cointegral_skips_its_recheck_only_from_a_verdict():
     v = criteria.find_cointegral(e)
     phi = v.witness["phi"]
     builds = []
-    real = criteria._cointegral_residuals
+    real = criteria._sep_f_identities
 
     def counted(ent):
         builds.append(ent)
         return real(ent)
 
-    criteria._cointegral_residuals = counted
+    criteria._sep_f_identities = counted
     try:
         assert criteria.Cointegral.from_verdict(e, v).phi == phi
         assert builds == []
@@ -164,7 +164,7 @@ def test_cointegral_skips_its_recheck_only_from_a_verdict():
         assert "identity" in _raises(ValueError, criteria.Cointegral, e, zero)
         assert "must be" in _raises(ValueError, criteria.Cointegral, e, phi.t)
     finally:
-        criteria._cointegral_residuals = real
+        criteria._sep_f_identities = real
     assert list(criteria.Cointegral.__annotations__) == ["ent", "phi"]
 
 
