@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .exactlin import (
-    Field, Mat, Record, kron, flip, vec, unvec, vstack, block_diag, block_inj, block_proj,
+    Field, Mat, Record, kron, vec, unvec, vstack, block_diag, block_inj, block_proj,
     affine_matrix_system, mat_solution_basis, basis_columns, solve_affine,
     compile_bilinear, require_shape, Lift, Term, TermList,
 )
@@ -36,11 +36,6 @@ from .contracat import (
     EntwinedContraModule, contra_morphism_conditions,
     free_contramodule, induce_a_t, induce_contra_t, transpose,
 )
-
-
-def coevaluation(field: Field, n: int) -> Mat:
-    """The column of k -> A(x)A* pairing each basis vector with its dual."""
-    return vec(Mat.identity(field, n))
 
 
 class Cointegral(Record):
@@ -57,11 +52,12 @@ class Cointegral(Record):
     a separability idempotent of A, the classical Maschke condition,
     which fails for kG when the characteristic divides |G|.
 
-    phi is one exactly when theta = (I_n (x) phi)(coev (x) I_c) is a
-    normalized rho family, by sep-f's identities term for term (Brzezinski,
-    Proc. AMS 128, 2000; Caenepeel-Militaru-Zhu, LNM 1787).  Validates them
-    at theta on construction, so holders may average morphisms without
-    re-checking; raises ValueError naming the first identity that fails.
+    phi is one exactly when theta = (I_n (x) phi)(coev (x) I_c), that is
+    theta[(i, j), k] = phi[j, (i, k)] (_phi_layout), is a normalized rho
+    family, by sep-f's identities term for term (Brzezinski, Proc. AMS 128,
+    2000; Caenepeel-Militaru-Zhu, LNM 1787).  Validates them at theta on
+    construction, so holders may average morphisms without re-checking;
+    raises ValueError naming the first identity that fails.
     from_verdict takes find_cointegral's witness, re-verified already.
     """
 
@@ -90,7 +86,7 @@ class Cointegral(Record):
     @property
     def theta(self) -> Mat:
         F, n, c = self.ent.field, self.ent.alg.dim, self.ent.coalg.dim
-        return unvec(F, _phi_layout(F, n, c) * vec(self.phi), n * n, c)
+        return unvec(F, _rows_at(vec(self.phi), _phi_layout(n, c)), n * n, c)
 
 
 # -- condition systems at the base field ------------------------------
@@ -104,9 +100,9 @@ class Cointegral(Record):
 # transpose does, so each contramodule decider is its comodule one under
 # a second name.  The tests check them against contramodule identities
 # written out independently (components.py, reference_residuals.py).
-# The cointegral identities are sep-f's at th = (I_n (x) phi)(coev (x) I_c),
-# th[(i, j), k] = phi[j, (i, k)], term for term (Brzezinski 2000; CMZ, LNM
-# 1787), so they have no factory of their own.  Identity factors are None.
+# The cointegral identities are sep-f's at th[(i, j), k] = phi[j, (i, k)]
+# (_phi_layout), term for term (Brzezinski 2000; CMZ, LNM 1787), so they
+# have no factory of their own.  Identity factors are None.
 
 
 def _term(coeff, left: Mat, a: int, b: int, right: Mat) -> Term:
@@ -163,9 +159,13 @@ def _sep_f_identities(e: Entwining):
     return _w1p_residuals(e) + [_w1_norm(e)]
 
 
-def _phi_layout(field: Field, n: int, c: int) -> Mat:
-    """P = flip(n, n) (x) I_c, its own inverse: vec(th) = P vec(phi)."""
-    return kron(flip(field, n, n), Mat.identity(field, c))
+def _phi_layout(n: int, c: int) -> list:
+    """The index map, an involution: vec(th)[t] = vec(phi)[perm[t]], t = (i*n + j)*c + k."""
+    return [j * n * c + i * c + k for i in range(n) for j in range(n) for k in range(c)]
+
+
+def _rows_at(m: Mat, perm) -> Mat:
+    return Mat._of(m.field, len(perm), m.cols, map(m.nz.__getitem__, perm))
 
 
 # -- separability deciders --------------------------------------------
@@ -184,20 +184,21 @@ def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str, wit_
                         "normalized family found by linear solve"),
                    layout=None) -> Verdict:
     """Solve the residuals, affine in X (rows x cols), and check X by
-    substitution.  layout = (P, shape) solves for W of that shape, vec(X) =
-    P vec(W), P a permutation and its own inverse: A's columns are relabelled,
-    A P = (P A^T)^T, before the solve, so the particular solution is W's."""
+    substitution.  layout = (perm, shape) solves for W of that shape, vec(X)
+    the rows of vec(W) at perm, an involution: A's columns are renamed, t to
+    perm[t], row by row before the solve, and X is read off W at perm."""
     F = e.field
-    p, shape = layout or (None, (rows, cols))
+    perm, shape = layout or (None, (rows, cols))
     a, b = affine_matrix_system(F, rows, cols, residuals)
     data = {"unknowns": rows * cols, "rows": a.rows}
-    if p is not None:
-        a = (p * a.t).t
+    if perm is not None:
+        a = Mat._of(F, a.rows, a.cols, ({perm[t]: x for t, x in r.items()} if r else r
+                                        for r in a.nz))
     sol = solve_affine(a, b)
     del a, b  # not needed for the substitution check; frees the largest matrix
     if sol is None:
         return Verdict("NONE", certificate="linear", data=data, log=log[:1])
-    x = unvec(F, sol[0] if p is None else p * sol[0], rows, cols)
+    x = unvec(F, sol[0] if perm is None else _rows_at(sol[0], perm), rows, cols)
     _substitution_check(tag, [r(x) for r in residuals])
     data["parameters"] = sol[1].cols
     return Verdict("FOUND", witness={wit_key: unvec(F, sol[0], *shape)}, data=data,
@@ -413,15 +414,14 @@ def find_cointegral(e: Entwining) -> Verdict:
     characteristic; for a trivial entwining it is FOUND exactly when A
     has a separability idempotent (for kG: the characteristic does not
     divide |G|).  It solves sep-f's system (see Cointegral), its columns
-    relabelled from th index (i*n + j)*c + k to phi index j*n*c + i*c + k
-    before the solve.  A FOUND witness re-verifies by substitution, as
-    th; if it failed an identity, that would be a solver bug.
+    renamed by the index map _phi_layout.  A FOUND witness re-verifies by
+    substitution, as th; if it failed an identity, that would be a solver bug.
     """
     n, c = e.alg.dim, e.coalg.dim
     return _decide_linear(e, n * n, c, _sep_f_identities(e), "cointegral", "phi",
                           log=("cointegral system infeasible",
                                "cointegral found by linear solve"),
-                          layout=(_phi_layout(e.field, n, c), (n, n * c)))
+                          layout=(_phi_layout(n, c), (n, n * c)))
 
 
 def _require_morphism(conditions, x, y, f: Mat, kind: str, entwined: bool) -> None:

@@ -24,7 +24,6 @@ from itertools import product
 from entwine.exactlin import Mat, basis_columns, kron, mat_solution_basis, vec, vstack
 from entwine.contracat import under
 from entwine.entwining import Entwining
-from entwine.criteria import coevaluation
 from oracles import in_span
 
 
@@ -224,7 +223,7 @@ def cointegral_residuals(e: Entwining):
     mult, unit = e.alg.mult, e.alg.unit
     comult, counit = e.coalg.comult, e.coalg.counit
     psi = e.psi
-    coev = coevaluation(F, n)
+    coev = vec(i_n)
 
     def coaction_side(phi: Mat) -> Mat:
         return (kron(i_n, psi) * kron(psi, phi) * kron(i_c, kron(coev, i_c)) * comult

@@ -19,7 +19,7 @@ from entwine.contracat import (
     contra_hom_space, free_contramodule, induce_contra_t, transpose,
 )
 from entwine.criteria import (
-    Cointegral, coevaluation, decide_frobenius_co, decide_frobenius_contra,
+    Cointegral, decide_frobenius_co, decide_frobenius_contra,
     decide_sep_co_f, decide_sep_co_t, decide_sep_contra_f, decide_sep_contra_t,
     find_cointegral, maschke_split_co, maschke_split_contra,
     semisimplicity_probe, _v1p_residual, _w1p_residuals,
@@ -545,14 +545,6 @@ def test_rho_round_trips():
                          * kron(Mat.identity(field, y.dim), th) * y.coaction)
                 back = left * kappa * right
                 assert back == kron(Mat.identity(field, m), th)
-
-
-def test_coevaluation_pairs_bases():
-    cv = coevaluation(Q, 3)
-    assert (cv.rows, cv.cols) == (9, 1)
-    for j in range(3):
-        for k in range(3):
-            assert cv[j * 3 + k, 0] == (Q.one if j == k else Q.zero)
 
 
 def test_verdict_serialization_is_deterministic():
