@@ -68,6 +68,7 @@ from .criteria import (
     Cointegral, decide_frobenius_co, decide_sep_co_f, decide_sep_co_t,
     find_cointegral, semisimplicity_probe,
 )
+from .report import canonical_json
 
 
 class InputError(ValueError):
@@ -337,7 +338,7 @@ _TOP_KEYS = ("field",) + tuple(kind.key for kind in _KINDS)
 # -- workspace --------------------------------------------------------
 
 
-class Workspace(Record, frozen=False):
+class Workspace(Record):
     """The field, then one {name: object} dict per table of _KINDS."""
 
     __annotations__ = dict(field=Field, **{kind.key: dict for kind in _KINDS})
@@ -752,7 +753,7 @@ def main(argv=None) -> int:
            "seed": seed, "exit": code}
     out.update(payload)
     if args.format == "json":
-        print(json.dumps(out, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(out))
     else:
         print("\n".join(_text_lines(out)))
     return code

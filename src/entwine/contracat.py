@@ -54,15 +54,13 @@ def under(phi: Mat, outer: int) -> Mat:
 
 def curry_left(act: Mat, m: int, n: int) -> Mat:
     """A (x) M -> M rewritten as M -> M (x) A* on fixed dual bases."""
-    if (act.rows, act.cols) != (m, n * m):
-        raise ValueError("action must be %d x %d" % (m, n * m))
+    require_shape("action", act, m, n * m, act.field)
     # Entry (i, (a, j)) goes to ((i, a), j): the same row-major index.
     return reshape(act, m * n, m)
 
 
 def uncurry_left(mu: Mat, m: int, n: int) -> Mat:
-    if (mu.rows, mu.cols) != (m * n, m):
-        raise ValueError("curried action must be %d x %d" % (m * n, m))
+    require_shape("curried action", mu, m * n, m, mu.field)
     return reshape(mu, m, n * m)
 
 

@@ -91,10 +91,10 @@ class Record:
     A record is built from its fields by position or keyword, then
     __post_init__ runs; it equals another record of the same class with
     equal fields, hashes as the tuple of its fields, and reprs as
-    Name(field=value, ...).  It is frozen (assigning or deleting any
-    attribute raises AttributeError) unless its class, or a base, is
-    declared with `frozen=False`; a mutable record is unhashable.  All of
-    it is set once per class here: no code is generated per class.
+    Name(field=value, ...).  It is frozen: assigning or deleting any
+    attribute raises AttributeError.  A list or dict field may still be
+    filled in place, and makes the record unhashable.  All of it is set
+    once per class here: no code is generated per class.
     """
 
     # (fields, defaults, required, fresh): the field names; per field its
@@ -102,8 +102,8 @@ class Record:
     # lead; the positions of the list and dict defaults, copied per record.
     _spec = ((), (), 0, ())
 
-    def __init_subclass__(cls, frozen=True, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         by_name = dict(zip(*cls._spec[:2]))
         for f in cls.__dict__.get("__annotations__", {}):
             by_name[f] = cls.__dict__.get(f, by_name.get(f, _REQUIRED))
@@ -116,10 +116,6 @@ class Record:
         cls._spec = fields, defaults, len(required), fresh
         # The fields as a tuple (one field: its value), called as self._key(self).
         cls._key = attrgetter(*fields)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def __init__(self, *args, **kwargs):
         fields, defaults, required, fresh = self._spec
@@ -629,8 +625,7 @@ def vec(m: Mat) -> Mat:
 
 
 def unvec(field: Field, column: Mat, rows: int, cols: int) -> Mat:
-    if column.cols != 1 or column.rows != rows * cols:
-        raise ValueError("unvec shape mismatch")
+    require_shape("column", column, rows * cols, 1, field)
     return reshape(column, rows, cols)
 
 

@@ -13,6 +13,11 @@ import json
 from .exactlin import Mat, Record, basis_columns, in_subspace
 
 
+def canonical_json(value) -> str:
+    """JSON with sorted keys and no spaces: the bytes of every JSON output."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
 class Check(Record):
     name: str
     passed: bool
@@ -50,7 +55,7 @@ def eq_check(name: str, lhs: Mat, rhs: Mat) -> Check:
     return Check(name, True)
 
 
-class Report(Record, frozen=False):
+class Report(Record):
     """Named collection of checks plus free-form result data."""
 
     title: str
@@ -74,7 +79,7 @@ class Report(Record, frozen=False):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
 
 def hom_bijection_report(title: str, left, left_shape, right, right_shape,
@@ -145,4 +150,4 @@ class Verdict(Record):
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())

@@ -19,7 +19,7 @@ from entwine.contracat import (
     contra_hom_space, free_contramodule, induce_contra_t, transpose,
 )
 from entwine.criteria import (
-    Cointegral, decide_frobenius_co, decide_frobenius_contra,
+    Cointegral, decide_frobenius_co,
     decide_sep_co_f, decide_sep_co_t, decide_sep_contra_f, decide_sep_contra_t,
     find_cointegral, maschke_split_co, maschke_split_contra,
     semisimplicity_probe, _v1p_residual, _w1p_residuals,
@@ -222,19 +222,19 @@ def test_sep_verdict_matches_cointegral_for_one_dim_algebra():
 
 
 def test_frobenius_m2_found_and_reverified():
+    # One verdict for both variances: the contra decider is the co decider.
     e = trivial_entwining(matrix_algebra(2, Q))
-    for decide, sig_eqs, rho_eqs, frob_eqs, col in (
-        (decide_frobenius_co, cp.sigma_equations_co, cp.rho_equations_co,
-         cp.frobenius_equations_co, False),
-        (decide_frobenius_contra, cp.sigma_equations_contra,
-         cp.rho_equations_contra, cp.frobenius_equations_contra, True),
+    v = decide_frobenius_co(e)
+    assert v.found
+    assert v.data["sigma_parameters"] == 4
+    assert v.data["rho_parameters"] == 4
+    th = v.witness["theta"]
+    for sig_eqs, rho_eqs, frob_eqs, col in (
+        (cp.sigma_equations_co, cp.rho_equations_co, cp.frobenius_equations_co, False),
+        (cp.sigma_equations_contra, cp.rho_equations_contra,
+         cp.frobenius_equations_contra, True),
     ):
-        v = decide(e)
-        assert v.found
-        assert v.data["sigma_parameters"] == 4
-        assert v.data["rho_parameters"] == 4
         s = v.witness["e"].t if col else v.witness["e"]
-        th = v.witness["theta"]
         for m in (1, 2, 3):
             assert sig_eqs(e, s, m)[0].is_zero()
             assert all(r.is_zero() for r in rho_eqs(e, th, m)[:2])

@@ -82,11 +82,15 @@ def test_frozen_records_refuse_assignment_and_deletion():
                lambda: delattr(f, "p")):
         _raises(AttributeError, fn)
     assert f == Field("prime", 5)
+    # Every record is frozen; a list or dict field is still filled in place.
     rep = Report("a")
-    rep.title = "b"
+    for fn in (lambda: setattr(rep, "title", "b"), lambda: delattr(rep, "data")):
+        assert "frozen Report" in _raises(AttributeError, fn)
     rep.data["k"] = 1
-    assert rep.as_dict()["title"] == "b" and rep.data == {"k": 1}
+    assert rep.as_dict()["title"] == "a" and rep.data == {"k": 1}
     _raises(TypeError, hash, rep)
+    # No class keyword makes a record mutable.
+    _raises(TypeError, lambda: type("Mutable", (Record,), {}, frozen=False))
 
 
 def test_equality_and_hash_by_class_and_fields():
@@ -139,8 +143,10 @@ def test_workspace_has_the_tables_positionally_in_format_order():
     assert [k for k, _ in ws.tables()] == keys
     assert all(t is table for (_, t), table in zip(ws.tables(), tables))
     _raises(TypeError, cli.Workspace, Q, *tables[:-1])
-    ws.algebras = {"A": field_algebra(Q)}
+    assert "frozen Workspace" in _raises(AttributeError, setattr, ws, "algebras", {})
+    ws.algebras["A"] = field_algebra(Q)
     assert ws.tables()[0][1] == {"A": field_algebra(Q)}
+    _raises(TypeError, hash, ws)
 
 
 def test_cointegral_skips_its_recheck_only_from_a_verdict():
