@@ -59,6 +59,8 @@ class Cointegral(Record):
     construction, so holders may average morphisms without re-checking;
     raises ValueError naming the first identity that fails.
     from_verdict takes find_cointegral's witness, re-verified already.
+    theta is built once, on construction, and kept; it is not a field, so
+    equality and hash read ent and phi only.
     """
 
     ent: Entwining
@@ -67,14 +69,14 @@ class Cointegral(Record):
     def __init__(self, ent: Entwining, phi: Mat, _verified: bool = False):
         # _verified is True only from from_verdict: the identities hold already.
         super().__init__(ent, phi)
-        n = self.ent.alg.dim
-        require_shape("phi", self.phi, n, n * self.ent.coalg.dim, self.ent.field)
-        if _verified:
-            return
-        theta = self.theta
-        for name, r in zip(_COINTEGRAL_NAMES, _sep_f_identities(self.ent)):
-            if not r(theta).is_zero():
-                raise ValueError("cointegral identity %r fails" % (name,))
+        F, n, c = self.ent.field, self.ent.alg.dim, self.ent.coalg.dim
+        require_shape("phi", self.phi, n, n * c, F)
+        theta = unvec(F, _rows_at(vec(self.phi), _phi_layout(n, c)), n * n, c)
+        if not _verified:
+            for name, r in zip(_COINTEGRAL_NAMES, _sep_f_identities(self.ent)):
+                if not r(theta).is_zero():
+                    raise ValueError("cointegral identity %r fails" % (name,))
+        object.__setattr__(self, "theta", theta)
 
     @staticmethod
     def from_verdict(e: Entwining, v: Verdict):
@@ -82,11 +84,6 @@ class Cointegral(Record):
         unless v is FOUND.  A FOUND witness has re-verified by substitution,
         so its identities are not built or evaluated again."""
         return Cointegral(e, v.witness["phi"], True) if v.found else None
-
-    @property
-    def theta(self) -> Mat:
-        F, n, c = self.ent.field, self.ent.alg.dim, self.ent.coalg.dim
-        return unvec(F, _rows_at(vec(self.phi), _phi_layout(n, c)), n * n, c)
 
 
 # -- condition systems at the base field ------------------------------
@@ -185,15 +182,12 @@ def _decide_linear(e: Entwining, rows: int, cols: int, residuals, tag: str, wit_
                    layout=None) -> Verdict:
     """Solve the residuals, affine in X (rows x cols), and check X by
     substitution.  layout = (perm, shape) solves for W of that shape, vec(X)
-    the rows of vec(W) at perm, an involution: A's columns are renamed, t to
-    perm[t], row by row before the solve, and X is read off W at perm."""
+    the rows of vec(W) at perm, an involution: A is assembled with column t
+    at perm[t], and X is read off W at perm."""
     F = e.field
     perm, shape = layout or (None, (rows, cols))
-    a, b = affine_matrix_system(F, rows, cols, residuals)
+    a, b = affine_matrix_system(F, rows, cols, residuals, _columns=perm)
     data = {"unknowns": rows * cols, "rows": a.rows}
-    if perm is not None:
-        a = Mat._of(F, a.rows, a.cols, ({perm[t]: x for t, x in r.items()} if r else r
-                                        for r in a.nz))
     sol = solve_affine(a, b)
     del a, b  # not needed for the substitution check; frees the largest matrix
     if sol is None:

@@ -28,7 +28,10 @@ one loop for both fields whose two per-field steps are _clear and
 _primitive.  rref, rank, kernel_basis, solve_affine, inverse and
 cokernel all go through it, and every kernel basis is read off its
 result the same way (_kernel).  The form is unique, so none of them
-depends on the order rows are reduced in.
+depends on the order rows are reduced in.  restrict_map eliminates only
+when its codomain basis is not canonical: a kernel basis, or its kron
+with identities, has a unit row for each column, so the restriction is
+read off those rows and checked by one product.
 
 Tensor factors flatten first-factor-major: kron(f, g) is the matrix of
 f (x) g when the index (i1, i2) over dims (d1, d2) is i1*d2 + i2.
@@ -600,13 +603,18 @@ def vstack(mats) -> Mat:
                    chain.from_iterable(m.nz for m in mats))
 
 
-def _from_flat(field: Field, rows: int, cols: int, acc: dict) -> Mat:
+def _from_flat(field: Field, rows: int, cols: int, acc: dict, columns=None) -> Mat:
     """The rows x cols Mat whose nonzero entries are acc {flat row-major
-    index: value}."""
+    index: value}, with column j placed at columns[j] if columns is given."""
     out = [{} for _ in range(rows)]
-    for f, x in acc.items():
-        i, j = divmod(f, cols)
-        out[i][j] = x
+    if columns is None:
+        for f, x in acc.items():
+            i, j = divmod(f, cols)
+            out[i][j] = x
+    else:
+        for f, x in acc.items():
+            i, j = divmod(f, cols)
+            out[i][columns[j]] = x
     return Mat._of(field, rows, cols, out)
 
 
@@ -898,14 +906,33 @@ def cokernel(m: Mat) -> QuotientPresentation:
 
 
 def restrict_map(f: Mat, dom_basis: Mat, cod_basis: Mat) -> Mat:
-    """Matrix of f between subspaces, in the given bases.
+    """Matrix of f between subspaces, in the given bases: the g with
+    cod_basis g = f dom_basis, unique as the basis columns are independent.
 
-    Requires f(dom) <= cod; raises ValueError otherwise.
+    A canonical codomain, one with a unit row {j: 1} for each column j, as
+    every kernel basis (_kernel) has at its free columns and keeps under
+    kron with identities, is read, not eliminated: row j of g is the row
+    of f dom_basis at column j's unit row, and one product checks it.  Any
+    other basis is eliminated (solve_affine).  An identity dom_basis is
+    not multiplied.  Requires f(dom) <= cod; raises ValueError otherwise.
     """
-    sol = solve_affine(cod_basis, f * dom_basis)
-    if sol is None:
-        raise ValueError("map does not restrict to the subspace")
-    return sol[0]
+    fd = f if dom_basis == Mat.identity(f.field, f.cols) else f * dom_basis
+    if cod_basis.rows != fd.rows:
+        raise ValueError("shape mismatch")
+    unit = {}
+    for i, r in enumerate(cod_basis.nz):
+        if len(r) == 1:
+            (j, x), = r.items()
+            if x == 1:
+                unit.setdefault(j, i)
+    k = cod_basis.cols
+    if len(unit) == k:
+        g = Mat._of(fd.field, k, fd.cols, (fd.nz[unit[j]] for j in range(k)))
+        if cod_basis * g == fd:
+            return g
+    elif (sol := solve_affine(cod_basis, fd)) is not None:
+        return sol[0]
+    raise ValueError("map does not restrict to the subspace")
 
 
 def in_subspace(space: SubspaceBasis, f: Mat) -> bool:
@@ -1148,17 +1175,20 @@ def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> Subspa
     return SubspaceBasis(nunk, kernel_basis(system))
 
 
-def affine_matrix_system(field: Field, rows: int, cols: int, residual):
+def affine_matrix_system(field: Field, rows: int, cols: int, residual, *, _columns=None):
     """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine.
 
     residual: a term list, or a list of term lists whose values are
     stacked, contracted; or a callable Mat -> Mat, evaluated at zero and
-    on the matrix units.
+    on the matrix units.  _columns, internal and read for term lists only,
+    is a permutation of the unknowns: A's column t is placed at
+    _columns[t] as its entries are, so A vec(W) = b for vec(F)[t] =
+    vec(W)[_columns[t]].
     """
     forms = _term_lists(residual)
     if forms is not None:
         acc, height, b = _contracted_system(field, rows, cols, forms)
-        return _from_flat(field, height, rows * cols, acc), b
+        return _from_flat(field, height, rows * cols, acc, _columns), b
     r0 = residual(Mat.zeros(field, rows, cols))
     a = _unit_system(field, rows, cols, lambda e: vec(residual(e) - r0), r0.rows * r0.cols)
     return a, -vec(r0)

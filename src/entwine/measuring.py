@@ -17,10 +17,13 @@ returns the object with its kernel inclusion or with the cokernel
 presenting it, and the (co)units and adjunction checks read from that
 presentation.  comodule_side_induce is comodcat's free or cofree object
 with the measuring's twist, and every map onto a quotient is descended
-by _descend.  Maps that share an identity leg are multiplied before
-they are lifted, by kron(I, X) kron(I, Y) = kron(I, X Y).  The
-contramodule side is the transpose (`contracat.transpose`, the dual on
-the dual basis): contra_induce, cohom, hom_tilde, s_upper, s_lower,
+by _descend.  Each twist is built once per functor construction
+(_alpha_twist, _gamma_twist): t_upper's morphism check gives its one
+alpha twist to both the cofree domain and the cofree codomain.  Maps
+that share an identity leg are multiplied before they are lifted, by
+kron(I, X) kron(I, Y) = kron(I, X Y).  The contramodule side is the
+transpose (`contracat.transpose`, the dual on the dual basis):
+contra_induce, cohom, hom_tilde, s_upper, s_lower,
 unit_psi, counit_phi and the contramodule adjunction are
 comodule_side_induce, cotensor, hat_tensor, t_upper, t_lower,
 counit_upsilon, unit_omega and the comodule adjunction at the transposed
@@ -258,32 +261,43 @@ def _descend(f: Mat, relations: Mat, section: Mat, message: str) -> Mat:
     return f * section
 
 
+def _alpha_twist(m: Measuring) -> Mat:
+    """(alpha (x) C')(C' (x) psi')(comult' (x) A'): C' (x) A' -> A (x) C',
+    the twist of the cofree object M (x) C'."""
+    F = m.field
+    i_cp = Mat.identity(F, m.src.coalg.dim)
+    return (kron(m.alpha, i_cp) * kron(i_cp, m.src.psi)
+            * kron(m.src.coalg.comult, Mat.identity(F, m.src.alg.dim)))
+
+
+def _gamma_twist(m: Measuring) -> Mat:
+    """(mult (x) C)(A (x) psi)(gamma (x) A): C' (x) A -> A (x) C, the twist
+    of the free object M' (x) A."""
+    F = m.field
+    i_n = Mat.identity(F, m.dst.alg.dim)
+    return (kron(m.dst.alg.mult, Mat.identity(F, m.dst.coalg.dim))
+            * kron(i_n, m.dst.psi) * kron(m.gamma, i_n))
+
+
 def comodule_side_induce(m: Measuring, x) -> EntwinedModule:
     """M (x) C' over the source from a module over the target algebra,
     or M' (x) A over the target from a comodule over the source
     coalgebra: the cofree and the free object, twisted through
-    (alpha (x) C')(C' (x) psi')(comult' (x) A') and through
-    (mult (x) C)(A (x) psi)(gamma (x) A)."""
-    F = m.field
+    _alpha_twist and through _gamma_twist."""
     if isinstance(x, ModuleRight):
         if x.alg != m.dst.alg:
             raise ValueError("module is not over the target algebra")
-        i_cp = Mat.identity(F, m.src.coalg.dim)
-        twist = (kron(m.alpha, i_cp) * kron(i_cp, m.src.psi)
-                 * kron(m.src.coalg.comult, Mat.identity(F, m.src.alg.dim)))
-        return _cofree(m.src, x.dim, x.action, twist)
+        return _cofree(m.src, x.dim, x.action, _alpha_twist(m))
     if isinstance(x, Comodule):
         if x.coalg != m.src.coalg:
             raise ValueError("comodule is not over the source coalgebra")
-        i_n = Mat.identity(F, m.dst.alg.dim)
-        twist = (kron(m.dst.alg.mult, Mat.identity(F, m.dst.coalg.dim))
-                 * kron(i_n, m.dst.psi) * kron(m.gamma, i_n))
-        return _free(m.dst, x.dim, x.coaction, twist)
+        return _free(m.dst, x.dim, x.coaction, _gamma_twist(m))
     raise ValueError("expected a ModuleRight or a Comodule")
 
 
 def _t_upper(m: Measuring, x: EntwinedModule):
-    """t_upper and its domain M (x) C', which its morphism check induces."""
+    """t_upper and its domain M (x) C', which its morphism check induces,
+    with its codomain M (x) C (x) C', from one _alpha_twist."""
     if x.ent != m.dst:
         raise ValueError("object is not over the target entwining")
     F = m.field
@@ -292,10 +306,10 @@ def _t_upper(m: Measuring, x: EntwinedModule):
     t = (kron(x.coaction, i_cp)
          - kron(x.action, Mat.identity(F, c * cp))
          * kron(Mat.identity(F, x.dim), kron(m.gamma, i_cp) * m.src.coalg.comult))
-    dom = comodule_side_induce(m, x.as_module())
+    twist = _alpha_twist(m)
+    dom = _cofree(m.src, x.dim, x.action, twist)
     # M (x) C, the module of induce_mc, whose cofree coaction is not needed.
-    mc = ModuleRight(m.dst.alg, x.dim * c, _cofree_action(m.dst, x.dim, x.action, m.dst.psi))
-    cod = comodule_side_induce(m, mc)
+    cod = _cofree(m.src, x.dim * c, _cofree_action(m.dst, x.dim, x.action, m.dst.psi), twist)
     _require_morphism(morphism_conditions(dom, cod), t, "t_upper")
     return t, dom
 

@@ -2,7 +2,10 @@
 
 Each induced functor of `entwine.measuring` is built once per call, with
 its presentation (kernel inclusion or cokernel), and the (co)units and
-adjunctions read from that presentation.  The contramodule side is the
+adjunctions read from that presentation.  Each construction builds its
+measuring's twist once: the cotensor's t_upper one alpha twist for both
+cofree objects of its morphism check, the hat tensor one gamma twist for
+its free object.  The contramodule side is the
 comodule side at transposed objects, so it makes the comodule side's
 calls and one `transpose` per object it takes in or hands back.  This
 test counts the calls that go through the module's globals on the
@@ -30,7 +33,7 @@ from entwine.comodcat import induce_mc, induce_tc
 from entwine.contracat import free_contramodule, induce_a_t, induce_contra_t
 from corpus import graded_algebras, graded_galois, write_galois_workspace
 
-COUNTED = ("comodule_side_induce", "contra_induce", "kernel_basis", "cokernel",
+COUNTED = ("_alpha_twist", "_gamma_twist", "contra_induce", "kernel_basis", "cokernel",
            "t_lower", "s_upper", "s_lower", "transpose")
 
 E = regular_doi_koppinen(group_algebra(2, Field.rational()))
@@ -40,7 +43,7 @@ TC = induce_tc(E, regular_comodule(E.coalg))
 AT = induce_a_t(E, dual_left_module(E.alg))
 CT = induce_contra_t(E, free_contramodule(E.coalg, 1))
 
-CO = {"comodule_side_induce": 3, "kernel_basis": 1, "cokernel": 1, "t_lower": 1}
+CO = {"_alpha_twist": 1, "_gamma_twist": 1, "kernel_basis": 1, "cokernel": 1, "t_lower": 1}
 # A contramodule (co)unit transposes its argument, and the adjunction both
 # objects; the map that comes back is transposed by Mat.t, not counted.
 CONTRA = dict(CO, transpose=1)
@@ -54,9 +57,13 @@ CASES = {
     "unit_psi": (lambda: measuring.unit_psi(M, AT), CONTRA),
     "counit_phi": (lambda: measuring.counit_phi(M, CT), CONTRA),
     "cotensor": (lambda: measuring.cotensor(M, MC),
-                 {"comodule_side_induce": 2, "kernel_basis": 1}),
+                 {"_alpha_twist": 1, "kernel_basis": 1}),
     "cohom": (lambda: measuring.cohom(M, AT),
-              {"comodule_side_induce": 2, "kernel_basis": 1, "transpose": 2}),
+              {"_alpha_twist": 1, "kernel_basis": 1, "transpose": 2}),
+    "hat_tensor": (lambda: measuring.hat_tensor(M, TC),
+                   {"_gamma_twist": 1, "cokernel": 1, "t_lower": 1}),
+    "hom_tilde": (lambda: measuring.hom_tilde(M, CT),
+                  {"_gamma_twist": 1, "cokernel": 1, "t_lower": 1, "transpose": 2}),
 }
 
 

@@ -4,6 +4,10 @@ and its text, and each command-line case exit 3 and its one stderr line.
 The shape refusals of `contracat.curry_left`, `contracat.uncurry_left`
 and `exactlin.unvec` come from `exactlin.require_shape`, so they read
 "<name> must be R x C" or "field mismatch" like every other structure map.
+The morphism guards of the measuring functors are reached from the
+identity measuring of DK kZ2 over Q with one entry changed, and t_upper's
+colinearity guard with alpha = 0 and one entry of the source comult
+changed.
 """
 
 from __future__ import annotations
@@ -15,13 +19,17 @@ import pytest
 
 from entwine import cli, measuring
 from entwine.algstruct import (
-    Algebra, comodule_hom, dual_left_module, group_algebra, matrix_algebra,
+    Algebra, Coalgebra, comodule_hom, dual_left_module, group_algebra, matrix_algebra,
     module_hom_left, regular_comodule, regular_right_module, trunc_poly_algebra,
 )
-from entwine.comodcat import induce_mc
-from entwine.contracat import curry_left, uncurry_left
+from entwine.comodcat import induce_mc, induce_tc
+from entwine.contracat import (
+    curry_left, free_contramodule, induce_a_t, induce_contra_t, uncurry_left,
+)
 from entwine.criteria import Cointegral, find_cointegral, maschke_split_co
-from entwine.entwining import check_entwining_morphism, doi_koppinen, regular_doi_koppinen
+from entwine.entwining import (
+    Entwining, check_entwining_morphism, doi_koppinen, regular_doi_koppinen,
+)
 from entwine.exactlin import (
     Field, Lift, Mat, SubspaceBasis, Term, TermList, affine_matrix_system,
     block_diag, hstack, in_subspace, kron, solve_affine, unvec, vstack,
@@ -61,6 +69,45 @@ def term_wider_than_its_unknown():
     # A 2 x 2 left factor on a lift of a 3 x 3 unknown.
     t = Term(1, Mat.identity(Q, 2), (Lift(1, 1),))
     return affine_matrix_system(Q, 3, 3, TermList((t,), shape=(2, 3)))
+
+
+def bumped(m, i, j):
+    """m with 1 added to its entry (i, j)."""
+    rows = [list(m.row(r)) for r in range(m.rows)]
+    rows[i][j] += 1
+    return Mat.from_rows(m.field, rows)
+
+
+def kz2_measuring(alpha=None, gamma=None, comult=None):
+    """The identity measuring of DK kZ2 over Q with alpha, gamma or the
+    source coalgebra's comult replaced where given."""
+    e = dk(2)
+    m = measuring.identity_measuring(e)
+    src = e if comult is None else Entwining(
+        e.alg, Coalgebra(Q, e.coalg.dim, comult, e.coalg.counit), e.psi)
+    return measuring.Measuring(src, e, m.alpha if alpha is None else alpha,
+                               m.gamma if gamma is None else gamma)
+
+
+def functor_at(name, m):
+    """The functor `name` of m at its induced object over DK kZ2: the
+    cotensor and cohom at objects over the target, the hat tensor and
+    hom_tilde at objects over the source (both are DK kZ2)."""
+    e = dk(2)
+    x = {"cotensor": module(e), "cohom": induce_a_t(e, dual_left_module(e.alg)),
+         "hat_tensor": induce_tc(e, regular_comodule(e.coalg)),
+         "hom_tilde": induce_contra_t(e, free_contramodule(e.coalg, 1))}[name]
+    return getattr(measuring, name)(m, x)
+
+
+# One changed entry of the identity measuring breaks right-linearity: the
+# twisted cofree actions of t_upper's domain and codomain stop matching.
+ALPHA_01 = bumped(measuring.identity_measuring(dk(2)).alpha, 0, 1)
+GAMMA_00 = bumped(measuring.identity_measuring(dk(2)).gamma, 0, 0)
+# With alpha = 0 both cofree actions vanish, so t_upper is right-linear
+# whatever it is; its colinearity is then coassociativity of the source
+# comult under gamma, broken by one changed entry.
+COLINEAR = dict(alpha=Mat.zeros(Q, 2, 4), comult=bumped(dk(2).coalg.comult, 0, 1))
 
 
 def unnamed_algebra():
@@ -142,6 +189,30 @@ REFUSALS = {
     "t-lower-entwining": (
         lambda: measuring.t_lower(measuring.identity_measuring(dk(2)), module(dk(3))),
         ValueError, "object is not over the source entwining"),
+    "cotensor-alpha-right-linear": (
+        lambda: functor_at("cotensor", kz2_measuring(alpha=ALPHA_01)),
+        ValueError, "t_upper is not right-linear"),
+    "cotensor-gamma-right-linear": (
+        lambda: functor_at("cotensor", kz2_measuring(gamma=GAMMA_00)),
+        ValueError, "t_upper is not right-linear"),
+    "cohom-alpha-right-linear": (
+        lambda: functor_at("cohom", kz2_measuring(alpha=ALPHA_01)),
+        ValueError, "t_upper is not right-linear"),
+    "cohom-gamma-right-linear": (
+        lambda: functor_at("cohom", kz2_measuring(gamma=GAMMA_00)),
+        ValueError, "t_upper is not right-linear"),
+    "cotensor-colinear": (
+        lambda: functor_at("cotensor", kz2_measuring(**COLINEAR)),
+        ValueError, "t_upper is not colinear"),
+    "cohom-colinear": (
+        lambda: functor_at("cohom", kz2_measuring(**COLINEAR)),
+        ValueError, "t_upper is not colinear"),
+    "hat-tensor-coaction-descends": (
+        lambda: functor_at("hat_tensor", kz2_measuring(gamma=GAMMA_00)),
+        ValueError, "coaction does not descend to the quotient"),
+    "hom-tilde-coaction-descends": (
+        lambda: functor_at("hom_tilde", kz2_measuring(gamma=GAMMA_00)),
+        ValueError, "coaction does not descend to the quotient"),
     # report
     "verdict-status": (lambda: Verdict("MAYBE"), ValueError, "bad verdict status 'MAYBE'"),
     "verdict-certificate": (
