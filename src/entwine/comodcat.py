@@ -5,11 +5,14 @@ adjunctions (contracat) are these at transposed objects.
 
 An entwined module stores action M(x)A -> M and coaction M -> M(x)C; the
 compatibility square reads
-    coaction o action = (action (x) C) o (M (x) psi) o (coaction (x) A).
+    coaction o action = (action (x) C) o (M (x) psi) o (coaction (x) A),
+that is, the coaction is right-linear into the cofree module M (x) C
+twisted by psi, and check_entwined_module checks it in that form, through
+_cofree_action.
 
 The free object N (x) A and the cofree object M (x) C are built once
 (_free, _cofree) from a twist: induce_tc and induce_mc twist by psi, and
-measuring.comodule_side_induce by a measuring's twists.
+the measuring's functors by a measuring's twists.
 """
 
 from __future__ import annotations
@@ -48,13 +51,9 @@ def check_entwined_module(x: EntwinedModule) -> Report:
     for ch in check_comodule(x.as_comodule()).checks:
         rep.add(ch)
     e = x.ent
-    F = e.field
-    i_m = Mat.identity(F, x.dim)
-    i_n = Mat.identity(F, e.alg.dim)
-    i_c = Mat.identity(F, e.coalg.dim)
-    rep.add(eq_check("action-coaction-compat",
-                     x.coaction * x.action,
-                     kron(x.action, i_c) * kron(i_m, e.psi) * kron(x.coaction, i_n)))
+    rep.add(eq_check("action-coaction-compat", x.coaction * x.action,
+                     _cofree_action(e, x.dim, x.action, e.psi)
+                     * kron(x.coaction, Mat.identity(e.field, e.alg.dim))))
     return rep
 
 

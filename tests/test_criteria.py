@@ -20,7 +20,7 @@ from entwine.contracat import (
 )
 from entwine.criteria import (
     Cointegral, decide_frobenius_co,
-    decide_sep_co_f, decide_sep_co_t, decide_sep_contra_f, decide_sep_contra_t,
+    decide_sep_co_f, decide_sep_co_t, decide_sep_contra_t,
     find_cointegral, maschke_split_co, maschke_split_contra,
     semisimplicity_probe, _v1p_residual, _w1p_residuals,
 )
@@ -190,23 +190,22 @@ def test_dk_separability_found_over_both_fields():
 
 
 def test_dk_f2_exhaustive_solution_counts():
+    """Each variance is decided once (the contra decider is the co
+    decider); its parameter count matches the exhaustive count of
+    solutions of the co and of the independent contra equations."""
     e = dk(2, F2)
-    v = decide_sep_co_t(e)
-    hits = sum(1 for r in all_mats(F2, 1, 4)
-               if all(x.is_zero() for x in cp.sigma_equations_co(e, r, 1)))
-    assert (v.data["parameters"], hits) == (0, 1)
-    v = decide_sep_co_f(e)
-    hits = sum(1 for th in all_mats(F2, 4, 2)
-               if all(x.is_zero() for x in cp.rho_equations_co(e, th, 1)))
-    assert (v.data["parameters"], hits) == (1, 2)
-    v = decide_sep_contra_t(e)
-    hits = sum(1 for s in all_mats(F2, 4, 1)
-               if all(x.is_zero() for x in cp.sigma_equations_contra(e, s, 1)))
-    assert (v.data["parameters"], hits) == (0, 1)
-    v = decide_sep_contra_f(e)
-    hits = sum(1 for th in all_mats(F2, 4, 2)
-               if all(x.is_zero() for x in cp.rho_equations_contra(e, th, 1)))
-    assert (v.data["parameters"], hits) == (1, 2)
+    t_params = decide_sep_co_t(e).data["parameters"]
+    co_hits = sum(1 for r in all_mats(F2, 1, 4)
+                  if all(x.is_zero() for x in cp.sigma_equations_co(e, r, 1)))
+    contra_hits = sum(1 for s in all_mats(F2, 4, 1)
+                      if all(x.is_zero() for x in cp.sigma_equations_contra(e, s, 1)))
+    assert (t_params, co_hits, contra_hits) == (0, 1, 1)
+    f_params = decide_sep_co_f(e).data["parameters"]
+    co_hits = sum(1 for th in all_mats(F2, 4, 2)
+                  if all(x.is_zero() for x in cp.rho_equations_co(e, th, 1)))
+    contra_hits = sum(1 for th in all_mats(F2, 4, 2)
+                      if all(x.is_zero() for x in cp.rho_equations_contra(e, th, 1)))
+    assert (f_params, co_hits, contra_hits) == (1, 2, 2)
 
 
 def test_sep_verdict_matches_cointegral_for_one_dim_algebra():

@@ -5,12 +5,13 @@ its presentation (kernel inclusion or cokernel), and the (co)units and
 adjunctions read from that presentation.  Each construction builds its
 measuring's twist once: the cotensor's t_upper one alpha twist for both
 cofree objects of its morphism check, the hat tensor one gamma twist for
-its free object.  The contramodule side is the
-comodule side at transposed objects, so it makes the comodule side's
-calls and one `transpose` per object it takes in or hands back.  This
-test counts the calls that go through the module's globals on the
-identity measuring of the regular Doi-Koppinen entwining of kZ2 over Q,
-and pins them exactly.
+its free object, which it builds without comodule_side_induce.
+check_measuring builds each twist once for its three mixed identities.
+The contramodule side is the comodule side at transposed objects, so it
+makes the comodule side's calls and one `transpose` per object it takes
+in or hands back.  This test counts the calls that go through the
+module's globals on the identity measuring of the regular Doi-Koppinen
+entwining of kZ2 over Q, and pins them exactly.
 
 The Galois half computes the coinvariants and the canonical map in one
 canonical_map call per command, and galois_measuring tests bijectivity by
@@ -33,8 +34,8 @@ from entwine.comodcat import induce_mc, induce_tc
 from entwine.contracat import free_contramodule, induce_a_t, induce_contra_t
 from corpus import graded_algebras, graded_galois, write_galois_workspace
 
-COUNTED = ("_alpha_twist", "_gamma_twist", "contra_induce", "kernel_basis", "cokernel",
-           "t_lower", "s_upper", "s_lower", "transpose")
+COUNTED = ("_alpha_twist", "_gamma_twist", "comodule_side_induce", "contra_induce",
+           "kernel_basis", "cokernel", "t_lower", "s_upper", "s_lower", "transpose")
 
 E = regular_doi_koppinen(group_algebra(2, Field.rational()))
 M = measuring.identity_measuring(E)
@@ -64,6 +65,8 @@ CASES = {
                    {"_gamma_twist": 1, "cokernel": 1, "t_lower": 1}),
     "hom_tilde": (lambda: measuring.hom_tilde(M, CT),
                   {"_gamma_twist": 1, "cokernel": 1, "t_lower": 1, "transpose": 2}),
+    "check_measuring": (lambda: measuring.check_measuring(M),
+                        {"_alpha_twist": 1, "_gamma_twist": 1}),
 }
 
 
