@@ -117,7 +117,7 @@ def _v1p_residual(e: Entwining):
     i_c = Mat.identity(F, c)
     tail = kron(e.coalg.comult, Mat.identity(F, n))
     return [TermList((_term(1, None, 1, c, kron(i_c, e.psi) * tail),
-                      _term(-1, None, c, 1, tail)), shape=(c, c * n))]
+                      _term(-1, None, c, 1, tail)))]
 
 
 def _v1p_norm(e: Entwining):
@@ -263,21 +263,24 @@ def _projective_points(p: int, d: int):
             yield (0,) * i + (1,) + tail
 
 
-def _decide_frobenius(e: Entwining, budget_bits: int) -> Verdict:
-    """The Frobenius ladder, in membership coordinates.
+def decide_frobenius_co(e: Entwining, budget_bits: int = 12) -> Verdict:
+    """Joint existence of coupled sigma and rho families making the
+    induction/forgetful adjunction two-sided.  The contramodule side's
+    identities are these transposed, with the same zero set, so this is
+    decide_frobenius_contra too.
 
-    Both membership bases P_0 and P_1 are computed first.  Each coupling
-    is compiled once per call (`compile_bilinear`) in their coordinates
-    into B of shape (d0*r) x d1, d0 and d1 the membership dimensions and r
-    the coupling's rows, and gamma = vec(coupling(0, 0)).  A solve with
-    side 0 fixed at coordinates x uses A = reshape(x^T . reshape(B, d0 x
-    r*d1), r x d1); with side 1 fixed at y, A = reshape(B . y, d0 x r)^T;
-    b = -gamma in both.  Coordinate i is the value at the i-th free column
-    of the membership system, and a solve leaves free coordinates at
-    zero, so its answer is that of the membership rows stacked with the
-    coupling rows in the full unknowns.  A witness is mapped back, P_k . x,
-    only when found; evaluated, the term lists re-verify it by
-    substitution.
+    The ladder runs in membership coordinates.  Both membership bases P_0
+    and P_1 are computed first.  Each coupling is compiled once per call
+    (`compile_bilinear`) in their coordinates into B of shape (d0*r) x d1,
+    d0 and d1 the membership dimensions and r the coupling's rows, and
+    gamma = vec(coupling(0, 0)).  A solve with side 0 fixed at coordinates
+    x uses A = reshape(x^T . reshape(B, d0 x r*d1), r x d1); with side 1
+    fixed at y, A = reshape(B . y, d0 x r)^T; b = -gamma in both.
+    Coordinate i is the value at the i-th free column of the membership
+    system, and a solve leaves free coordinates at zero, so its answer is
+    that of the membership rows stacked with the coupling rows in the
+    full unknowns.  A witness is mapped back, P_k . x, only when found;
+    evaluated, the term lists re-verify it by substitution.
 
     budget_bits must lie in [0, 64]: no sweep of 2^64 candidates ends, and
     the budget is reported as the number 2^budget_bits.
@@ -378,14 +381,6 @@ def _decide_frobenius(e: Entwining, budget_bits: int) -> Verdict:
     log.append("strategy 3: %d candidates exceed budget %d" % (count, 1 << budget_bits)
                if F.kind == "prime" else "strategy 3: needs a prime field")
     return Verdict("UNKNOWN", log=tuple(log), data=data)
-
-
-def decide_frobenius_co(e: Entwining, budget_bits: int = 12) -> Verdict:
-    """Joint existence of coupled sigma and rho families making the
-    induction/forgetful adjunction two-sided.  The contramodule side's
-    identities are these transposed, with the same zero set, so this is
-    decide_frobenius_contra too."""
-    return _decide_frobenius(e, budget_bits)
 
 
 decide_frobenius_contra = decide_frobenius_co
@@ -493,9 +488,8 @@ def _splitting_perturbations(inc: Mat, proj: Mat):
     kernel of the first, added to proj, keeps it a retraction of inc, and
     one in the kernel of the second, added to inc, keeps it a section of
     proj."""
-    square = (inc.cols, inc.cols)
-    return (TermList((Term(1, None, (Lift(1, 1, inc),)),), shape=square),
-            TermList((Term(1, proj, (Lift(1, 1),)),), shape=square))
+    return (TermList((Term(1, None, (Lift(1, 1, inc),)),)),
+            TermList((Term(1, proj, (Lift(1, 1),)),)))
 
 
 def _probe_side(rep: Report, prefix: str, split, x1, x2, y, conditions, kind) -> None:

@@ -43,7 +43,8 @@ An identity linear in an unknown matrix X is stated once as a term list
 
 L and R fixed; a bilinear identity has one such lift per argument in
 each term, L . lift(U) . M . lift(V) . R.  An identity factor L or R is
-left implicit (None) and never built.  Calling a term list evaluates it:
+left implicit (None) and never built, and the value's shape is read off
+K or the first term (_value_shape).  Calling a term list evaluates it:
 each lift I_a (x) X (x) I_b is built in one pass over the nonzeros of X
 (_lift), with no identity matrix and no kron, the factors are multiplied
 by the Mat product, and each term's coefficient is folded into one sum
@@ -977,28 +978,11 @@ class Term(Record):
 class TermList(Record):
     """An identity in normal form: the sum of its terms plus const (None
     for zero).  Calling it evaluates it; `affine_matrix_system`,
-    `mat_solution_basis` and `compile_bilinear` contract it.
-
-    shape is the (rows, cols) of its value.  It is read off const, or off
-    a term's left factor and a term's last right factor, and must be
-    given when those are identities (None) or absent."""
+    `mat_solution_basis` and `compile_bilinear` contract it, and read the
+    shape of its value off its factors and unknowns (_value_shape)."""
 
     terms: tuple
     const: Mat = None
-    shape: tuple = None
-
-    def __post_init__(self):
-        if self.shape is not None:
-            return
-        if self.const is not None:
-            shape = self.const.rows, self.const.cols
-        else:
-            shape = (next((t.left.rows for t in self.terms if t.left is not None), None),
-                     next((t.lifts[-1].right.cols for t in self.terms
-                           if t.lifts[-1].right is not None), None))
-        if None in shape:
-            raise ValueError("the value shape cannot be read off the factors")
-        object.__setattr__(self, "shape", shape)
 
     def __call__(self, *xs) -> Mat:
         out = self.const
@@ -1039,8 +1023,25 @@ def _nonzeros(m: Mat, n: int, prime: bool, c):
             for i, r in enumerate(m.nz) for j, x in r.items()]
 
 
-def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: int,
-                weights) -> None:
+def _value_shape(f: TermList, shapes) -> tuple:
+    """(rows, cols) of f's value at unknowns of the given shapes, by side.
+    That is const's, and each term's: its rows are left's, or a.r.b for
+    its first lift's r x c unknown if left is None; its columns are its
+    last lift's right's, or a.c.b for that lift's unknown if right is
+    None.  Terms or a const of unequal shapes are refused."""
+    found = set() if f.const is None else {(f.const.rows, f.const.cols)}
+    for t in f.terms:
+        first, last = t.lifts[0], t.lifts[-1]
+        found.add((first.a * shapes[first.side][0] * first.b if t.left is None else t.left.rows,
+                   last.a * shapes[last.side][1] * last.b if last.right is None
+                   else last.right.cols))
+    if len(found) != 1:
+        raise ValueError("term list has no single value shape")
+    return found.pop()
+
+
+def _accumulate(acc: dict, field: Field, term: Term, shapes, k: int, start: int,
+                ncols: int, weights) -> None:
     """Add the term's coefficients into acc, the entries of a flat matrix
     with ncols columns by index, unreduced until _finish: the coefficient
     of U_1[p_1, q_1] ... U_j[p_j, q_j] in entry (r, s) of the term's
@@ -1063,10 +1064,8 @@ def _accumulate(acc: dict, field: Field, term: Term, shapes, start: int, ncols: 
     c, one = field.of(term.coeff), 1
     if not prime:
         c, one = (c.numerator, c.denominator), (1, 1)
-    first, last = term.lifts[0], term.lifts[-1]
-    xr = shapes[first.side][0]
-    width = first.a * xr * first.b if term.left is None else term.left.cols
-    k = last.a * shapes[last.side][1] * last.b if last.right is None else last.right.cols
+    first = term.lifts[0]
+    width = first.a * shapes[first.side][0] * first.b if term.left is None else term.left.cols
     cur = [(start + r * k * ncols, j, v) for r, j, v in _nonzeros(term.left, width, prime, c)]
     for depth, lift in enumerate(term.lifts, 1 - len(term.lifts)):
         (xr, xc), w = shapes[lift.side], weights[lift.side]
@@ -1133,12 +1132,13 @@ def _contracted_system(field: Field, rows: int, cols: int, forms):
     """(acc, height, b): the nonzero entries of A by flat index, the row
     count of A, and b, with A vec(X) = b iff every form vanishes at X, the
     forms' values stacked in order, each row-major."""
-    nunk = rows * cols
+    nunk, shapes = rows * cols, ((rows, cols),)
     acc, rhs, off = {}, [], 0
     for f in forms:
+        vr, vc = _value_shape(f, shapes)
         for t in f.terms:
-            _accumulate(acc, field, t, ((rows, cols),), off * nunk, nunk, (1,))
-        h = f.shape[0] * f.shape[1]
+            _accumulate(acc, field, t, shapes, vc, off * nunk, nunk, (1,))
+        h = vr * vc
         rhs.append(Mat.zeros(field, h, 1) if f.const is None else vec(-f.const))
         off += h
     return _finish(field, acc), off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
@@ -1236,10 +1236,10 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     if any(sorted(lift.side for lift in t.lifts) != [0, 1] for t in f.terms):
         raise ValueError("coupling term is not bilinear")
     P, Q = bases
-    r, n1 = f.shape[0] * f.shape[1], shape1[0] * shape1[1]
-    acc = {}
+    (vr, vc), n1 = _value_shape(f, (shape0, shape1)), shape1[0] * shape1[1]
+    r, acc = vr * vc, {}
     for t in f.terms:
-        _accumulate(acc, field, t, (shape0, shape1), 0, n1, (r * n1, 1))
+        _accumulate(acc, field, t, (shape0, shape1), vc, 0, n1, (r * n1, 1))
     W = _from_flat(field, P.rows, r * n1, _finish(field, acc))
     gamma = Mat.zeros(field, r, 1) if f.const is None else vec(f.const)
     return CompiledBilinear(P.cols, reshape(P.t * W, P.cols * r, n1) * Q, gamma)

@@ -48,10 +48,10 @@ def term_list_oracle(form, *xs) -> Mat:
     definition: each term is coeff . left . lift_1 . lift_2 ..., a lift
     (I_a (x) U (x) I_b) . right built with dense identities and two
     Kronecker products, None factors written out as identities, and the
-    terms summed with const entry by entry."""
+    terms summed with const entry by entry.  The value's shape is that of
+    const, or of the first term's product."""
     F = xs[0].field
-    rows, cols = form.shape
-    acc = list(form.const.entries) if form.const is not None else [F.zero] * (rows * cols)
+    out = form.const
     for t in form.terms:
         first = t.lifts[0]
         v = t.left
@@ -63,9 +63,13 @@ def term_list_oracle(form, *xs) -> Mat:
             if lift.right is not None:
                 u = matmul_oracle(u, lift.right)
             v = matmul_oracle(v, u)
+        if out is None:
+            out = Mat(F, v.rows, v.cols, (F.zero,) * (v.rows * v.cols))
+        assert (v.rows, v.cols) == (out.rows, out.cols)
         c = F.of(t.coeff)
-        acc = [F.add(x, F.mul(c, y)) for x, y in zip(acc, v.entries)]
-    return Mat(F, rows, cols, tuple(acc))
+        out = Mat(F, out.rows, out.cols,
+                  tuple(F.add(x, F.mul(c, y)) for x, y in zip(out.entries, v.entries)))
+    return out
 
 
 def det_oracle(m: Mat):

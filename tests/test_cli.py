@@ -262,17 +262,17 @@ def test_decider_commands_solve_each_system_once(monkeypatch, capsys):
     assert criteria.decide_frobenius_contra is criteria.decide_frobenius_co
     calls = []
 
-    def counted(name):
-        fn = getattr(criteria, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def call(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
         return call
 
-    for name in ("_decide_linear", "_decide_frobenius"):
-        monkeypatch.setattr(criteria, name, counted(name))
-    solves = {"separability": ["_decide_linear"] * 2, "frobenius": ["_decide_frobenius"]}
+    for module, name in ((criteria, "_decide_linear"), (cli, "decide_frobenius_co")):
+        monkeypatch.setattr(module, name, counted(module, name))
+    solves = {"separability": ["_decide_linear"] * 2, "frobenius": ["decide_frobenius_co"]}
     for (cmd, ws, fmt), digest in DECIDER_STDOUT.items():
         calls.clear()
         code, out, err = run(capsys, cmd, {"kZ2": KZ2, "ut3": UT3}[ws], "E", "--format", fmt)

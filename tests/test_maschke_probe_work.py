@@ -34,7 +34,7 @@ def test_identities_built_and_evaluated_once(monkeypatch, capsys):
 
     def counted(e):
         builds.append(e)
-        return [Counted(f.terms, f.const, f.shape) for f in real(e)]
+        return [Counted(f.terms, f.const) for f in real(e)]
 
     monkeypatch.setattr(criteria, "_sep_f_identities", counted)
     code = cli.main(["maschke-probe", KZ2, "E", "--format", "json"])

@@ -32,7 +32,8 @@ from entwine.entwining import (
 )
 from entwine.exactlin import (
     Field, Lift, Mat, SubspaceBasis, Term, TermList, affine_matrix_system,
-    block_diag, hstack, in_subspace, kron, solve_affine, unvec, vstack,
+    block_diag, compile_bilinear, hstack, in_subspace, kron, mat_solution_basis,
+    solve_affine, unvec, vstack,
 )
 from entwine.report import Verdict
 
@@ -68,7 +69,19 @@ def unit_not_preserved():
 def term_wider_than_its_unknown():
     # A 2 x 2 left factor on a lift of a 3 x 3 unknown.
     t = Term(1, Mat.identity(Q, 2), (Lift(1, 1),))
-    return affine_matrix_system(Q, 3, 3, TermList((t,), shape=(2, 3)))
+    return affine_matrix_system(Q, 3, 3, TermList((t,)))
+
+
+def terms_of_unequal_shape():
+    # X (x) I_2 and X, 4 x 4 and 2 x 2 at a 2 x 2 unknown, do not add up.
+    form = TermList((Term(1, None, (Lift(2, 1),)), Term(-1, None, (Lift(1, 1),))))
+    return mat_solution_basis(Q, 2, 2, [form])
+
+
+def const_of_other_shape():
+    # X Y is 2 x 2 at a 2 x 3 X and a 3 x 2 Y; its constant is 3 x 3.
+    form = TermList((Term(1, None, (Lift(1, 1), Lift(1, 1, side=1))),), Mat.identity(Q, 3))
+    return compile_bilinear(Q, (2, 3), (3, 2), form, (Mat.identity(Q, 6),) * 2)
 
 
 def bumped(m, i, j):
@@ -174,6 +187,10 @@ REFUSALS = {
         ValueError, "field mismatch"),
     "term-wider-than-unknown": (
         term_wider_than_its_unknown, ValueError, "term does not fit the shape of its unknown"),
+    "terms-of-unequal-shape": (
+        terms_of_unequal_shape, ValueError, "term list has no single value shape"),
+    "const-of-other-shape": (
+        const_of_other_shape, ValueError, "term list has no single value shape"),
     # measuring
     "galois-fields": (
         lambda: measuring.GaloisData(group_algebra(2, Q).alg, group_algebra(2, F5).coalg,

@@ -12,7 +12,10 @@ entry, and each term list must equal its closure at two random maps, on
 the corpus entwinings over Q, F_2 and F_5, for induced objects, direct
 sums and the 0-dimensional object of the probe.  A term list whose
 identity factors are implicit (None) must also contract and evaluate as
-the one with the identities written out.
+the one with the identities written out.  Each term list the package
+builds must contract, over Q, F_2, F_5 and the largest prime below 2^64,
+to a system with one row per entry of its value, whose shape contraction
+reads off the factors and the unknowns' shapes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import pytest
 from entwine import criteria, measuring
 from entwine.exactlin import (
     Field, Mat, Lift, Term, TermList, affine_matrix_system, block_inj,
-    block_proj, hstack, mat_solution_basis,
+    block_proj, compile_bilinear, hstack, mat_solution_basis,
 )
 from entwine.algstruct import (
     coaction_square, dual_left_module, group_algebra, group_like_coalgebra,
@@ -40,6 +43,8 @@ import reference_residuals as ref
 from corpus import direct_sum_contra, direct_sum_entwined, entwinings
 
 FIELDS = {"Q": Field.rational(), "F2": Field.prime(2), "F5": Field.prime(5)}
+# F64: the largest prime below 2^64.
+SHAPE_FIELDS = dict(FIELDS, F64=Field.prime(18446744073709551557))
 NAMES = sorted(entwinings(FIELDS["Q"]))
 
 
@@ -211,7 +216,7 @@ def explicit(form: TermList, shape) -> TermList:
         first = t.lifts[0]
         left = t.left or Mat.identity(F, first.a * rows * first.b)
         terms.append(Term(t.coeff, left, tuple(lifts)))
-    return TermList(tuple(terms), form.const, form.shape)
+    return TermList(tuple(terms), form.const)
 
 
 @pytest.mark.parametrize("fname", sorted(FIELDS))
@@ -239,13 +244,69 @@ def test_implicit_identities_match_explicit_ones(name, fname):
             assert form(f) == full(f)
 
 
-def test_value_shape_must_be_stated_without_factors():
-    F = FIELDS["F5"]
-    with pytest.raises(ValueError, match="value shape"):
-        TermList((Term(1, None, (Lift(1, 1),)),))
-    form = TermList((Term(1, None, (Lift(1, 1),)),), shape=(2, 3))
+def package_term_lists(e):
+    """(term list, shapes of its unknowns) for every term list the package
+    builds on the entwining e: the criteria's identities and couplings,
+    the probe's perturbations, the plain squares, the entwined morphism
+    conditions on both sides and the coinvariant condition."""
+    F = e.field
+    n, c = e.alg.dim, e.coalg.dim
+    sigma, theta = (1, c * n), (n * n, c)
+    co, contra = entwined_objects(e), contra_objects(e)
+    d = co["tc"].dim
+    inc, proj = block_inj(F, [d, d], 0), block_proj(F, [d, d], 0)
+    h = group_algebra(2, F)
+    forms = ([(f, (sigma,)) for f in criteria._v1p_residual(e) + [criteria._v1p_norm(e)]]
+             + [(f, (theta,)) for f in criteria._sep_f_identities(e)]
+             + [(f, (sigma, theta)) for f in criteria._frobenius_couplings_co(e)]
+             + list(zip(criteria._splitting_perturbations(inc, proj),
+                        [((d, 2 * d),), ((2 * d, d),)])))
+    mc, tc = co["mc"].as_module(), co["tc"].as_comodule()
+    forms += [(right_action_square(mc.action, mc.action, n), ((mc.dim, mc.dim),)),
+              (left_action_square(contra["at"].action, contra["at"].action, n),
+               ((contra["at"].dim, contra["at"].dim),)),
+              (coaction_square(tc.coaction, tc.coaction, c), ((tc.dim, tc.dim),))]
+    for a, b in PAIRS["co"]:
+        x, y = co[a], co[b]
+        forms += [(f, ((y.dim, x.dim),)) for f in morphism_conditions(x, y)]
+    for a, b in PAIRS["contra"]:
+        x, y = contra[a], contra[b]
+        forms += [(f, ((y.dim, x.dim),)) for f in contra_morphism_conditions(x, y)]
+    for g in (measuring.GaloisData(h.alg, h.coalg, h.coalg.comult), graded_galois(F, 4, 2)):
+        forms.append((measuring._coinvariant_condition(g), ((g.alg.dim, 1),)))
+    return forms
+
+
+@pytest.mark.parametrize("fname", sorted(SHAPE_FIELDS))
+@pytest.mark.parametrize("name", NAMES)
+def test_value_shape_is_read_off_factors_and_unknowns(name, fname):
+    """The system of each term list has a row per entry of its value at
+    random unknowns of its shapes: the rows of `affine_matrix_system`, or
+    for a coupling `compile_bilinear`'s gamma, and its b a block of as
+    many rows per coordinate."""
+    F = SHAPE_FIELDS[fname]
+    e = entwinings(F)[name]
+    rng = random.Random("%s-%s-shape" % (name, fname))
+    for form, shapes in package_term_lists(e):
+        value = form(*(random_map(F, rng, *shape) for shape in shapes))
+        size = value.rows * value.cols
+        if len(shapes) == 1:
+            assert affine_matrix_system(F, *shapes[0], form)[0].rows == size
+        else:
+            units = [Mat.identity(F, r * c) for r, c in shapes]
+            cb = compile_bilinear(F, *shapes, form, units)
+            assert (cb.b.rows, cb.gamma.rows) == (units[0].cols * size, size)
+
+
+@pytest.mark.parametrize("fname", sorted(SHAPE_FIELDS))
+def test_bare_unknown_is_its_own_value(fname):
+    """X alone, with no factor and no constant: its value is X and its
+    system the identity."""
+    F = SHAPE_FIELDS[fname]
+    form = TermList((Term(1, None, (Lift(1, 1),)),))
     f = random_map(F, random.Random(0), 2, 3)
     assert form(f) == f
+    assert affine_matrix_system(F, 2, 3, form) == (Mat.identity(F, 6), Mat.zeros(F, 6, 1))
 
 
 def test_package_passes_no_closures(monkeypatch, capsys):

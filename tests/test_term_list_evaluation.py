@@ -109,7 +109,7 @@ def test_call_matches_kron_reference(fname, monkeypatch):
             seen.update({(len(sides), "left", t.left is None),
                          (len(sides), "right", t.lifts[-1].right is None)})
         const = rng.choice((None, random_mat(F, rng, scalars, *VALUE)))
-        form = TermList(tuple(terms), const, VALUE)
+        form = TermList(tuple(terms), const)
         for fill in (0.3, 1.0):
             xs = [random_mat(F, rng, scalars, *shape, fill) for shape in SHAPES]
             assert_value(F, form(*xs), term_list_oracle(form, *xs))
@@ -129,7 +129,7 @@ def test_cancelling_terms_leave_the_constant(fname):
         for pair in ((1, -1), (-1, 1), (2, F.neg(F.of(2))), (x, F.neg(x))):
             for const in (None, random_mat(F, rng, scalars, *VALUE)):
                 xs = [random_mat(F, rng, scalars, *shape, 1.0) for shape in SHAPES]
-                form = TermList(tuple(Term(k, t.left, t.lifts) for k in pair), const, VALUE)
+                form = TermList(tuple(Term(k, t.left, t.lifts) for k in pair), const)
                 want = Mat.zeros(F, *VALUE) if const is None else const
                 assert_value(F, form(*xs), want)
                 assert_cancels_contracted(F, sides, form, want)
@@ -147,7 +147,7 @@ def assert_cancels_contracted(F, sides, form, want):
         return
     linear = TermList(tuple(Term(t.coeff, t.left, tuple(Lift(u.a, u.b, u.right)
                                                          for u in t.lifts))
-                            for t in form.terms), form.const, VALUE)
+                            for t in form.terms), form.const)
     A, b = affine_matrix_system(F, *SHAPES[sides[0]], linear)
     assert A.is_zero()
     assert_value(F, b, -vec(want))
@@ -163,8 +163,7 @@ def test_contraction_matches_the_reference(fname):
     def random_form(sides, nterms):
         terms = tuple(random_term(F, rng, scalars, rng.choice(sides), rng.choice(coeffs))
                       for _ in range(nterms))
-        return TermList(terms, rng.choice((None, random_mat(F, rng, scalars, *VALUE))),
-                        VALUE)
+        return TermList(terms, rng.choice((None, random_mat(F, rng, scalars, *VALUE))))
 
     shape = SHAPES[0]
     for _ in range(8):
