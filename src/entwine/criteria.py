@@ -27,15 +27,10 @@ from .exactlin import (
     compile_bilinear, require_shape, Lift, Term, TermList,
 )
 from .report import Report, eq_check, Verdict
-from .algstruct import (
-    dual_left_module, regular_comodule, regular_right_module,
-)
+from .algstruct import regular_comodule, regular_right_module
 from .entwining import Entwining
 from .comodcat import EntwinedModule, induce_mc, induce_tc, morphism_conditions
-from .contracat import (
-    EntwinedContraModule, contra_morphism_conditions,
-    free_contramodule, induce_a_t, induce_contra_t, transpose,
-)
+from .contracat import EntwinedContraModule, contra_morphism_conditions, transpose
 
 
 class Cointegral(Record):
@@ -464,10 +459,6 @@ def _average(e: Entwining, phi: Cointegral, x: EntwinedModule, y: EntwinedModule
 # -- splitting probe --------------------------------------------------
 
 
-def _dsum_contra(x: EntwinedContraModule, y: EntwinedContraModule) -> EntwinedContraModule:
-    return transpose(_dsum_entwined(transpose(x), transpose(y)))
-
-
 def _dsum_entwined(x: EntwinedModule, y: EntwinedModule) -> EntwinedModule:
     return EntwinedModule(x.ent, x.dim + y.dim,
                           block_diag(x.action, y.action),
@@ -536,19 +527,17 @@ def semisimplicity_probe(e: Entwining, phi) -> Report:
         return rep
     rep.data["applicable"] = True
 
-    # Contramodule side.
-    x1 = induce_contra_t(e, free_contramodule(e.coalg, 1))
+    # The contramodule side's objects are the comodule side's transposed:
+    # induce_contra_t at the free contramodule on k, induce_a_t at A*, and
+    # their direct sum.
+    u1 = induce_tc(e, regular_comodule(e.coalg))
+    co = u1, induce_mc(e, regular_right_module(e.alg)), _dsum_entwined(u1, u1)
     _probe_side(rep, "contra",
                 lambda x, y, f: maschke_split_contra(e, phi, x, y, f),
-                x1, induce_a_t(e, dual_left_module(e.alg)), _dsum_contra(x1, x1),
-                contra_morphism_conditions, EntwinedContraModule)
-
-    # Comodule side.
-    u1 = induce_tc(e, regular_comodule(e.coalg))
+                *map(transpose, co), contra_morphism_conditions, EntwinedContraModule)
     _probe_side(rep, "co",
                 lambda x, y, f: maschke_split_co(e, phi, x, y, f),
-                u1, induce_mc(e, regular_right_module(e.alg)), _dsum_entwined(u1, u1),
-                morphism_conditions, EntwinedModule)
+                *co, morphism_conditions, EntwinedModule)
 
     rep.data["instances"] = len(rep.checks)
     return rep

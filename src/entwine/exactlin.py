@@ -50,10 +50,11 @@ each lift I_a (x) X (x) I_b is built in one pass over the nonzeros of X
 by the Mat product, and each term's coefficient is folded into one sum
 or difference (Mat._merge).
 
-affine_matrix_system, mat_solution_basis and compile_bilinear contract a
-term list from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X), applied
-per leg, the coefficient of X[p, q] in entry (r, s) is the sum over
-alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
+affine_matrix_system and mat_solution_basis assemble their system in one
+function, _system, and compile_bilinear shares its contraction.  A term
+list is contracted from nonzeros only: by vec(L X R) = (L (x) R^T) vec(X),
+applied per leg, the coefficient of X[p, q] in entry (r, s) is the sum
+over alpha, beta of L[r, (alpha, p, beta)] R[(alpha, q, beta), s], so the
 nonzeros of L and of R are indexed by (alpha, beta) and the matching pairs
 multiplied.  Each term is contracted in one pass (_accumulate): its
 coefficient is folded into the nonzeros of L, each carries the flat
@@ -62,15 +63,15 @@ products go straight into the system's accumulator.  The sums stay
 unreduced there, ints over F_p and (numerator, denominator) int pairs
 over Q summed as the product sums them, until one _finish per system
 reduces them mod p, or makes one shared Fraction per distinct pair, and
-drops the zeros.  affine_matrix_system and mat_solution_basis put the
-finished nonzeros straight into the sparse rows of their matrix
-(_from_flat), which mat_solution_basis eliminates; neither builds a
-dense system.  compile_bilinear takes only term lists: their finished
-nonzeros are the sparse rows of W, and the coupling in the coordinates
-of two bases P and Q is the product P^T W Q.  Given any other callable,
-affine_matrix_system and mat_solution_basis evaluate it on every matrix
-unit instead; every condition of the package is a term list, and only
-tests and the benchmark pass closures.
+drops the zeros.  _system puts the finished nonzeros straight into the
+sparse rows of A (_from_flat), which mat_solution_basis eliminates; no
+dense system is built.  compile_bilinear takes only term lists: their
+finished nonzeros are the sparse rows of W, and the coupling in the
+coordinates of two bases P and Q is the product P^T W Q.  A term list
+whose const or factors lie over another field is refused.  Given any
+other callable, _system's one other branch evaluates it at zero and on
+every matrix unit (_evaluated_system); every condition of the package is
+a term list, and only tests and the benchmark pass closures.
 """
 
 from __future__ import annotations
@@ -814,6 +815,8 @@ def solve_affine(a: Mat, b: Mat):
     a.cols columns are the rref of a, and the pivot rows' b columns give a
     particular solution.
     """
+    if a.field != b.field:
+        raise ValueError("field mismatch")
     if a.rows != b.rows:
         raise ValueError("shape mismatch")
     F, n = a.field, a.cols
@@ -1023,12 +1026,16 @@ def _nonzeros(m: Mat, n: int, prime: bool, c):
             for i, r in enumerate(m.nz) for j, x in r.items()]
 
 
-def _value_shape(f: TermList, shapes) -> tuple:
+def _value_shape(f: TermList, shapes, field: Field) -> tuple:
     """(rows, cols) of f's value at unknowns of the given shapes, by side.
     That is const's, and each term's: its rows are left's, or a.r.b for
     its first lift's r x c unknown if left is None; its columns are its
     last lift's right's, or a.c.b for that lift's unknown if right is
-    None.  Terms or a const of unequal shapes are refused."""
+    None.  Terms or a const of unequal shapes are refused, and so is a
+    const or factor over a field other than field."""
+    factors = [f.const] + [m for t in f.terms for m in (t.left, *(u.right for u in t.lifts))]
+    if any(m is not None and m.field != field for m in factors):
+        raise ValueError("field mismatch")
     found = set() if f.const is None else {(f.const.rows, f.const.cols)}
     for t in f.terms:
         first, last = t.lifts[0], t.lifts[-1]
@@ -1121,77 +1128,54 @@ def _finish(field: Field, acc: dict) -> dict:
     return out
 
 
-def _term_lists(x):
-    """x as a list of term lists, or None if x is a plain callable or a
-    list holding one."""
-    forms = x if isinstance(x, (list, tuple)) else (x,)
-    return forms if all(isinstance(f, TermList) for f in forms) else None
-
-
-def _contracted_system(field: Field, rows: int, cols: int, forms):
-    """(acc, height, b): the nonzero entries of A by flat index, the row
-    count of A, and b, with A vec(X) = b iff every form vanishes at X, the
-    forms' values stacked in order, each row-major."""
+def _system(field: Field, rows: int, cols: int, conditions, columns=None):
+    """(A, b) with A vec(X) = b iff every condition vanishes at the
+    rows x cols unknown X; conditions is one condition or a list, whose
+    values are stacked in order, each row-major.  Term lists are
+    contracted, and columns, a permutation of the unknowns, places A's
+    column t at columns[t] as its entries are.  Anything else is
+    evaluated (_evaluated_system), and columns is not read."""
+    forms = conditions if isinstance(conditions, (list, tuple)) else (conditions,)
+    if not all(isinstance(f, TermList) for f in forms):
+        return _evaluated_system(field, rows, cols, forms)
     nunk, shapes = rows * cols, ((rows, cols),)
     acc, rhs, off = {}, [], 0
     for f in forms:
-        vr, vc = _value_shape(f, shapes)
+        vr, vc = _value_shape(f, shapes, field)
         for t in f.terms:
             _accumulate(acc, field, t, shapes, vc, off * nunk, nunk, (1,))
         h = vr * vc
         rhs.append(Mat.zeros(field, h, 1) if f.const is None else vec(-f.const))
         off += h
-    return _finish(field, acc), off, Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs))
+    return (_from_flat(field, off, nunk, _finish(field, acc), columns),
+            Mat._of(field, off, 1, chain.from_iterable(m.nz for m in rhs)))
 
 
-def _unit_system(field: Field, rows: int, cols: int, column, height: int) -> Mat:
-    """The matrix whose column idx is column(E_idx), a column Mat, for
-    each row-major matrix unit E_idx of k^{rows x cols}; height is the row
-    count when there is no unit."""
-    o = field.one
-    units = [column(_from_flat(field, rows, cols, {i: o})) for i in range(rows * cols)]
-    return Mat._of(field, rows * cols, units[0].rows if units else height,
-                   (u.t.nz[0] for u in units)).t
+def _evaluated_system(field: Field, rows: int, cols: int, forms):
+    """_system's (A, b) for affine callables Mat -> Mat: b is minus their
+    stacked value at zero, and A's column u their stacked value at the
+    u-th row-major matrix unit minus that at zero."""
+    def value(x):
+        return vstack([vec(f(x)) for f in forms])
+    v0 = value(Mat.zeros(field, rows, cols))
+    units = (value(_from_flat(field, rows, cols, {u: field.one})) - v0
+             for u in range(rows * cols))
+    return Mat._of(field, rows * cols, v0.rows, (v.t.nz[0] for v in units)).t, -v0
 
 
 def mat_solution_basis(field: Field, rows: int, cols: int, conditions) -> SubspaceBasis:
-    """Basis of {F in k^{rows x cols} : every condition(F) == 0}.
-
-    conditions: a list of term lists, linear in the unknown matrix, whose
-    system is contracted and eliminated as sparse rows; or of callables
-    Mat -> Mat, linear in it, whose system is assembled by evaluating them
-    on the matrix units.
-    """
-    nunk = rows * cols
-    if nunk == 0:
-        return SubspaceBasis(0, Mat.zeros(field, 0, 0))
-    forms = _term_lists(conditions)
-    if forms is not None:
-        acc, height, _ = _contracted_system(field, rows, cols, forms)
-        system = _from_flat(field, height, nunk, acc)
-    else:
-        system = _unit_system(field, rows, cols,
-                              lambda e: vstack([vec(c(e)) for c in conditions]), 0)
-    return SubspaceBasis(nunk, kernel_basis(system))
+    """Basis of {F in k^{rows x cols} : every condition(F) == 0}: the
+    kernel of the system of the conditions, linear in F (_system)."""
+    return SubspaceBasis(rows * cols, kernel_basis(_system(field, rows, cols, conditions)[0]))
 
 
 def affine_matrix_system(field: Field, rows: int, cols: int, residual, *, _columns=None):
-    """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine.
-
-    residual: a term list, or a list of term lists whose values are
-    stacked, contracted; or a callable Mat -> Mat, evaluated at zero and
-    on the matrix units.  _columns, internal and read for term lists only,
-    is a permutation of the unknowns: A's column t is placed at
-    _columns[t] as its entries are, so A vec(W) = b for vec(F)[t] =
-    vec(W)[_columns[t]].
+    """(A, b) with A vec(F) = b  iff  residual(F) == 0, residual affine in
+    F: one condition or a list whose values are stacked (_system).
+    _columns, internal and read for term lists only, is a permutation of
+    the unknowns: A vec(W) = b for vec(F)[t] = vec(W)[_columns[t]].
     """
-    forms = _term_lists(residual)
-    if forms is not None:
-        acc, height, b = _contracted_system(field, rows, cols, forms)
-        return _from_flat(field, height, rows * cols, acc, _columns), b
-    r0 = residual(Mat.zeros(field, rows, cols))
-    a = _unit_system(field, rows, cols, lambda e: vec(residual(e) - r0), r0.rows * r0.cols)
-    return a, -vec(r0)
+    return _system(field, rows, cols, residual, _columns)
 
 
 class CompiledBilinear(Record):
@@ -1236,7 +1220,7 @@ def compile_bilinear(field: Field, shape0, shape1, f: TermList, bases) -> Compil
     if any(sorted(lift.side for lift in t.lifts) != [0, 1] for t in f.terms):
         raise ValueError("coupling term is not bilinear")
     P, Q = bases
-    (vr, vc), n1 = _value_shape(f, (shape0, shape1)), shape1[0] * shape1[1]
+    (vr, vc), n1 = _value_shape(f, (shape0, shape1), field), shape1[0] * shape1[1]
     r, acc = vr * vc, {}
     for t in f.terms:
         _accumulate(acc, field, t, (shape0, shape1), vc, 0, n1, (r * n1, 1))

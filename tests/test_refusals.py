@@ -33,7 +33,7 @@ from entwine.entwining import (
 from entwine.exactlin import (
     Field, Lift, Mat, SubspaceBasis, Term, TermList, affine_matrix_system,
     block_diag, compile_bilinear, hstack, in_subspace, kron, mat_solution_basis,
-    solve_affine, unvec, vstack,
+    restrict_map, solve_affine, unvec, vstack,
 )
 from entwine.report import Verdict
 
@@ -82,6 +82,13 @@ def const_of_other_shape():
     # X Y is 2 x 2 at a 2 x 3 X and a 3 x 2 Y; its constant is 3 x 3.
     form = TermList((Term(1, None, (Lift(1, 1), Lift(1, 1, side=1))),), Mat.identity(Q, 3))
     return compile_bilinear(Q, (2, 3), (3, 2), form, (Mat.identity(Q, 6),) * 2)
+
+
+def form_over_f5(bilinear=False):
+    """The term list c . X - 1, or c . X Y - 1, with c = 2 and every factor
+    over F_5."""
+    lifts = (Lift(1, 1), Lift(1, 1, side=1)) if bilinear else (Lift(1, 1),)
+    return TermList((Term(1, Mat.from_rows(F5, [[2]]), lifts),), -Mat.identity(F5, 1))
 
 
 def bumped(m, i, j):
@@ -182,6 +189,15 @@ REFUSALS = {
     "solve-affine-rows": (
         lambda: solve_affine(Mat.identity(Q, 2), Mat.zeros(Q, 3, 1)),
         ValueError, "shape mismatch"),
+    "solve-affine-fields": (
+        lambda: solve_affine(Mat.from_rows(F5, [[2, 0], [0, 1]]),
+                             Mat.from_rows(Q, [["1/3"], ["1/2"]])),
+        ValueError, "field mismatch"),
+    # A codomain basis with no unit row for its first column is eliminated.
+    "restrict-map-fields": (
+        lambda: restrict_map(Mat.identity(Q, 2), Mat.identity(Q, 2),
+                             Mat.from_rows(F5, [[2, 0], [0, 1]])),
+        ValueError, "field mismatch"),
     "in-subspace-fields": (
         lambda: in_subspace(SubspaceBasis(2, Mat.identity(Q, 2)), Mat.zeros(F5, 2, 1)),
         ValueError, "field mismatch"),
@@ -191,6 +207,14 @@ REFUSALS = {
         terms_of_unequal_shape, ValueError, "term list has no single value shape"),
     "const-of-other-shape": (
         const_of_other_shape, ValueError, "term list has no single value shape"),
+    "term-list-fields-evaluated": (
+        lambda: form_over_f5()(Mat.identity(Q, 1)), ValueError, "field mismatch"),
+    "term-list-fields-contracted": (
+        lambda: affine_matrix_system(Q, 1, 1, form_over_f5()), ValueError, "field mismatch"),
+    "coupling-fields": (
+        lambda: compile_bilinear(Q, (1, 1), (1, 1), form_over_f5(bilinear=True),
+                                 (Mat.identity(Q, 1),) * 2),
+        ValueError, "field mismatch"),
     # measuring
     "galois-fields": (
         lambda: measuring.GaloisData(group_algebra(2, Q).alg, group_algebra(2, F5).coalg,

@@ -37,7 +37,7 @@ from entwine.algstruct import (
 from entwine.comodcat import EntwinedModule, induce_mc, induce_tc, morphism_conditions
 from entwine.contracat import (
     EntwinedContraModule, contra_morphism_conditions, free_contramodule,
-    induce_a_t, induce_contra_t,
+    induce_a_t, induce_contra_t, transpose,
 )
 import reference_residuals as ref
 from corpus import direct_sum_contra, direct_sum_entwined, entwinings
@@ -184,14 +184,18 @@ def test_probe_perturbation_conditions(name, fname):
     F = FIELDS[fname]
     e = entwinings(F)[name]
     rng = random.Random("%s-%s-probe" % (name, fname))
+    # The probe's contramodule objects are its comodule objects transposed.
+    u1 = induce_tc(e, regular_comodule(e.coalg))
+    x1 = induce_contra_t(e, free_contramodule(e.coalg, 1))
+    assert x1 == transpose(u1)
+    assert (induce_a_t(e, dual_left_module(e.alg))
+            == transpose(induce_mc(e, regular_right_module(e.alg))))
     sides = [
-        (induce_contra_t(e, free_contramodule(e.coalg, 1)), criteria._dsum_contra,
+        (x1, transpose(criteria._dsum_entwined(u1, u1)),
          contra_morphism_conditions, ref.contra_morphism_conditions),
-        (induce_tc(e, regular_comodule(e.coalg)), criteria._dsum_entwined,
-         morphism_conditions, ref.morphism_conditions),
+        (u1, criteria._dsum_entwined(u1, u1), morphism_conditions, ref.morphism_conditions),
     ]
-    for x1, dsum, conditions, ref_conditions in sides:
-        y = dsum(x1, x1)
+    for x1, y, conditions, ref_conditions in sides:
         dims = [x1.dim, x1.dim]
         inc, proj = block_inj(F, dims, 0), block_proj(F, dims, 0)
         after_inc, before_proj = criteria._splitting_perturbations(inc, proj)
@@ -323,7 +327,7 @@ def test_package_passes_no_closures(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("a closure was evaluated on matrix units")
 
-    monkeypatch.setattr(exactlin, "_unit_system", refuse)
+    monkeypatch.setattr(exactlin, "_evaluated_system", refuse)
     kz2 = str(Path(cli.__file__).parent / "examples" / "kZ2.json")
     for argv in (["check"], ["galois", "G"], ["measuring", "I"], ["cotensor", "I", "M"],
                  ["hattensor", "I", "M"], ["cohom", "I", "N"], ["homtilde", "I", "N"],

@@ -17,7 +17,10 @@ is the negated constant, also over F64, where the unreduced sums of
 cancelling terms are nonzero multiples of p.  The same random term lists, contracted, must give the system that
 the reference gives on the matrix units (`affine_matrix_system`,
 `mat_solution_basis`) and, bilinear, the compiled coupling that it gives
-on pairs of basis vectors (`compile_bilinear`).
+on pairs of basis vectors (`compile_bilinear`).  Unknowns with no entry
+give a system with no column and the zero space, from term lists and
+closures alike, and a list that mixes a term list with a closure gives
+the system of the same conditions as term lists.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ import pytest
 
 from entwine import exactlin
 from entwine.exactlin import (
-    Field, Lift, Mat, Term, TermList, affine_matrix_system, compile_bilinear,
-    mat_solution_basis, vec,
+    Field, Lift, Mat, SubspaceBasis, Term, TermList, affine_matrix_system,
+    compile_bilinear, mat_solution_basis, vec,
 )
 import reference_residuals as ref
 from corpus import TALL
@@ -183,3 +186,26 @@ def test_contraction_matches_the_reference(fname):
             for u in [random_mat(F, rng, scalars, 3, 1, 0.7)] + [
                     Mat.identity(F, 3).col_mat(i) for i in range(3)]:
                 assert cb.fix(k, u) == fix(k, u)
+    # Unknowns with no entry: A has no column, b is minus the constant, and
+    # the solution space is the zero space, for term lists and closures.
+    for shape in ((0, 3), (2, 0)):
+        lift = Lift(1, 1, random_mat(F, rng, scalars, shape[1], VALUE[1]))
+        const = random_mat(F, rng, scalars, *VALUE)
+        form = TermList((Term(2, random_mat(F, rng, scalars, VALUE[0], shape[0]), (lift,)),),
+                        const)
+        closure = lambda x, form=form: term_list_oracle(form, x)  # noqa: E731
+        for residual in (form, closure):
+            assert affine_matrix_system(F, *shape, residual) == (
+                Mat.zeros(F, VALUE[0] * VALUE[1], 0), -vec(const))
+        for conditions in ([form], [closure], [form, closure]):
+            assert mat_solution_basis(F, *shape, conditions) == SubspaceBasis(
+                0, Mat.zeros(F, 0, 0))
+    # A list mixing a term list with a closure: P X = 0 for a P of rank 1,
+    # and X R = 0, a 2-dimensional space.
+    square = TermList((Term(1, Mat(F, 2, 2, (F.one,) * 4), (Lift(1, 1),)),))
+    r = random_mat(F, rng, scalars, 3, 1, 1.0)
+    by_r = TermList((Term(1, None, (Lift(1, 1, r),)),))
+    mixed = [square, lambda x: x * r]
+    space = mat_solution_basis(F, 2, 3, mixed)
+    assert space == mat_solution_basis(F, 2, 3, [square, by_r]) and space.dim == 2
+    assert affine_matrix_system(F, 2, 3, mixed) == affine_matrix_system(F, 2, 3, [square, by_r])
